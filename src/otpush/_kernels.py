@@ -1,6 +1,4 @@
-"""Hot numerical kernels with a JIT path and a vectorized NumPy fallback.
-
-Two kernels live here:
+"""The two hot NumPy kernels.
 
 * ``ssp_flow`` — successive-shortest-path min-cost flow on a dense bipartite
   transportation instance with integer supplies/demands and float costs.
@@ -8,185 +6,37 @@ Two kernels live here:
   points, bracket the set of affine pieces active somewhere in the closed
   ball of radius ``eta`` around each point (lower/upper slope-diameter
   brackets plus an ambiguity flag).
-
-The JIT path is selected by default when numba imports cleanly; setting the
-environment variable ``OTPUSH_NUMBA=0`` forces the NumPy fallback.  Both
-implementations of each kernel are exported so tests can assert parity and
-``benchmarks/bench_kernels.py`` can time them against each other.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
 import numpy as np
 
 _INF = np.inf
 
-USE_NUMBA = os.environ.get("OTPUSH_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-        USE_NUMBA = False
-else:
-    njit = None
-
-NUMBA_ACTIVE = USE_NUMBA
+# perfbench/child.py records this in its environment block.
+NUMBA_ACTIVE = False
 
 
 # ---------------------------------------------------------------------------
 # successive shortest paths on a dense bipartite graph
 # ---------------------------------------------------------------------------
 
-def _ssp_flow_scalar(cost, supply, demand, max_iters):
-    """Scalar-loop SSP; the numba target.
+def ssp_flow(cost, supply, demand, *, max_iters):
+    """Successive-shortest-path min-cost flow on a dense bipartite graph.
 
     Node potentials keep every residual reduced cost nonnegative, so each
-    augmentation is one Dijkstra pass (dense, no heap).  Returns
-    ``(flow, u, v, status)`` with ``status`` 0 on success, 1 if the iteration
-    cap was hit.  Dual feasibility: u[i] + v[j] <= cost[i, j] with equality
-    on every arc carrying flow.
-    """
-    n, m = cost.shape
-    flow = np.zeros((n, m), dtype=np.int64)
-    rem_s = supply.copy()
-    rem_d = demand.copy()
-    u = np.zeros(n, dtype=np.float64)
-    v = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        best = cost[0, j]
-        for i in range(1, n):
-            if cost[i, j] < best:
-                best = cost[i, j]
-        v[j] = best
+    augmentation is one Dijkstra pass.  Returns ``(flow, u, v, status)`` with
+    ``status`` 0 on success, 1 if the iteration cap was hit, 2 if no
+    deficient sink is reachable (supply exceeds demand).  Dual feasibility:
+    u[i] + v[j] <= cost[i, j] with equality on every arc carrying flow.
 
-    dist_s = np.empty(n, dtype=np.float64)
-    dist_t = np.empty(m, dtype=np.float64)
-    done_s = np.empty(n, dtype=np.bool_)
-    done_t = np.empty(m, dtype=np.bool_)
-    prev_t = np.empty(m, dtype=np.int64)  # source that relaxed sink j
-    prev_s = np.empty(n, dtype=np.int64)  # sink that relaxed source i
-
-    iters = 0
-    while True:
-        total = np.int64(0)
-        for i in range(n):
-            total += rem_s[i]
-        if total == 0:
-            return flow, u, v, 0
-        iters += 1
-        if iters > max_iters:
-            return flow, u, v, 1
-
-        for i in range(n):
-            dist_s[i] = 0.0 if rem_s[i] > 0 else _INF
-            done_s[i] = False
-            prev_s[i] = -1
-        for j in range(m):
-            dist_t[j] = _INF
-            done_t[j] = False
-            prev_t[j] = -1
-
-        target = -1
-        while True:
-            # pop the unvisited node with the smallest label
-            best_d = _INF
-            best_i = -1
-            best_j = -1
-            for i in range(n):
-                if not done_s[i] and dist_s[i] < best_d:
-                    best_d = dist_s[i]
-                    best_i = i
-                    best_j = -1
-            for j in range(m):
-                if not done_t[j] and dist_t[j] < best_d:
-                    best_d = dist_t[j]
-                    best_j = j
-                    best_i = -1
-            if best_i < 0 and best_j < 0:
-                break
-            if best_j >= 0 and rem_d[best_j] > 0:
-                target = best_j
-                break
-            if best_i >= 0:
-                i = best_i
-                done_s[i] = True
-                di = dist_s[i]
-                for j in range(m):
-                    if done_t[j]:
-                        continue
-                    rc = cost[i, j] - u[i] - v[j]
-                    if rc < 0.0:  # float roundoff on tight arcs
-                        rc = 0.0
-                    nd = di + rc
-                    if nd < dist_t[j]:
-                        dist_t[j] = nd
-                        prev_t[j] = i
-            else:
-                j = best_j
-                done_t[j] = True
-                dj = dist_t[j]
-                for i in range(n):
-                    if done_s[i] or flow[i, j] <= 0:
-                        continue
-                    rc = u[i] + v[j] - cost[i, j]
-                    if rc < 0.0:
-                        rc = 0.0
-                    nd = dj + rc
-                    if nd < dist_s[i]:
-                        dist_s[i] = nd
-                        prev_s[i] = j
-        if target < 0:
-            # no deficient sink reachable: infeasible instance
-            return flow, u, v, 2
-
-        dt = dist_t[target]
-        # Johnson-style potential update keeps residual reduced costs >= 0:
-        # u[i] -= min(dist, dt), v[j] += min(dist, dt)
-        for i in range(n):
-            d = dist_s[i]
-            u[i] -= d if d < dt else dt
-        for j in range(m):
-            d = dist_t[j]
-            v[j] += d if d < dt else dt
-
-        # walk the alternating path back to a source, find the bottleneck
-        bottleneck = rem_d[target]
-        j = target
-        while True:
-            i = prev_t[j]
-            jprev = prev_s[i]
-            if jprev < 0:
-                if rem_s[i] < bottleneck:
-                    bottleneck = rem_s[i]
-                break
-            if flow[i, jprev] < bottleneck:
-                bottleneck = flow[i, jprev]
-            j = jprev
-        # apply the augmentation
-        j = target
-        while True:
-            i = prev_t[j]
-            flow[i, j] += bottleneck
-            jprev = prev_s[i]
-            if jprev < 0:
-                rem_s[i] -= bottleneck
-                break
-            flow[i, jprev] -= bottleneck
-            j = jprev
-        rem_d[target] -= bottleneck
-
-
-def _ssp_flow_numpy(cost, supply, demand, max_iters):
-    """Vectorized SSP, identical outputs to the scalar kernel.
-
-    Nodes are popped in the scalar kernel's order: smallest label first,
-    sources before sinks on ties, lower index first within each side.  Two
-    facts keep the pops few and cheap without changing that order:
+    Nodes are popped in a fixed order, which fixes the plan and duals on
+    tied instances: smallest label first, sources before sinks on ties,
+    lower index first within each side.  Two facts keep the pops few and
+    cheap without changing that order:
 
     * popping a source never gives another source a label, so every source
       holding the current minimum label is popped as one batch, relaxing
@@ -197,12 +47,13 @@ def _ssp_flow_numpy(cost, supply, demand, max_iters):
     Reduced costs are clamped at zero, so no relaxation sets a label below
     the popped node's own; popped nodes therefore need no mask.
     """
+    cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
     flow = np.zeros((n, m), dtype=np.int64)
-    rem_s = supply.astype(np.int64).copy()
-    rem_d = demand.astype(np.int64).copy()
+    rem_s = np.array(supply, dtype=np.int64)
+    rem_d = np.array(demand, dtype=np.int64)
     u = np.zeros(n)
-    v = cost.min(axis=0).astype(np.float64).copy()
+    v = cost.min(axis=0)
     cost_cols = cost.T.tolist()
     senders = [set() for _ in range(m)]  # sources with flow into sink j
     cols = np.arange(m)
@@ -284,6 +135,7 @@ def _ssp_flow_numpy(cost, supply, demand, max_iters):
         if target < 0:
             return flow, u, v, 2
 
+        # Johnson-style update keeps residual reduced costs >= 0
         dt = dist_t[target]
         u -= np.minimum(np.array(dist_s), dt)
         v += np.minimum(dist_t, dt)
@@ -319,91 +171,27 @@ def _ssp_flow_numpy(cost, supply, demand, max_iters):
 # ball activity bracketing for max-affine functions (2D scans)
 # ---------------------------------------------------------------------------
 
-def _ball_activity_2d_scalar(slopes, intercepts, points, eta, probes, tol):
+def ball_activity_2d(slopes, intercepts, points, eta, probes, tol):
     """For each query point, bracket the active-slope set over B(x, eta).
 
     Upper set U: pieces i whose best slack against every j over the ball is
     >= -tol, using max over the ball of (f_i - f_j) = value gap at the
     center + eta * |a_i - a_j|.  Lower set L: pieces attaining the max at
-    the probe points (center plus ``probes`` boundary points).  Returns
-    squared diameters of both slope sets and a flag marking points where
-    the brackets disagree beyond tol.
-    """
-    k, d = slopes.shape
-    npts = points.shape[0]
-    pair_gap = np.empty((k, k))
-    pair_d2 = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            s = 0.0
-            for c in range(d):
-                diff = slopes[a, c] - slopes[b, c]
-                s += diff * diff
-            pair_d2[a, b] = s
-            pair_gap[a, b] = eta * np.sqrt(s)
-
-    diam2_lo = np.empty(npts)
-    diam2_hi = np.empty(npts)
-    ambiguous = np.zeros(npts, dtype=np.bool_)
-    vals = np.empty(k)
-    in_upper = np.empty(k, dtype=np.bool_)
-    in_lower = np.empty(k, dtype=np.bool_)
-    probe = np.empty(d)
-
-    for t in range(npts):
-        for a in range(k):
-            s = intercepts[a]
-            for c in range(d):
-                s += slopes[a, c] * points[t, c]
-            vals[a] = s
-        for a in range(k):
-            ok = True
-            for b in range(k):
-                if vals[a] - vals[b] + pair_gap[a, b] < -tol:
-                    ok = False
-                    break
-            in_upper[a] = ok
-            in_lower[a] = False
-        # probe argmaxes certify activity
-        for pr in range(probes.shape[0]):
-            for c in range(d):
-                probe[c] = points[t, c] + eta * probes[pr, c]
-            best = -_INF
-            for a in range(k):
-                s = intercepts[a]
-                for c in range(d):
-                    s += slopes[a, c] * probe[c]
-                if s > best:
-                    best = s
-            for a in range(k):
-                s = intercepts[a]
-                for c in range(d):
-                    s += slopes[a, c] * probe[c]
-                if s >= best - tol:
-                    in_lower[a] = True
-        lo = 0.0
-        hi = 0.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                if in_upper[a] and in_upper[b] and pair_d2[a, b] > hi:
-                    hi = pair_d2[a, b]
-                if in_lower[a] and in_lower[b] and pair_d2[a, b] > lo:
-                    lo = pair_d2[a, b]
-        diam2_lo[t] = lo
-        diam2_hi[t] = hi
-        if np.sqrt(hi) - np.sqrt(lo) > tol:
-            ambiguous[t] = True
-    return diam2_lo, diam2_hi, ambiguous
-
-
-def _ball_activity_2d_numpy(slopes, intercepts, points, eta, probes, tol):
-    """Vectorized twin of the scalar ball-activity kernel.
+    the probe points ``x + eta * probes``.  Returns squared diameters of
+    both slope sets and a flag marking points where the brackets disagree
+    beyond tol.
 
     Works on one piece's column at a time: NumPy reductions along a short
     last axis are slow, while max, comparisons and the pairwise differences
     are exact, so the brackets equal those of a whole-matrix formulation
     bit for bit.  Probe buffers are allocated once and reused.
     """
+    slopes = np.asarray(slopes, dtype=np.float64)
+    intercepts = np.asarray(intercepts, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    probes = np.asarray(probes, dtype=np.float64)
+    eta = float(eta)
+    tol = float(tol)
     k, d = slopes.shape
     npts = points.shape[0]
     pair_d2 = ((slopes[:, None, :] - slopes[None, :, :]) ** 2).sum(-1)
@@ -446,53 +234,3 @@ def _ball_activity_2d_numpy(slopes, intercepts, points, eta, probes, tol):
     diam2_lo = set_diam2(in_lower)
     ambiguous = (np.sqrt(diam2_hi) - np.sqrt(diam2_lo)) > tol
     return diam2_lo, diam2_hi, ambiguous
-
-
-if USE_NUMBA:
-    _ssp_flow_jit = njit(cache=True)(_ssp_flow_scalar)
-    _ball_activity_2d_jit = njit(cache=True)(_ball_activity_2d_scalar)
-
-    def ssp_flow(cost, supply, demand, max_iters):
-        return _ssp_flow_jit(
-            np.ascontiguousarray(cost, dtype=np.float64),
-            np.ascontiguousarray(supply, dtype=np.int64),
-            np.ascontiguousarray(demand, dtype=np.int64),
-            max_iters,
-        )
-
-    def ball_activity_2d(slopes, intercepts, points, eta, probes, tol):
-        return _ball_activity_2d_jit(
-            np.ascontiguousarray(slopes, dtype=np.float64),
-            np.ascontiguousarray(intercepts, dtype=np.float64),
-            np.ascontiguousarray(points, dtype=np.float64),
-            float(eta),
-            np.ascontiguousarray(probes, dtype=np.float64),
-            float(tol),
-        )
-else:
-    def ssp_flow(cost, supply, demand, max_iters):
-        return _ssp_flow_numpy(
-            np.asarray(cost, dtype=np.float64),
-            np.asarray(supply, dtype=np.int64),
-            np.asarray(demand, dtype=np.int64),
-            max_iters,
-        )
-
-    def ball_activity_2d(slopes, intercepts, points, eta, probes, tol):
-        return _ball_activity_2d_numpy(
-            np.asarray(slopes, dtype=np.float64),
-            np.asarray(intercepts, dtype=np.float64),
-            np.asarray(points, dtype=np.float64),
-            float(eta),
-            np.asarray(probes, dtype=np.float64),
-            float(tol),
-        )
-
-
-def boundary_probes(d, count=8):
-    """Unit directions used as ball-boundary probe points (plus the center)."""
-    if d == 1:
-        return np.array([[0.0], [1.0], [-1.0]])
-    angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return np.vstack([np.zeros((1, 2)), ring])

@@ -269,19 +269,16 @@ def _ball_diams_1d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.
     return env_s[i_hi] - env_s[i_lo]
 
 
-_PROBE_CACHE: dict[int, np.ndarray] = {}
+def _probe_rings() -> np.ndarray:
+    rings = [np.zeros((1, 2))]
+    for radius, count in ((1.0, 24), (0.62, 12), (0.31, 6)):
+        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False) + 0.37 / count
+        rings.append(radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return np.vstack(rings)
 
 
-def _probe_directions() -> np.ndarray:
-    probes = _PROBE_CACHE.get(2)
-    if probes is None:
-        rings = [np.zeros((1, 2))]
-        for radius, count in ((1.0, 24), (0.62, 12), (0.31, 6)):
-            ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False) + 0.37 / count
-            rings.append(radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        probes = np.vstack(rings)
-        _PROBE_CACHE[2] = probes
-    return probes
+# unit-ball probe offsets for the lower bracket of 2D ball scans
+_PROBES = _probe_rings()
 
 
 def _exact_ball_actives_2d(A: np.ndarray, B: np.ndarray, x: np.ndarray, eta: float) -> np.ndarray:
@@ -349,7 +346,7 @@ def _active_slopes_2d(f: MaxAffineFunction, x: np.ndarray, eta: float) -> np.nda
 
 def _ball_diams_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
     lo2, hi2, amb = _kernels.ball_activity_2d(
-        f.slopes, f.intercepts, centers, eta, _probe_directions(), _TIE_TOL)
+        f.slopes, f.intercepts, centers, eta, _PROBES, _TIE_TOL)
     diam = np.sqrt(hi2)
     for t in np.flatnonzero(amb):
         diam[t] = _pairwise_diam(_active_slopes_2d(f, centers[t], eta))

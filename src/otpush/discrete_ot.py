@@ -9,7 +9,7 @@ Engines
 -------
 * ``direct``     — one of the marginals is a Dirac: the plan is forced.
 * ``ssp``        — in-house successive-shortest-paths min-cost flow
-                   (JIT kernel with NumPy fallback, see ``_kernels``).
+                   (NumPy kernel, see ``_kernels``).
 * ``assignment`` — column-expanded ``scipy.optimize.linear_sum_assignment``
                    for uniform sources whose target masses are integer
                    multiples of 1/n; duals recovered by shortest paths on
@@ -205,6 +205,21 @@ def _integral_multiples(w_t, n):
     return rounded.astype(np.int64)
 
 
+def _gap_graph(cost, assign):
+    """gap[a, b] = min over rows i assigned to a of cost[i, b] - cost[i, a].
+
+    Rows of targets that no row is assigned to are ``inf``.  Duals v with
+    v[b] - v[a] <= gap[a, b] keep every row's assignment optimal.
+    """
+    m = cost.shape[1]
+    gap = np.full((m, m), np.inf)
+    for a in range(m):
+        rows = np.flatnonzero(assign == a)
+        if rows.size:
+            gap[a] = (cost[rows] - cost[rows, a][:, None]).min(axis=0)
+    return gap
+
+
 def _solve_assignment(cost, w_s, w_t):
     """Uniform source, integer-multiple targets: expand columns and match."""
     n, m = cost.shape
@@ -215,12 +230,8 @@ def _solve_assignment(cost, w_s, w_t):
     rows, cols = linear_sum_assignment(cost[:, col_of])
     assign = col_of[cols[np.argsort(rows)]]  # target index per source point
 
-    # dual recovery: v_j - v_k <= min over rows assigned to k of (C[i,j] - C[i,k])
-    W = np.full((m, m), np.inf)
-    for k in range(m):
-        rows_k = np.flatnonzero(assign == k)
-        if rows_k.size:
-            W[k] = (cost[rows_k] - cost[rows_k, k][:, None]).min(axis=0)
+    # dual recovery: v_j - v_k <= W[k, j]
+    W = _gap_graph(cost, assign)
     np.fill_diagonal(W, 0.0)
     # masked form: a dense csgraph would silently drop near-zero edge weights
     graph = np.ma.masked_array(np.where(np.isfinite(W), W, 0.0),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope
-from .discrete_ot import Coupling, cost_matrix, solve
+from .discrete_ot import Coupling, _gap_graph, cost_matrix, solve
 from .geometry_measures import DiscreteMeasure, Domain, GridDensity, discretize
 from .pcost_maps import (CConcavePotential, SmoothPotential, BoundaryEscapeError,
                          grad_xi_p_inverse)
@@ -291,17 +291,13 @@ def _max_margin_duals(C: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray |
     largest uniform margin, or None when the assignment admits no margin.
 
     The constraints are v_b - v_a <= gap(a, b) := min over sources assigned
-    to a of C[i, b] - C[i, a]; the best margin is half the minimum cycle
-    mean of the gap digraph (Karp), and v comes from Bellman-Ford distances
-    under the margin-reduced weights.
+    to a of C[i, b] - C[i, a] (``discrete_ot._gap_graph``); the best margin
+    is half the minimum cycle mean of the gap digraph (Karp), and v comes
+    from Bellman-Ford distances under the margin-reduced weights.
     """
     if K == 1:
         return np.zeros(1)
-    gap = np.full((K, K), np.inf)
-    for a in range(K):
-        rows = np.flatnonzero(assign == a)
-        if rows.size:
-            gap[a] = (C[rows] - C[rows, a][:, None]).min(axis=0)
+    gap = _gap_graph(C, assign)
     np.fill_diagonal(gap, np.inf)
     if not np.isfinite(gap).any():
         return np.zeros(K)

@@ -1,13 +1,24 @@
-"""Parity between the JIT kernels and their NumPy fallbacks."""
+"""Oracle tests for the NumPy kernels.
 
-import subprocess
-import sys
+``ssp_flow`` is checked against ``linear_sum_assignment`` on permutation
+instances and against the HiGHS LP on general integer instances.
+``ball_activity_2d`` and the 2D ball scans built on it are checked against
+exact max-affine cells, clipped from a box by halfplanes.
+"""
+
+import hashlib
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment, linprog
 
-from otpush._kernels import (_ball_activity_2d_numpy, _ball_activity_2d_scalar,
-                             _ssp_flow_numpy, _ssp_flow_scalar,
-                             ball_activity_2d, boundary_probes, ssp_flow)
+from otpush import random_max_affine
+from otpush._kernels import ball_activity_2d, ssp_flow
+from otpush.convex_analysis import (_PROBES, _TIE_TOL, MaxAffineFunction,
+                                    _ball_diams)
+
+# ---------------------------------------------------------------------------
+# min-cost flow
+# ---------------------------------------------------------------------------
 
 
 def _random_flow_instance(rng, n, m):
@@ -22,6 +33,17 @@ def _random_flow_instance(rng, n, m):
     return cost, supply.astype(np.int64), demand
 
 
+def _tie_instance(rng, n, m):
+    """Grid-to-grid squared distances: costs tie everywhere, some supplies are 0."""
+    X = rng.integers(0, 4, (n, 2)) / 4.0
+    Y = rng.integers(0, 4, (m, 2)) / 4.0
+    cost = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    supply = rng.integers(0, 4, n)
+    supply[0] += 1
+    demand = np.bincount(rng.integers(0, m, int(supply.sum())), minlength=m)
+    return cost, supply, demand
+
+
 def _check_flow_optimal(cost, supply, demand, flow, u, v, status):
     assert status == 0
     assert (flow.sum(axis=1) == supply).all()
@@ -33,111 +55,197 @@ def _check_flow_optimal(cost, supply, demand, flow, u, v, status):
     assert np.abs(slack[active]).max() <= 1e-9 * (1.0 + np.abs(cost).max())
 
 
-def test_ssp_flow_scalar_numpy_parity():
+def _highs_value(cost, supply, demand):
+    n, m = cost.shape
+    A_eq = np.vstack([np.kron(np.eye(n), np.ones((1, m))),
+                      np.kron(np.ones((1, n)), np.eye(m))])
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([supply, demand]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_ssp_flow_matches_lsap_on_permutations():
     rng = np.random.default_rng(71)
-    for trial in range(25):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(2, 9))
-        cost, supply, demand = _random_flow_instance(rng, n, m)
-        res_s = _ssp_flow_scalar(cost, supply.copy(), demand.copy(), 10_000)
-        res_n = _ssp_flow_numpy(cost, supply.copy(), demand.copy(), 10_000)
-        _check_flow_optimal(cost, supply, demand, *res_s)
-        _check_flow_optimal(cost, supply, demand, *res_n)
-        # identical primal values; plans may differ only across ties
-        val_s = (res_s[0] * cost).sum()
-        val_n = (res_n[0] * cost).sum()
-        assert abs(val_s - val_n) <= 1e-9 * (1.0 + abs(val_s))
-
-
-def test_ssp_flow_numpy_matches_scalar_bitwise_on_ties():
-    # grid-to-grid costs tie everywhere; the NumPy kernel must pop nodes in
-    # the scalar kernel's order, so plans, duals and status agree exactly
-    rng = np.random.default_rng(83)
     for trial in range(30):
-        n = int(rng.integers(1, 10))
-        m = int(rng.integers(1, 10))
-        X = rng.integers(0, 4, (n, 2)) / 4.0
-        Y = rng.integers(0, 4, (m, 2)) / 4.0
-        cost = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
-        supply = rng.integers(0, 4, n)
-        supply[0] += 1
-        demand = np.bincount(rng.integers(0, m, int(supply.sum())), minlength=m)
-        cap = 2 if trial % 10 == 0 else 10_000
-        res_s = _ssp_flow_scalar(cost, supply.copy(), demand.copy(), cap)
-        res_n = _ssp_flow_numpy(cost, supply.copy(), demand.copy(), cap)
-        assert res_s[3] == res_n[3]
-        for a, b in zip(res_s[:3], res_n[:3]):
-            assert a.tobytes() == b.tobytes()
+        n = int(rng.integers(1, 12))
+        cost = rng.uniform(0.0, 4.0, (n, n))
+        if trial % 3 == 0:
+            cost = np.round(cost)  # integer costs: many tied optima
+        ones = np.ones(n, dtype=np.int64)
+        flow, u, v, status = ssp_flow(cost, ones, ones, max_iters=10_000)
+        _check_flow_optimal(cost, ones, ones, flow, u, v, status)
+        rows, cols = linear_sum_assignment(cost)
+        ref = cost[rows, cols].sum()
+        assert abs((flow * cost).sum() - ref) <= 1e-12 * (1.0 + ref)
 
 
-def test_ssp_flow_dispatch_agrees_with_both_backends():
+def test_ssp_flow_matches_highs_on_integer_instances():
     rng = np.random.default_rng(73)
-    cost, supply, demand = _random_flow_instance(rng, 6, 5)
-    flow, u, v, status = ssp_flow(cost, supply, demand, 10_000)
-    _check_flow_optimal(cost, supply, demand, flow, u, v, status)
-    val = (flow * cost).sum()
-    ref = (_ssp_flow_scalar(cost, supply.copy(), demand.copy(), 10_000)[0]
-           * cost).sum()
-    assert abs(val - ref) <= 1e-9 * (1.0 + abs(ref))
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 9))
+        make = _tie_instance if trial % 2 == 0 else _random_flow_instance
+        cost, supply, demand = make(rng, n, m)
+        flow, u, v, status = ssp_flow(cost, supply, demand, max_iters=10_000)
+        _check_flow_optimal(cost, supply, demand, flow, u, v, status)
+        ref = _highs_value(cost, supply, demand)
+        assert abs((flow * cost).sum() - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
 def test_ssp_flow_iteration_cap_status():
     rng = np.random.default_rng(77)
     cost, supply, demand = _random_flow_instance(rng, 5, 5)
-    *_, status = _ssp_flow_numpy(cost, supply.copy(), demand.copy(), 1)
+    *_, status = ssp_flow(cost, supply, demand, max_iters=1)
     assert status == 1
 
 
-def test_ball_activity_parity():
+def test_ssp_flow_excess_supply_status():
+    # the sixth unit of supply finds no sink with demand left
+    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
+    *_, status = ssp_flow(cost, np.array([3, 3]), np.array([3, 2]), max_iters=100)
+    assert status == 2
+
+
+# sha256 of (flow, u, v, status) over the instances of the test below.  It
+# was recorded while a scalar-loop reference still matched this kernel byte
+# for byte on them, so it pins the pop order that breaks ties: smallest
+# label, sources before sinks, lower index first.
+_TIE_DIGEST = "f26e71bc655df6d4f2bd02521728adf248b072aba44416c89a27c5edd04161c5"
+
+
+def test_ssp_flow_tie_breaking_is_pinned():
+    rng = np.random.default_rng(83)
+    digest = hashlib.sha256()
+    for trial in range(30):
+        n = int(rng.integers(1, 10))
+        m = int(rng.integers(1, 10))
+        cost, supply, demand = _tie_instance(rng, n, m)
+        cap = 2 if trial % 10 == 0 else 10_000
+        flow, u, v, status = ssp_flow(cost, supply, demand, max_iters=cap)
+        for part in (flow, u, v, np.int64(status)):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == _TIE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# 2D ball activity
+# ---------------------------------------------------------------------------
+
+
+def _clip(poly, normal, offset):
+    """Sutherland-Hodgman: the part of convex ``poly`` where normal @ z + offset >= 0."""
+    out = []
+    for t in range(len(poly)):
+        p, q = poly[t], poly[(t + 1) % len(poly)]
+        gp, gq = normal @ p + offset, normal @ q + offset
+        if gp >= 0:
+            out.append(p)
+        if (gp >= 0) != (gq >= 0):
+            out.append(p + (q - p) * (gp / (gp - gq)))
+    return out
+
+
+def _dist_to_polygon(x, poly):
+    if not poly:
+        return np.inf
+    P = np.array(poly)
+    E = np.roll(P, -1, axis=0) - P
+    W = x - P
+    area2 = (P[:, 0] * np.roll(P[:, 1], -1) - np.roll(P[:, 0], -1) * P[:, 1]).sum()
+    if area2 > 0 and (E[:, 0] * W[:, 1] - E[:, 1] * W[:, 0] >= 0).all():
+        return 0.0  # inside a counter-clockwise polygon
+    ee = (E ** 2).sum(1)
+    t = np.clip((W * E).sum(1) / np.where(ee > 0, ee, 1.0), 0.0, 1.0)
+    return float(np.sqrt(((W - t[:, None] * E) ** 2).sum(1)).min())
+
+
+def _cell_distances(slopes, intercepts, x, eta):
+    """Distance from x to each piece's cell {z : f_i(z) >= f_j(z) - tol for all j}.
+
+    ``tol`` is the scans' tie tolerance.  Each cell is clipped from a square
+    containing B(x, eta), which changes no distance up to eta.
+    """
+    box = [x + 2.0 * eta * np.array(c) for c in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    out = np.empty(len(slopes))
+    for i in range(len(slopes)):
+        poly = box
+        for j in range(len(slopes)):
+            if j != i:
+                poly = _clip(poly, slopes[i] - slopes[j],
+                             intercepts[i] - intercepts[j] + _TIE_TOL)
+        out[i] = _dist_to_polygon(x, poly)
+    return out
+
+
+def _ball_cases():
     rng = np.random.default_rng(79)
-    probes = boundary_probes(2)
-    for trial in range(20):
-        k = int(rng.integers(2, 8))
-        slopes = rng.normal(size=(k, 2))
-        intercepts = rng.normal(scale=0.3, size=k)
-        points = rng.uniform(-1, 1, (40, 2))
-        eta = float(rng.uniform(0.02, 0.4))
-        out_s = _ball_activity_2d_scalar(slopes, intercepts, points, eta,
-                                         probes, 1e-12)
-        out_n = _ball_activity_2d_numpy(slopes, intercepts, points, eta,
-                                        probes, 1e-12)
-        for a, b in zip(out_s, out_n):
-            assert np.array_equal(a, b)
-        lo, hi, _ = out_s
-        assert (lo <= hi + 1e-15).all()
+    for k in range(2, 7):
+        for _ in range(2):
+            f = random_max_affine(rng, 2, k, 3.0, 1.0)
+            yield f.slopes, f.intercepts, float(rng.uniform(0.02, 0.4))
+    # near-parallel slopes: pieces 0 and 1 tie along y = 0 and nowhere steeply
+    yield (np.array([[1.0, 0.0], [1.0, 1e-6], [-0.5, 0.8], [-0.5, -0.8]]),
+           np.array([0.0, 0.0, -0.1, -0.2]), 0.15)
+    # a duplicated piece
+    yield (np.array([[1.0, 0.0], [-1.0, 0.3], [1.0, 0.0], [0.2, -1.0]]),
+           np.array([0.0, 0.1, 0.0, -0.3]), 0.2)
+
+
+def _vertex_ring_points(rng, slopes, intercepts, eta, count):
+    """Points just within eta of vertices of the max-affine graph, where a
+    piece may be active only near the ball's rim."""
+    f = MaxAffineFunction(slopes, intercepts)
+    verts = []
+    k = len(slopes)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                M = np.array([slopes[i] - slopes[j], slopes[i] - slopes[l]])
+                if abs(np.linalg.det(M)) < 1e-9:
+                    continue
+                z = np.linalg.solve(M, [intercepts[j] - intercepts[i],
+                                        intercepts[l] - intercepts[i]])
+                if f(z) - (slopes[i] @ z + intercepts[i]) <= 1e-9:
+                    verts.append(z)
+    if not verts:
+        return np.empty((0, 2))
+    centers = np.array(verts)[rng.integers(0, len(verts), count)]
+    ang = rng.uniform(0.0, 2.0 * np.pi, count)
+    r = eta * rng.uniform(0.7, 1.0, count)
+    return centers + r[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def test_ball_activity_brackets_exact_cells():
+    rng = np.random.default_rng(89)
+    checked = skipped = 0
+    for slopes, intercepts, eta in _ball_cases():
+        points = np.vstack([rng.uniform(-1.0, 1.0, (40, 2)),
+                            _vertex_ring_points(rng, slopes, intercepts, eta, 40)])
+        lo, hi, _ = ball_activity_2d(slopes, intercepts, points, eta,
+                                     _PROBES, _TIE_TOL)
+        diams = _ball_diams(MaxAffineFunction(slopes, intercepts), points, eta)
+        pair_d2 = ((slopes[:, None, :] - slopes[None, :, :]) ** 2).sum(-1)
+        for t, x in enumerate(points):
+            dist = _cell_distances(slopes, intercepts, x, eta)
+            if (np.abs(dist - eta) <= 1e-9).any():
+                skipped += 1
+                continue
+            active = dist <= eta
+            exact2 = pair_d2[np.ix_(active, active)].max()
+            assert lo[t] <= exact2 <= hi[t]
+            assert diams[t] == np.sqrt(exact2)
+            checked += 1
+    assert skipped <= 0.01 * checked
 
 
 def test_ball_activity_dispatch():
-    probes = boundary_probes(2)
     slopes = np.array([[1.0, 0.0], [-1.0, 0.0]])
     intercepts = np.zeros(2)
     pts = np.array([[0.0, 0.0], [3.0, 0.0]])
-    lo, hi, amb = ball_activity_2d(slopes, intercepts, pts, 0.1, probes, 1e-12)
+    lo, hi, amb = ball_activity_2d(slopes, intercepts, pts, 0.1, _PROBES, 1e-12)
     # both pieces active at the origin kink: exact diameter 2
     assert lo[0] == hi[0] == 4.0
     assert not amb[0]
     # far from the kink only one piece is active
     assert lo[1] == hi[1] == 0.0
-
-
-def test_boundary_probes_shapes():
-    p1 = boundary_probes(1)
-    assert p1.shape == (3, 1)
-    p2 = boundary_probes(2, count=12)
-    assert p2.shape == (13, 2)
-    norms = np.linalg.norm(p2[1:], axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
-
-
-def test_numpy_fallback_selected_by_env_flag():
-    code = (
-        "import os; os.environ['OTPUSH_NUMBA'] = '0';"
-        "from otpush import _kernels as K;"
-        "assert not K.USE_NUMBA;"
-        "assert K.ssp_flow.__qualname__ == 'ssp_flow';"
-        "import numpy as np;"
-        "cost = np.array([[1.0, 2.0], [2.0, 1.0]]);"
-        "flow, u, v, s = K.ssp_flow(cost, np.array([3, 3]), np.array([3, 3]), 100);"
-        "assert s == 0 and (flow == np.array([[3, 0], [0, 3]])).all()"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
