@@ -10,10 +10,11 @@ Engines
 * ``direct``     — one of the marginals is a Dirac: the plan is forced.
 * ``ssp``        — in-house successive-shortest-paths min-cost flow
                    (NumPy kernel, see ``_kernels``).
-* ``assignment`` — column-expanded ``scipy.optimize.linear_sum_assignment``
-                   for uniform sources whose target masses are integer
-                   multiples of 1/n; duals recovered by shortest paths on
-                   the column graph.
+* ``assignment`` — uniform sources whose target masses are integer
+                   multiples of 1/n: successive shortest paths on the
+                   K-node target graph, each row moved whole, so the plan
+                   is an exact unsplit assignment; target duals are the
+                   shortest distances from target 0 on that graph.
 * ``highs``      — transportation LP via ``scipy.optimize.linprog`` for
                    large instances with general weights.
 
@@ -27,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow, shortest_path
+from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment  # noqa: F401  perfbench/spans.py patches it
+from scipy.sparse.csgraph import (dijkstra, maximum_bipartite_matching, maximum_flow,
+                                  shortest_path)
 
 from . import _kernels
 from .geometry_measures import DiscreteMeasure
@@ -205,43 +208,172 @@ def _integral_multiples(w_t, n):
     return rounded.astype(np.int64)
 
 
+def _gap_rows(cost, assign, picked):
+    """The rows of the gap graph (see ``_gap_graph``) for the targets in
+    the boolean mask ``picked``."""
+    rows = np.flatnonzero(picked[assign])
+    rows = rows[np.argsort(assign[rows], kind="stable")]
+    size = np.bincount(assign[rows], minlength=len(picked))[picked]
+    gap = np.full((size.size, cost.shape[1]), np.inf)
+    if rows.size:
+        diff = cost[rows]
+        diff -= cost[rows, assign[rows]][:, None]
+        start = np.cumsum(size) - size
+        gap[size > 0] = np.minimum.reduceat(diff, start[size > 0], axis=0)
+    return gap
+
+
 def _gap_graph(cost, assign):
     """gap[a, b] = min over rows i assigned to a of cost[i, b] - cost[i, a].
 
     Rows of targets that no row is assigned to are ``inf``.  Duals v with
     v[b] - v[a] <= gap[a, b] keep every row's assignment optimal.
     """
+    return _gap_rows(cost, assign, np.ones(cost.shape[1], dtype=bool))
+
+
+def _dense_graph(m):
+    """An m-node CSR graph storing all m * m arcs, so that ``csgraph`` keeps
+    zero-weight arcs as edges (a dense array input would drop them)."""
+    return sp.csr_array((np.zeros(m * m), np.tile(np.arange(m, dtype=np.int32), m),
+                         np.arange(0, m * m + 1, m, dtype=np.int32)), shape=(m, m))
+
+
+def _set_reduced(graph, gap, v):
+    """Write gap[a, b] + v[a] - v[b], clamped at 0 against rounding, into
+    the arc weights of ``graph``."""
+    W = graph.data.reshape(gap.shape)
+    np.add(gap, v[:, None], out=W)
+    W -= v
+    np.maximum(W, 0.0, out=W)
+    return graph
+
+
+def _price_step(reduced, assign, load, counts, raise_under):
+    """Change to the target potentials v from one vectorized price pass,
+    given ``reduced = cost - v`` and its row-wise arg-min ``assign``.
+
+    Lowers v on every over-full target just past the margin of its e-th
+    most loosely held row, e its excess, so that about e rows leave it; or,
+    with ``raise_under``, raises v on every under-full target just past the
+    switching cost of its f-th cheapest outside row, f its deficit.
+    """
+    n = len(assign)
+    switch = reduced - reduced[np.arange(n), assign][:, None]
+    switch[np.arange(n), assign] = np.inf
+    step = np.zeros(len(counts))
+    if raise_under:
+        k = np.flatnonzero(load < counts)
+        f = counts[k] - load[k]
+        col = np.sort(switch[:, k], axis=0)
+        lo = col[f - 1, np.arange(k.size)]
+        hi = col[np.minimum(f, n - 1), np.arange(k.size)]
+        step[k] = np.where(np.isfinite(hi), (lo + hi) / 2.0, lo)
+    else:
+        margin = switch.min(axis=1)
+        order = np.lexsort((margin, assign))  # rows by target, then margin
+        k = np.flatnonzero(load > counts)
+        last = np.cumsum(load)[k] - counts[k]
+        step[k] = -(margin[order[last - 1]] + margin[order[np.minimum(last, n - 1)]]) / 2.0
+    return step
+
+
+def _assign_to_targets(cost, counts):
+    """Optimal assignment of n unit rows to targets of capacities ``counts``.
+
+    Successive shortest paths with node potentials v on the target graph
+    (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9), the rows assigned to a
+    target collapsed into its gap row (Bertsekas-Castanon 1989).  Every row
+    always sits at an arg-min of ``cost[i] - v``, so the assignment is
+    optimal once no target is over-full.  Returns the assignment and its
+    canonical target duals.
+    """
     m = cost.shape[1]
-    gap = np.full((m, m), np.inf)
-    for a in range(m):
-        rows = np.flatnonzero(assign == a)
-        if rows.size:
-            gap[a] = (cost[rows] - cost[rows, a][:, None]).min(axis=0)
-    return gap
+    v = np.zeros(m)
+    reduced = cost
+    # price passes, lowering and raising in turn, until a round of both
+    # leaves the excess no smaller; the best state seen is kept
+    best, stalled = (np.inf,), 0
+    for raise_under in itertools.cycle((False, True)):
+        assign = reduced.argmin(axis=1)
+        load = np.bincount(assign, minlength=m)
+        excess = int(np.maximum(load - counts, 0).sum())
+        if excess < best[0]:
+            best, stalled = (excess, v, assign, load), 0
+        else:
+            stalled += 1
+        if not excess or stalled == 2:
+            break
+        v = v + _price_step(reduced, assign, load, counts, raise_under)
+        reduced = cost - v
+    excess, v, assign, load = best
+    gap = _gap_graph(cost, assign)
+    graph = _dense_graph(m)
+    while excess:
+        d, pred, root = dijkstra(_set_reduced(graph, gap, v), min_only=True,
+                                 indices=np.flatnonzero(load > counts),
+                                 return_predecessors=True)
+        ends = np.flatnonzero((load < counts) & np.isfinite(d))
+        if not ends.size:
+            raise SolverError("no augmenting path on the target graph")
+        # tree paths meet only on a shared path to their root, so the
+        # nearest end of each root gives vertex-disjoint shortest paths
+        ends = ends[np.lexsort((d[ends], root[ends]))]
+        ends = ends[np.diff(root[ends], prepend=-1) != 0]
+        # every tree arc on them becomes tight, so the lowest-index row
+        # attaining an arc's gap weight stays at an arg-min when it moves
+        v += np.minimum(d, d[ends].max())
+        up, head = pred.tolist(), [-1] * m
+        for b in ends.tolist():
+            while up[b] >= 0:
+                head[up[b]], b = b, up[b]
+        head = np.array(head)
+        rows = np.flatnonzero(head[assign] >= 0)
+        src = assign[rows]
+        dst = head[src]
+        rows = rows[cost[rows, dst] - cost[rows, src] == gap[src, dst]]
+        rows = rows[np.unique(assign[rows], return_index=True)[1]]
+        assign[rows] = head[assign[rows]]
+        used = head >= 0
+        used[ends] = True
+        load[ends] += 1
+        load[root[ends]] -= 1
+        excess -= ends.size
+        gap[used] = _gap_rows(cost, assign, used)
+    return assign, _canonical_duals(gap, v, graph)
+
+
+def _canonical_duals(gap, v, graph):
+    """Shortest distances from target 0 on the gap graph: one Dijkstra under
+    weights reduced by potentials v finds the shortest-path tree, and the
+    raw gap weights are summed down it."""
+    m = len(v)
+    _, pred = shortest_path(_set_reduced(graph, gap, v), method="D", indices=0,
+                            return_predecessors=True)
+    if (pred[1:] < 0).any():
+        raise SolverError("dual recovery failed: disconnected target graph")
+    parent = np.maximum(pred, 0)
+    step = gap[parent, np.arange(m)]
+    step[0] = 0.0
+    dist = np.zeros(m)
+    while True:
+        down = dist[parent] + step
+        if np.array_equal(down, dist):
+            return dist
+        dist = down
 
 
 def _solve_assignment(cost, w_s, w_t):
-    """Uniform source, integer-multiple targets: expand columns and match."""
-    n, m = cost.shape
+    """Uniform source, integer-multiple targets: an exact assignment, with
+    the canonical target duals of ``_canonical_duals``."""
+    n = cost.shape[0]
     counts = _integral_multiples(w_t, n)
     if counts is None or np.abs(w_s - 1.0 / n).max() > 1e-12:
         raise SolverError("assignment engine needs uniform source and integral targets")
-    col_of = np.repeat(np.arange(m), counts)
-    rows, cols = linear_sum_assignment(cost[:, col_of])
-    assign = col_of[cols[np.argsort(rows)]]  # target index per source point
-
-    # dual recovery: v_j - v_k <= W[k, j]
-    W = _gap_graph(cost, assign)
-    np.fill_diagonal(W, 0.0)
-    # masked form: a dense csgraph would silently drop near-zero edge weights
-    graph = np.ma.masked_array(np.where(np.isfinite(W), W, 0.0),
-                               mask=~np.isfinite(W))
-    dist = shortest_path(graph, method="BF", indices=0)
-    if not np.isfinite(dist).all():
-        raise SolverError("dual recovery failed: disconnected column graph")
-    v = dist
+    assign, v = _assign_to_targets(cost, counts)
     u = cost[np.arange(n), assign] - v[assign]
-    slack = cost - u[:, None] - v[None, :]
+    slack = cost - u[:, None]
+    slack -= v
     if slack.min() < -1e-8 * (1.0 + np.abs(cost).max()):
         raise SolverError(f"dual recovery infeasible by {-slack.min()}")
     i = np.arange(n, dtype=np.int64)

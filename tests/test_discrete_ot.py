@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import shortest_path
 
-from otpush.discrete_ot import (Coupling, bottleneck_solve, c_transform,
-                                cost_matrix, solve, wasserstein)
+from otpush.discrete_ot import (Coupling, _gap_graph, _solve_assignment,
+                                bottleneck_solve, c_transform, cost_matrix,
+                                solve, wasserstein)
 from otpush.geometry_measures import DiscreteMeasure, Domain
 
 DOM1 = Domain.ball(np.zeros(1), 2.0)
@@ -142,6 +146,124 @@ def test_duality_gap_and_feasibility():
         pos = coupling.mass > 0
         assert np.abs(slack[coupling.i[pos], coupling.j[pos]]).max() <= \
             1e-9 * (1 + cost.max())
+
+
+# ---------------------------------------------------------------------------
+# assignment engine: unit sources, integer target capacities
+# ---------------------------------------------------------------------------
+
+def _lsap_assignment(cost, counts):
+    """Test-only oracle: each target repeated as ``counts`` columns of an
+    n x n linear assignment problem."""
+    col_of = np.repeat(np.arange(len(counts)), counts)
+    rows, cols = linear_sum_assignment(cost[:, col_of])
+    return col_of[cols[np.argsort(rows)]]
+
+
+def _check_assignment_engine(cost, counts, generic):
+    n, m = cost.shape
+    i, j, mass, u, v = _solve_assignment(cost, np.full(n, 1.0 / n), counts / n)
+    assert (i == np.arange(n)).all() and (mass == 1.0 / n).all()
+    assert (np.bincount(j, minlength=m) == counts).all()
+    ref = _lsap_assignment(cost, counts)
+    value = cost[i, j].sum() / n
+    assert value == pytest.approx(cost[np.arange(n), ref].sum() / n, abs=1e-12)
+    if generic:
+        assert (j == ref).all()
+    # dual certificate: feasible everywhere, tight on the plan, no gap
+    scale = 1.0 + np.abs(cost).max()
+    slack = cost - u[:, None] - v[None, :]
+    assert slack.min() >= -1e-12 * scale
+    assert np.abs(slack[i, j]).max() <= 1e-12 * scale
+    assert (u.sum() + v @ counts) / n == pytest.approx(value, abs=1e-12 * scale)
+    # the target duals are the canonical ones: shortest distances from
+    # target 0 on the gap graph
+    gap = _gap_graph(cost, j)
+    np.fill_diagonal(gap, 0.0)
+    graph = np.ma.masked_array(np.where(np.isfinite(gap), gap, 0.0),
+                               mask=~np.isfinite(gap))
+    dist = shortest_path(graph, method="BF", indices=0)
+    assert np.abs(v - dist).max() <= 1e-12 * scale
+
+
+def _capacities(rng, n, m):
+    """Positive integer capacities summing to n."""
+    cuts = np.sort(rng.choice(np.arange(1, n), m - 1, replace=False))
+    return np.diff(np.concatenate(([0], cuts, [n])))
+
+
+def test_assignment_engine_many_sources_few_targets():
+    rng = np.random.default_rng(101)
+    for trial in range(12):
+        n = int(rng.integers(60, 400))
+        m = int(rng.integers(2, 12))
+        X = rng.uniform(0.0, 1.0, (n, 2))
+        Y = rng.uniform(0.0, 1.0, (m, 2))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        _check_assignment_engine(cost_matrix(X, Y, p), _capacities(rng, n, m),
+                                 generic=True)
+
+
+def test_assignment_engine_permutations():
+    rng = np.random.default_rng(103)
+    for trial in range(12):
+        n = int(rng.integers(2, 60))
+        cost = (cost_matrix(rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (n, 2)), 2.0)
+                if trial % 2 else rng.uniform(0.0, 5.0, (n, n)))
+        _check_assignment_engine(cost, np.ones(n, dtype=np.int64), generic=True)
+
+
+def test_assignment_engine_duplicate_targets():
+    rng = np.random.default_rng(107)
+    for trial in range(10):
+        n = int(rng.integers(20, 200))
+        m = int(rng.integers(3, 10))
+        Y = rng.uniform(0.0, 1.0, (m, 2))
+        Y[rng.integers(0, m, m // 2)] = Y[0]  # several copies of one atom
+        cost = cost_matrix(rng.uniform(0.0, 1.0, (n, 2)), Y, 2.0)
+        _check_assignment_engine(cost, _capacities(rng, n, m), generic=False)
+
+
+def test_assignment_engine_lattice_ties():
+    # grid sources, lattice targets: equidistant pairs tie exactly
+    for side, cells, p in ((12, 3, 2.0), (16, 4, 2.0), (10, 5, 1.5), (9, 3, 3.0)):
+        g = (np.arange(side) + 0.5) / side
+        X = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+        c = (np.arange(cells) + 0.5) / cells
+        Y = np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2)
+        counts = np.full(cells * cells, side * side // (cells * cells))
+        counts[: side * side - counts.sum()] += 1
+        _check_assignment_engine(cost_matrix(X, Y, p), counts, generic=False)
+
+
+def test_assignment_engine_zero_capacity_target():
+    rng = np.random.default_rng(109)
+    X = rng.uniform(0.0, 1.0, (40, 2))
+    Y = rng.uniform(0.0, 1.0, (5, 2))
+    _check_assignment_engine(cost_matrix(X, Y, 2.0), np.array([10, 0, 15, 0, 15]),
+                             generic=True)
+
+
+def test_assignment_engine_memory_stays_below_one_square_matrix():
+    # the fit workload's shape: n = 52^2 grid sources, K = 24 targets; one
+    # n x n float64 matrix, as a column expansion needs, would be 58 MB
+    rng = np.random.default_rng(113)
+    g = (np.arange(52) + 0.5) / 52
+    X = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    c = (np.arange(6) + 0.5) / 6
+    Y = np.stack(np.meshgrid(c[:4], c, indexing="ij"), -1).reshape(-1, 2)
+    Y += rng.uniform(-0.005, 0.005, Y.shape)
+    cost = cost_matrix(X, Y, 2.0)
+    n, m = cost.shape
+    counts = np.full(m, n // m)
+    counts[: n - counts.sum()] += 1
+    tracemalloc.start()
+    try:
+        _solve_assignment(cost, np.full(n, 1.0 / n), counts / n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # ---------------------------------------------------------------------------

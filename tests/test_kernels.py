@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from otpush import random_max_affine
 from otpush._kernels import ball_activity_2d, ssp_flow
 from otpush.convex_analysis import (_PROBES, _TIE_TOL, MaxAffineFunction,
-                                    _ball_diams)
+                                    _ball_diams, _exact_ball_actives_2d)
 
 # ---------------------------------------------------------------------------
 # min-cost flow
@@ -237,6 +237,19 @@ def test_ball_activity_brackets_exact_cells():
             assert diams[t] == np.sqrt(exact2)
             checked += 1
     assert skipped <= 0.01 * checked
+
+
+def test_exact_ball_actives_need_tie_line_crossings():
+    # piece 0's cell is the narrow wedge |z_1| <= 0.02 + 0.01 z_2 with its
+    # apex (0, -2) far outside B(x, eta), and neither pair minimizer of
+    # piece 0 lies in it: only a tie-line/circle crossing finds the wedge
+    slopes = np.array([[0.0, 0.0], [1.0, -0.01], [-1.0, -0.01]])
+    intercepts = np.array([0.0, -0.02, -0.02])
+    x, eta = np.array([0.3, 0.0]), 0.35
+    dist = _cell_distances(slopes, intercepts, x, eta)
+    assert dist[0] < eta - 0.05
+    active = _exact_ball_actives_2d(slopes, intercepts, x, eta)
+    assert (active == (dist <= eta)).all() and active[0]
 
 
 def test_ball_activity_dispatch():
