@@ -4,8 +4,11 @@
   transportation instance with integer supplies/demands and float costs.
 * ``ball_activity_2d`` — for a max-affine function and a batch of query
   points, bracket the set of affine pieces active somewhere in the closed
-  ball of radius ``eta`` around each point (lower/upper slope-diameter
-  brackets plus an ambiguity flag).
+  ball of radius ``eta`` around each point, between the pieces active at
+  the center and a pairwise-slack upper set (squared slope-diameter
+  brackets plus an ambiguity flag).  ``convex_analysis`` resolves the
+  ambiguous points exactly from the pieces' cells, taking diameters from
+  the same ``pair_dist2`` values through ``active_diam2``.
 """
 
 from __future__ import annotations
@@ -171,66 +174,63 @@ def ssp_flow(cost, supply, demand, *, max_iters):
 # ball activity bracketing for max-affine functions (2D scans)
 # ---------------------------------------------------------------------------
 
-def ball_activity_2d(slopes, intercepts, points, eta, probes, tol):
+def pair_dist2(slopes):
+    """Squared distances between every two slopes (k, k): every 2D ball-scan
+    diameter is the square root of one of these values."""
+    return ((slopes[:, None, :] - slopes[None, :, :]) ** 2).sum(-1)
+
+
+def active_diam2(active, pair_d2):
+    """Squared diameter of the slopes marked in each column of ``active``
+    (k, npts), read from ``pair_d2`` one pair of pieces at a time."""
+    k, npts = active.shape
+    out = np.zeros(npts)
+    for a in range(k):
+        for b in range(a + 1, k):
+            both = active[a] & active[b]
+            np.maximum(out, np.where(both, pair_d2[a, b], 0.0), out=out)
+    return out
+
+
+def ball_activity_2d(slopes, intercepts, points, eta, tol):
     """For each query point, bracket the active-slope set over B(x, eta).
 
     Upper set U: pieces i whose best slack against every j over the ball is
     >= -tol, using max over the ball of (f_i - f_j) = value gap at the
-    center + eta * |a_i - a_j|.  Lower set L: pieces attaining the max at
-    the probe points ``x + eta * probes``.  Returns squared diameters of
-    both slope sets and a flag marking points where the brackets disagree
-    beyond tol.
+    center + eta * |a_i - a_j|.  Lower set L: pieces within tol of the max
+    at the center itself, which are active in every ball around it.
+    Returns squared diameters of both slope sets and a flag marking points
+    where the brackets disagree beyond tol; the caller resolves those from
+    exact cell geometry.
 
-    Works on one piece's column at a time: NumPy reductions along a short
-    last axis are slow, while max, comparisons and the pairwise differences
-    are exact, so the brackets equal those of a whole-matrix formulation
-    bit for bit.  Probe buffers are allocated once and reused.
+    Works on one piece's row at a time: NumPy reductions along a short last
+    axis are slow, while max, comparisons and the pairwise differences are
+    exact, so the brackets equal those of a whole-matrix formulation bit
+    for bit.
     """
     slopes = np.asarray(slopes, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    probes = np.asarray(probes, dtype=np.float64)
     eta = float(eta)
     tol = float(tol)
-    k, d = slopes.shape
-    npts = points.shape[0]
-    pair_d2 = ((slopes[:, None, :] - slopes[None, :, :]) ** 2).sum(-1)
+    k = slopes.shape[0]
+    pair_d2 = pair_dist2(slopes)
     pair_gap = eta * np.sqrt(pair_d2)
 
     vals = np.ascontiguousarray((points @ slopes.T + intercepts).T)  # (k, npts)
-    in_upper = np.ones((k, npts), dtype=bool)
+    in_upper = np.ones(vals.shape, dtype=bool)
     for a in range(k):
         for b in range(a + 1, k):
             diff = vals[a] - vals[b]  # vals[b] - vals[a] is exactly -diff
             in_upper[a] &= (diff + pair_gap[a, b]) >= -tol
             in_upper[b] &= (pair_gap[b, a] - diff) >= -tol
 
-    in_lower = np.zeros((k, npts), dtype=bool)
-    probe = np.empty(points.shape)
-    pv = np.empty((npts, k))
-    best = np.empty(npts)
-    hit = np.empty(npts, dtype=bool)
-    for pr in range(probes.shape[0]):
-        np.add(points, eta * probes[pr][None, :], out=probe)
-        np.matmul(probe, slopes.T, out=pv)
-        pv += intercepts
-        np.copyto(best, pv[:, 0])
-        for a in range(1, k):
-            np.maximum(best, pv[:, a], out=best)
-        best -= tol
-        for a in range(k):
-            np.greater_equal(pv[:, a], best, out=hit)
-            in_lower[a] |= hit
+    best = vals[0].copy()
+    for a in range(1, k):
+        np.maximum(best, vals[a], out=best)
+    in_lower = vals >= best - tol
 
-    def set_diam2(mask):
-        out = np.zeros(npts)
-        for a in range(k):
-            for b in range(a + 1, k):
-                both = mask[a] & mask[b]
-                np.maximum(out, np.where(both, pair_d2[a, b], 0.0), out=out)
-        return out
-
-    diam2_hi = set_diam2(in_upper)
-    diam2_lo = set_diam2(in_lower)
+    diam2_hi = active_diam2(in_upper, pair_d2)
+    diam2_lo = active_diam2(in_lower, pair_d2)
     ambiguous = (np.sqrt(diam2_hi) - np.sqrt(diam2_lo)) > tol
     return diam2_lo, diam2_hi, ambiguous

@@ -17,12 +17,13 @@ On top of it this module provides
 
 Exactness strategy: in 1D every quantity is computed from the upper envelope
 of the affine pieces (slopes active on an interval are a contiguous run of
-envelope slopes).  In 2D a fast kernel brackets the active set over each
-ball between a probe-certified lower set and a pairwise-slack upper set;
-query points whose brackets disagree are resolved exactly by enumerating
-the finitely many candidate minimizers (tie-line intersections, tie-line /
-circle crossings, per-piece circle minimizers) of the relevant max-affine
-slack over the closed ball.
+envelope slopes).  In 2D piece i is active somewhere in B(x, eta) exactly
+when its max-affine cell {z : f_i(z) >= f_j(z) - tol for all j} lies within
+eta of x.  A fast kernel first brackets the active set between the pieces
+active at the center and a pairwise-slack upper set; where the two
+diameters agree they are exact.  The remaining points are resolved in one
+batch: each cell is clipped once from a box holding every ball, and a piece
+is active when the point lies in its cell or within eta of its boundary.
 """
 
 from __future__ import annotations
@@ -269,87 +270,60 @@ def _ball_diams_1d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.
     return env_s[i_hi] - env_s[i_lo]
 
 
-def _probe_rings() -> np.ndarray:
-    rings = [np.zeros((1, 2))]
-    for radius, count in ((1.0, 24), (0.62, 12), (0.31, 6)):
-        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False) + 0.37 / count
-        rings.append(radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    return np.vstack(rings)
+def _cell_polygon(A: np.ndarray, B: np.ndarray, i: int, box: np.ndarray) -> np.ndarray:
+    """Vertices of piece i's cell {z : f_i(z) >= f_j(z) - tol for all j}
+    within the counter-clockwise convex polygon ``box``, clipped by one
+    Sutherland-Hodgman pass per other piece (no rows when it is empty)."""
+    poly = box
+    for j in range(len(B)):
+        if j == i or len(poly) == 0:
+            continue
+        g = poly @ (A[i] - A[j]) + (B[i] - B[j] + _TIE_TOL)
+        keep = g >= 0
+        cross = keep != np.roll(keep, -1)
+        t = np.divide(g, g - np.roll(g, -1), out=np.zeros_like(g), where=cross)
+        hit = poly + (np.roll(poly, -1, axis=0) - poly) * t[:, None]
+        poly = np.stack([poly, hit], axis=1)[np.stack([keep, cross], axis=1)]
+    return poly
 
 
-# unit-ball probe offsets for the lower bracket of 2D ball scans
-_PROBES = _probe_rings()
+def _cell_actives_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
+    """Exact (k, npts) mask of the pieces active somewhere in each B(x, eta).
 
-
-def _exact_ball_actives_2d(A: np.ndarray, B: np.ndarray, x: np.ndarray, eta: float) -> np.ndarray:
-    """Exact active mask over the closed ball B(x, eta) for candidate pieces.
-
-    Piece i is active iff min over the ball of (max_j f_j - f_i) <= tol.
-    That max-affine slack attains its ball minimum at one of: the center, a
-    tie-line/circle crossing, a triple-tie point, or a per-pair circle
-    minimizer; all are enumerated below.
+    Piece i is active iff its cell comes within eta of x: x lies in the cell
+    (i is within tol of the max at x), or x is within eta of the cell's
+    boundary.  Cells are clipped once from a box holding every ball, which
+    changes no distance up to eta.
     """
-    k = len(B)
-    pts = [x]
-    for j in range(k):
-        for l in range(j + 1, k):
-            n = A[j] - A[l]
-            nn = float(n @ n)
-            if nn < 1e-30:
-                continue
-            e = (B[l] - B[j]) - float(n @ x)
-            h2 = eta * eta - e * e / nn
-            if h2 >= -1e-18:
-                h = math.sqrt(max(h2, 0.0))
-                c0 = x + n * (e / nn)
-                tv = np.array([-n[1], n[0]]) / math.sqrt(nn)
-                pts.append(c0 + h * tv)
-                pts.append(c0 - h * tv)
-    for j in range(k):
-        for l in range(j + 1, k):
-            for m in range(l + 1, k):
-                M = np.array([A[j] - A[l], A[j] - A[m]])
-                det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                if abs(det) < 1e-30:
-                    continue
-                z = np.linalg.solve(M, np.array([B[l] - B[j], B[m] - B[j]]))
-                if (z - x) @ (z - x) <= eta * eta * (1 + 1e-9) + 1e-30:
-                    pts.append(z)
-    P = np.asarray(pts)
-    V = P @ A.T + B
-    slack = V.max(axis=1)[:, None] - V
-    h_min = slack.min(axis=0)
-
-    # per-ordered-pair circle minimizers of (f_j - f_i)
-    diff = A[None, :, :] - A[:, None, :]          # diff[i, j] = A_j - A_i
-    norms = np.sqrt((diff ** 2).sum(-1))
-    ii, jj = np.nonzero(norms > 1e-15)
-    if len(ii):
-        Z = x[None, :] - eta * diff[ii, jj] / norms[ii, jj][:, None]
-        VZ = Z @ A.T + B
-        h_pair = VZ.max(axis=1) - VZ[np.arange(len(ii)), ii]
-        np.minimum.at(h_min, ii, h_pair)
-    return h_min <= _TIE_TOL
-
-
-def _active_slopes_2d(f: MaxAffineFunction, x: np.ndarray, eta: float) -> np.ndarray:
     A, B = f.slopes, f.intercepts
-    vals = A @ x + B
-    gap = eta * np.sqrt((((A[:, None, :] - A[None, :, :]) ** 2)).sum(-1))
-    upper = ((vals[:, None] - vals[None, :] + gap) >= -_TIE_TOL).all(axis=1)
-    cand = np.flatnonzero(upper)
-    if len(cand) == 1:
-        return A[cand]
-    active = _exact_ball_actives_2d(A[cand], B[cand], x, eta)
-    return A[cand[active]]
+    lo = centers.min(axis=0) - 2.0 * eta
+    hi = centers.max(axis=0) + 2.0 * eta
+    box = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+    vals = centers @ A.T + B
+    active = np.ascontiguousarray((vals >= vals.max(axis=1)[:, None] - _TIE_TOL).T)
+    x, y = centers[:, 0], centers[:, 1]
+    for i in range(len(B)):
+        poly = _cell_polygon(A, B, i, box)
+        d2 = np.full(len(centers), np.inf)
+        for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
+            wx, wy = x - p[0], y - p[1]
+            ee = e @ e
+            if ee > 0:
+                t = np.clip((wx * e[0] + wy * e[1]) / ee, 0.0, 1.0)
+                wx -= t * e[0]
+                wy -= t * e[1]
+            np.minimum(d2, wx * wx + wy * wy, out=d2)
+        active[i] |= d2 <= eta * eta
+    return active
 
 
 def _ball_diams_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
-    lo2, hi2, amb = _kernels.ball_activity_2d(
-        f.slopes, f.intercepts, centers, eta, _PROBES, _TIE_TOL)
+    _, hi2, amb = _kernels.ball_activity_2d(
+        f.slopes, f.intercepts, centers, eta, _TIE_TOL)
     diam = np.sqrt(hi2)
-    for t in np.flatnonzero(amb):
-        diam[t] = _pairwise_diam(_active_slopes_2d(f, centers[t], eta))
+    if amb.any():
+        active = _cell_actives_2d(f, centers[amb], eta)
+        diam[amb] = np.sqrt(_kernels.active_diam2(active, _kernels.pair_dist2(f.slopes)))
     return diam
 
 

@@ -201,9 +201,12 @@ def _solve_ssp(cost, w_s, w_t):
 
 
 def _integral_multiples(w_t, n):
+    """Target counts n * w_t, or None unless each is an integer; a positive
+    weight that rounds to a zero count is not a multiple of 1/n."""
     counts = w_t * n
     rounded = np.round(counts)
-    if np.abs(counts - rounded).max() > 1e-12 * n or int(rounded.sum()) != n:
+    if (np.abs(counts - rounded).max() > 1e-12 * n or int(rounded.sum()) != n
+            or ((rounded == 0) & (w_t > 0)).any()):
         return None
     return rounded.astype(np.int64)
 

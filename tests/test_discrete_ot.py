@@ -119,6 +119,18 @@ def test_engines_agree():
         assert solve(mu, nu, 2.0, engine="auto")[1] == pytest.approx(ref, abs=1e-9)
 
 
+def test_auto_engine_routes_tiny_target_weight_to_ssp():
+    # 10 * 1e-15 rounds to a zero count, so the targets are not integral
+    # multiples of the uniform source weight and the assignment engine,
+    # whose canonical duals start from target 0, must not be chosen
+    rng = np.random.default_rng(17)
+    mu = _m1(rng.uniform(-1, 1, 10), np.full(10, 0.1))
+    nu = _m1(rng.uniform(-1, 1, 3), [1e-15, 0.5, 0.5 - 1e-15])
+    coupling, value, _ = solve(mu, nu, 2.0)
+    assert value == solve(mu, nu, 2.0, engine="ssp")[1]
+    coupling.check_marginals()
+
+
 def test_direct_engine_dirac_marginal():
     mu = _m1([0.25], [1.0])
     nu = _m1([-1.0, 1.0], [0.5, 0.5])

@@ -9,12 +9,14 @@ exact max-affine cells, clipped from a box by halfplanes.
 import hashlib
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from otpush import random_max_affine
 from otpush._kernels import ball_activity_2d, ssp_flow
-from otpush.convex_analysis import (_PROBES, _TIE_TOL, MaxAffineFunction,
-                                    _ball_diams, _exact_ball_actives_2d)
+from otpush.convex_analysis import (_TIE_TOL, MaxAffineFunction, _ball_diams,
+                                    _cell_actives_2d)
 
 # ---------------------------------------------------------------------------
 # min-cost flow
@@ -146,15 +148,12 @@ def _clip(poly, normal, offset):
     return out
 
 
-def _dist_to_polygon(x, poly):
+def _dist_to_boundary(x, poly):
     if not poly:
         return np.inf
     P = np.array(poly)
     E = np.roll(P, -1, axis=0) - P
     W = x - P
-    area2 = (P[:, 0] * np.roll(P[:, 1], -1) - np.roll(P[:, 0], -1) * P[:, 1]).sum()
-    if area2 > 0 and (E[:, 0] * W[:, 1] - E[:, 1] * W[:, 0] >= 0).all():
-        return 0.0  # inside a counter-clockwise polygon
     ee = (E ** 2).sum(1)
     t = np.clip((W * E).sum(1) / np.where(ee > 0, ee, 1.0), 0.0, 1.0)
     return float(np.sqrt(((W - t[:, None] * E) ** 2).sum(1)).min())
@@ -163,18 +162,25 @@ def _dist_to_polygon(x, poly):
 def _cell_distances(slopes, intercepts, x, eta):
     """Distance from x to each piece's cell {z : f_i(z) >= f_j(z) - tol for all j}.
 
-    ``tol`` is the scans' tie tolerance.  Each cell is clipped from a square
-    containing B(x, eta), which changes no distance up to eta.
+    ``tol`` is the scans' tie tolerance.  The distance is 0 when x meets
+    every inequality; otherwise it is the distance to the boundary of the
+    cell clipped from a square containing B(x, eta), which changes no
+    distance up to eta.  Membership is read from the inequalities, not from
+    the polygon's winding: clipping twice by one halfplane (a duplicated
+    piece) can leave a near-zero edge whose direction rounding has flipped.
     """
     box = [x + 2.0 * eta * np.array(c) for c in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
     out = np.empty(len(slopes))
     for i in range(len(slopes)):
         poly = box
+        inside = True
         for j in range(len(slopes)):
             if j != i:
-                poly = _clip(poly, slopes[i] - slopes[j],
-                             intercepts[i] - intercepts[j] + _TIE_TOL)
-        out[i] = _dist_to_polygon(x, poly)
+                normal = slopes[i] - slopes[j]
+                offset = intercepts[i] - intercepts[j] + _TIE_TOL
+                poly = _clip(poly, normal, offset)
+                inside &= bool(normal @ x + offset >= 0)
+        out[i] = 0.0 if inside else _dist_to_boundary(x, poly)
     return out
 
 
@@ -202,7 +208,7 @@ def _vertex_ring_points(rng, slopes, intercepts, eta, count):
         for j in range(i + 1, k):
             for l in range(j + 1, k):
                 M = np.array([slopes[i] - slopes[j], slopes[i] - slopes[l]])
-                if abs(np.linalg.det(M)) < 1e-9:
+                if abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) < 1e-9:
                     continue
                 z = np.linalg.solve(M, [intercepts[j] - intercepts[i],
                                         intercepts[l] - intercepts[i]])
@@ -222,8 +228,7 @@ def test_ball_activity_brackets_exact_cells():
     for slopes, intercepts, eta in _ball_cases():
         points = np.vstack([rng.uniform(-1.0, 1.0, (40, 2)),
                             _vertex_ring_points(rng, slopes, intercepts, eta, 40)])
-        lo, hi, _ = ball_activity_2d(slopes, intercepts, points, eta,
-                                     _PROBES, _TIE_TOL)
+        lo, hi, _ = ball_activity_2d(slopes, intercepts, points, eta, _TIE_TOL)
         diams = _ball_diams(MaxAffineFunction(slopes, intercepts), points, eta)
         pair_d2 = ((slopes[:, None, :] - slopes[None, :, :]) ** 2).sum(-1)
         for t, x in enumerate(points):
@@ -242,21 +247,65 @@ def test_ball_activity_brackets_exact_cells():
 def test_exact_ball_actives_need_tie_line_crossings():
     # piece 0's cell is the narrow wedge |z_1| <= 0.02 + 0.01 z_2 with its
     # apex (0, -2) far outside B(x, eta), and neither pair minimizer of
-    # piece 0 lies in it: only a tie-line/circle crossing finds the wedge
+    # piece 0 lies in it: the ball meets the wedge only across the tie
+    # lines, so piece 0 is found only through the distance to its cell
     slopes = np.array([[0.0, 0.0], [1.0, -0.01], [-1.0, -0.01]])
     intercepts = np.array([0.0, -0.02, -0.02])
     x, eta = np.array([0.3, 0.0]), 0.35
     dist = _cell_distances(slopes, intercepts, x, eta)
     assert dist[0] < eta - 0.05
-    active = _exact_ball_actives_2d(slopes, intercepts, x, eta)
-    assert (active == (dist <= eta)).all() and active[0]
+    active = _cell_actives_2d(MaxAffineFunction(slopes, intercepts), x[None, :], eta)
+    assert (active[:, 0] == (dist <= eta)).all() and active[0, 0]
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def _degenerate_max_affine(draw):
+    """1-6 pieces, where two pieces may be duplicates, share a slope with
+    different intercepts, or have slopes 1e-6 apart."""
+    k = draw(st.integers(1, 6))
+    slopes = np.array(draw(st.lists(st.tuples(_coord, _coord), min_size=k, max_size=k)))
+    intercepts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    if k >= 2:
+        i, j = draw(st.permutations(range(k)))[:2]
+        twist = draw(st.sampled_from(["none", "duplicate", "equal slope", "near-parallel"]))
+        if twist == "duplicate":
+            slopes[j], intercepts[j] = slopes[i], intercepts[i]
+        elif twist == "equal slope":
+            slopes[j] = slopes[i]
+            intercepts[j] = intercepts[i] + draw(st.floats(-0.3, 0.3))
+        elif twist == "near-parallel":
+            slopes[j] = slopes[i] + np.array([0.0, 1e-6])
+            intercepts[j] = intercepts[i]
+    return slopes, intercepts
+
+
+@settings(max_examples=150, deadline=None)
+@given(piece=_degenerate_max_affine(), eta=st.floats(0.02, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+# a duplicated piece: the clipped cell of piece 0 gets a flipped edge 1e-16 long
+@example(piece=(np.array([[-0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.0, 0.0])),
+         eta=0.47021961802737916, seed=0)
+def test_cell_actives_match_cell_distance_oracle(piece, eta, seed):
+    slopes, intercepts = piece
+    rng = np.random.default_rng(seed)
+    points = np.vstack([rng.uniform(-1.0, 1.0, (8, 2)),
+                        _vertex_ring_points(rng, slopes, intercepts, eta, 8)])
+    active = _cell_actives_2d(MaxAffineFunction(slopes, intercepts), points, eta)
+    for t, x in enumerate(points):
+        dist = _cell_distances(slopes, intercepts, x, eta)
+        if (np.abs(dist - eta) <= 1e-9).any():
+            continue
+        assert (active[:, t] == (dist <= eta)).all(), (t, dist)
 
 
 def test_ball_activity_dispatch():
     slopes = np.array([[1.0, 0.0], [-1.0, 0.0]])
     intercepts = np.zeros(2)
     pts = np.array([[0.0, 0.0], [3.0, 0.0]])
-    lo, hi, amb = ball_activity_2d(slopes, intercepts, pts, 0.1, _PROBES, 1e-12)
+    lo, hi, amb = ball_activity_2d(slopes, intercepts, pts, 0.1, 1e-12)
     # both pieces active at the origin kink: exact diameter 2
     assert lo[0] == hi[0] == 4.0
     assert not amb[0]

@@ -37,11 +37,10 @@ _PATCH_ALL = textwrap.dedent("""
         np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1, 1]), np.array([1, 1]),
         max_iters=100)
     assert status == 0 and rec.spans[-1]["name"] == "kernels.ssp_flow"
-    # the center probe alone misses the kink 0.05 away: ambiguous
+    # the center alone misses the kink 0.05 away: ambiguous
     _kernels.ball_activity_2d(
         np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2),
-        np.array([[0.05, 0.0], [0.05, 0.0], [3.0, 0.0]]), 0.1,
-        np.zeros((1, 2)), 1e-12)
+        np.array([[0.05, 0.0], [0.05, 0.0], [3.0, 0.0]]), 0.1, 1e-12)
     ball = rec.spans[-1]
     assert ball["name"] == "kernels.ball_activity_2d", ball
     assert ball["points"] == 3 and ball["ambiguous"] == 2, ball
