@@ -160,9 +160,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, example_id = _build_config(args)
-        if cfg.scenario == "example" and example_id is not None \
-                and example_id not in ("1.2", "1.3", "1.4"):
-            raise _UsageError(f"unknown example id {example_id!r}")
         report = _run_scenario(cfg, example_id)
     except BoundViolationError as e:
         print(f"bound violation:\n{e}", file=sys.stderr)

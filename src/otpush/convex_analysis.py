@@ -195,7 +195,15 @@ class SubdiffPolytope:
         return tie[np.lexsort(tie.T[::-1])][-1].copy()
 
     def project(self, point: np.ndarray) -> tuple[np.ndarray, float]:
-        """Closest point of the hull and its distance (d <= 2 exact)."""
+        """Closest point of the hull and its distance (d <= 2 exact).
+
+        The best vertex or vertex-pair segment point q is the projection of
+        an outside p, since in d <= 2 the hull's boundary lies on those
+        segments.  By the projection theorem q = P(p) iff (v - q).(p - q)
+        <= 0 for every vertex v, while an inside p, a convex combination of
+        the vertices, has some vertex with (v - q).(p - q) >= |p - q|^2.  In
+        2D, p itself is returned when the maximum exceeds |p - q|^2 / 2.
+        """
         p = np.asarray(point, dtype=float)
         V = self.vertices
         if V.shape[0] == 1:
@@ -217,16 +225,9 @@ class SubdiffPolytope:
                 if dist < best_d:
                     best_pt, best_d = cand, dist
         if self.dim == 2 and len(V) >= 3:
-            for a in range(len(V)):
-                for b in range(a + 1, len(V)):
-                    for c in range(b + 1, len(V)):
-                        M = np.column_stack([V[b] - V[a], V[c] - V[a]])
-                        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                        if abs(det) < 1e-14:
-                            continue
-                        lam = np.linalg.solve(M, p - V[a])
-                        if lam.min() >= -1e-12 and lam.sum() <= 1 + 1e-12:
-                            return p.copy(), 0.0
+            r = p - best_pt
+            if float(((V - best_pt) @ r).max()) > 0.5 * float(r @ r):
+                return p.copy(), 0.0
         return best_pt, best_d
 
     def contains(self, point: np.ndarray, tol: float = 1e-8) -> bool:
@@ -291,18 +292,18 @@ def _cell_actives_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> n
     """Exact (k, npts) mask of the pieces active somewhere in each B(x, eta).
 
     Piece i is active iff its cell comes within eta of x: x lies in the cell
-    (i is within tol of the max at x), or x is within eta of the cell's
-    boundary.  Cells are clipped once from a box holding every ball, which
-    changes no distance up to eta.
+    (meets its inequalities, in the arithmetic that clips the cell), or x is
+    within eta of the cell's boundary.  Cells are clipped once from a box
+    holding every ball, which changes no distance up to eta.
     """
     A, B = f.slopes, f.intercepts
     lo = centers.min(axis=0) - 2.0 * eta
     hi = centers.max(axis=0) + 2.0 * eta
     box = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
-    vals = centers @ A.T + B
-    active = np.ascontiguousarray((vals >= vals.max(axis=1)[:, None] - _TIE_TOL).T)
+    active = np.empty((len(B), len(centers)), dtype=bool)
     x, y = centers[:, 0], centers[:, 1]
     for i in range(len(B)):
+        active[i] = (centers @ (A[i] - A).T + (B[i] - B + _TIE_TOL) >= 0).all(axis=1)
         poly = _cell_polygon(A, B, i, box)
         d2 = np.full(len(centers), np.inf)
         for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
@@ -501,7 +502,7 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         pts = pts[(pts ** 2).sum(1) <= 16.0 * eta * eta] + x
-        norms = np.linalg.norm(f.gradient(pts), axis=1)
+        norms = np.linalg.norm(f.slopes, axis=1)[np.argmax(f.piece_values(pts), axis=1)]
         integral = float(norms.sum() * h * h)
     else:
         raise NotImplementedError("implemented for d in {1, 2}")

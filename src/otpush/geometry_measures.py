@@ -109,11 +109,6 @@ class Domain:
             return bool(np.array_equal(self.center, other.center) and self.radius == other.radius)
         return bool(np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
 
-    def to_dict(self) -> dict:
-        if self.kind == "ball":
-            return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
-        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
     @staticmethod
     def from_dict(spec: dict) -> "Domain":
         if spec.get("kind") == "ball":
@@ -380,24 +375,6 @@ class Measure1D:
             if x >= a:
                 total += mass
         return min(total, 1.0)
-
-    def mean(self) -> float:
-        s = sum(mass * (lo + hi) / 2 for lo, hi, mass in self.intervals)
-        s += sum(mass * x for x, mass in self.atoms)
-        return s
-
-    def translated(self, a: float) -> "Measure1D":
-        lo, hi = self.domain.interval()
-        dom = Domain.box([lo + a], [hi + a]) if self.domain.kind == "box" else \
-            Domain.ball(self.domain.center + a, self.domain.radius)
-        iv = self.intervals.copy()
-        if iv.size:
-            iv[:, 0] += a
-            iv[:, 1] += a
-        at = self.atoms.copy()
-        if at.size:
-            at[:, 0] += a
-        return Measure1D(iv, at, dom)
 
 
 def quantile(m: Measure1D, u: float) -> float:

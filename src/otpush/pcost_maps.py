@@ -81,10 +81,6 @@ class PCost:
     def holder_exponent(self) -> float:
         return 1.0 / (self.p - 1.0)
 
-    def xi(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return np.linalg.norm(z, axis=-1) ** self.p
-
 
 def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt((z * z).sum(axis=-1, keepdims=True))

@@ -110,6 +110,14 @@ def _as_discrete(rho) -> DiscreteMeasure:
     raise TypeError(f"expected DiscreteMeasure or GridDensity, got {type(rho).__name__}")
 
 
+def _actives(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the pieces within _ACT_TOL (1 + |best|) of each row's max,
+    and each row's first argmax."""
+    best = vals.max(axis=1)
+    tol = _ACT_TOL * (1.0 + np.abs(best))
+    return vals >= (best - tol)[:, None], np.argmax(vals, axis=1)
+
+
 def _bundle(src: DiscreteMeasure, targets: np.ndarray, hits: int,
             image_domain: Domain) -> PushforwardResult:
     uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
@@ -134,15 +142,11 @@ def pushforward_convex(f: MaxAffineFunction, rho, policy: SelectionPolicy | None
     src = _as_discrete(rho)
     if f.dim != src.dim:
         raise ValueError("dimension mismatch between potential and measure")
-    vals = f.piece_values(src.points)            # (n, k)
-    best = vals.max(axis=1)
-    tol = _ACT_TOL * (1.0 + np.abs(best))
-    active_counts = (vals >= (best - tol)[:, None]).sum(axis=1)
-    targets = f.slopes[np.argmax(vals, axis=1)].copy()
+    mask, first = _actives(f.piece_values(src.points))
+    targets = f.slopes[first].copy()
     hits = 0
-    for i in np.flatnonzero(active_counts > 1):
-        act = np.flatnonzero(vals[i] >= best[i] - tol[i])
-        poly = SubdiffPolytope(f.slopes[act])
+    for i in np.flatnonzero(mask.sum(axis=1) > 1):
+        poly = SubdiffPolytope(f.slopes[mask[i]])
         if poly.diam() > _SING_TOL:
             hits += 1
             targets[i] = policy.select(poly, i)
@@ -171,15 +175,13 @@ def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
         targets = src.points - grad_xi_p_inverse(grads, potential.p)
         _check_escape(targets, R)
         return _bundle(src, targets, 0, image_domain)
-    vals = potential.piece_values(src.points)    # (n, k)
-    best = vals.min(axis=1)
-    tol = _ACT_TOL * (1.0 + np.abs(best))
-    active_counts = (vals <= (best + tol)[:, None]).sum(axis=1)
-    targets = potential.atoms[np.argmin(vals, axis=1)].copy()
+    # pieces near the min: negation is exact, so this is the max-side test
+    mask, first = _actives(-potential.piece_values(src.points))
+    targets = potential.atoms[first].copy()
     C = potential.cost.concavity
     hits = 0
-    for i in np.flatnonzero(active_counts > 1):
-        act = np.flatnonzero(vals[i] <= best[i] + tol[i])
+    for i in np.flatnonzero(mask.sum(axis=1) > 1):
+        act = np.flatnonzero(mask[i])
         x = src.points[i]
         grads = potential.piece_gradients(x, act)
         spread = np.linalg.norm(grads - grads[0], axis=1).max()
@@ -226,12 +228,7 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
         return pushforward_convex(phi1, rho, policy).image
     policy = policy or SelectionPolicy.min_norm()
     src = _as_discrete(rho)
-    actives = []
-    for f in (phi0, phi1):
-        vals = f.piece_values(src.points)
-        best = vals.max(axis=1)
-        tol = _ACT_TOL * (1.0 + np.abs(best))
-        actives.append((vals >= (best - tol)[:, None], np.argmax(vals, axis=1)))
+    actives = [_actives(f.piece_values(src.points)) for f in (phi0, phi1)]
     g0 = phi0.slopes[actives[0][1]]
     g1 = phi1.slopes[actives[1][1]]
     same = np.all(g0 == g1, axis=1)
@@ -240,7 +237,7 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
     for i in np.flatnonzero(multi):
         polys = []
         for (mask, _), f in zip(actives, (phi0, phi1)):
-            polys.append(SubdiffPolytope(f.slopes[np.flatnonzero(mask[i])]))
+            polys.append(SubdiffPolytope(f.slopes[mask[i]]))
         if max(p.diam() for p in polys) <= _SING_TOL:
             if not same[i]:
                 targets[i] = (1.0 - t) * polys[0].vertices[0] + t * polys[1].vertices[0]
@@ -248,11 +245,8 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
         v0, v1 = polys[0].vertices, polys[1].vertices
         mink = ((1.0 - t) * v0[:, None, :] + t * v1[None, :, :]).reshape(-1, src.dim)
         targets[i] = policy.select(SubdiffPolytope(mink), i)
-    uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse, src.weights)
     radius = max((1.0 - t) * phi0.lip + t * phi1.lip, 1e-300)
-    return DiscreteMeasure(uniq, w, Domain.ball(np.zeros(src.dim), radius))
+    return _bundle(src, targets, 0, Domain.ball(np.zeros(src.dim), radius)).image
 
 
 def potential_from_discrete_ot(rho, mu: DiscreteMeasure, p: float = 2.0

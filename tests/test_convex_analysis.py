@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     SingularSetReport, SubdiffPolytope,
@@ -124,6 +126,127 @@ def test_subdiff_polytope_operations():
     assert np.linalg.norm(mn) <= 1e-9  # origin lies inside
     single = SubdiffPolytope(np.array([[0.25, 0.75]]))
     assert single.is_singleton() and single.diam() == 0.0
+
+
+def _project_oracle(poly, point):
+    """Closest hull point by enumeration: vertices, vertex-pair segments and,
+    in 2D, a barycentric solve on every vertex triple (the triangle search
+    that ``SubdiffPolytope.project`` replaced by its certificate; it raised
+    on triples that LAPACK finds singular)."""
+    p = np.asarray(point, dtype=float)
+    V = poly.vertices
+    if V.shape[0] == 1:
+        return V[0].copy(), float(np.linalg.norm(p - V[0]))
+    best_pt, best_d = None, np.inf
+    for v in V:
+        dist = float(np.linalg.norm(p - v))
+        if dist < best_d:
+            best_pt, best_d = v.copy(), dist
+    for a in range(len(V)):
+        for b in range(a + 1, len(V)):
+            e = V[b] - V[a]
+            ee = float(e @ e)
+            if ee < 1e-30:
+                continue
+            t = float(np.clip((p - V[a]) @ e / ee, 0.0, 1.0))
+            cand = V[a] + t * e
+            dist = float(np.linalg.norm(p - cand))
+            if dist < best_d:
+                best_pt, best_d = cand, dist
+    if poly.dim == 2 and len(V) >= 3:
+        for a in range(len(V)):
+            for b in range(a + 1, len(V)):
+                for c in range(b + 1, len(V)):
+                    M = np.column_stack([V[b] - V[a], V[c] - V[a]])
+                    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+                    if abs(det) < 1e-14:
+                        continue
+                    try:
+                        lam = np.linalg.solve(M, p - V[a])
+                    except np.linalg.LinAlgError:
+                        # collinear at scale 1e3: |det| ~ 1e-10 by the
+                        # formula, an exact zero pivot for LAPACK
+                        continue
+                    if lam.min() >= -1e-12 and lam.sum() <= 1 + 1e-12:
+                        return p.copy(), 0.0
+    return best_pt, best_d
+
+
+def _skeleton_distance(V, p):
+    """Distance from p to the nearest vertex or vertex-pair segment."""
+    d = np.linalg.norm(V - p, axis=1).min()
+    for a in range(len(V)):
+        for b in range(a + 1, len(V)):
+            e = V[b] - V[a]
+            t = np.clip((p - V[a]) @ e / (e @ e), 0.0, 1.0)
+            d = min(d, np.linalg.norm(p - V[a] - t * e))
+    return d
+
+
+@st.composite
+def _hull_and_point(draw):
+    """1-12 vertices in 1-3 dimensions at scales 1e-3..1e3 (generic, collinear,
+    duplicated or small-lattice), and a point outside the hull, inside it
+    (Dirichlet weights), on a vertex-pair segment, anywhere, or at 0."""
+    dim = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    k = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1e-3, 0.037, 1.0, 3.7, 1e3]))
+    shape = draw(st.sampled_from(["generic", "collinear", "duplicated", "lattice"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # thousandths keep every non-degenerate triangle's |det| >= 1e-12, far
+    # above the oracle's 1e-14 cutoff
+    if shape == "lattice":
+        V = rng.integers(-2, 3, (k, dim)).astype(float)
+    elif shape == "collinear":
+        a, d = rng.integers(-1000, 1001, (2, dim)) / 1000
+        V = a + rng.integers(-1000, 1001, (k, 1)) / 1000 * d
+    else:
+        V = rng.integers(-1000, 1001, (k, dim)) / 1000
+        if shape == "duplicated":
+            V = V[rng.integers(0, k, k)]
+    V = V * scale
+    W = np.unique(V, axis=0)
+    where = draw(st.sampled_from(["outside", "inside", "edge", "free", "zero"]))
+    if where == "zero":
+        p = np.zeros(dim)
+    elif where == "inside":
+        p = rng.dirichlet(np.ones(len(W))) @ W
+    elif where == "edge":
+        a, b = rng.integers(0, len(W), 2)
+        p = W[a] + rng.uniform() * (W[b] - W[a])
+    else:
+        c = W.mean(axis=0)
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        if where == "outside":
+            reach = np.linalg.norm(W - c, axis=1).max()
+            p = c + (reach + scale * rng.uniform(1e-6, 2.0)) * u
+        else:
+            p = c + scale * rng.uniform(0.0, 2.0) * u
+    return V, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_hull_and_point())
+# 0 lies exactly on the edge from (-1, 0) to (1, 0)
+@example(case=(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(2)))
+def test_project_matches_triangle_enumeration(case):
+    V, p = case
+    poly = SubdiffPolytope(V)
+    pt, dist = poly.project(p)
+    want_pt, want_dist = _project_oracle(poly, p)
+    size = 1.0 + np.linalg.norm(poly.vertices, axis=1).max()
+    if _skeleton_distance(poly.vertices, p) > 1e-9 * size:
+        assert pt.tobytes() == want_pt.tobytes() and dist == want_dist
+    else:
+        assert np.abs(pt - want_pt).max() <= 1e-12 * size
+        assert abs(dist - want_dist) <= 1e-12 * size
+
+
+def test_project_zero_on_an_edge_is_exact():
+    poly = SubdiffPolytope(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    pt, dist = poly.project(np.zeros(2))
+    assert pt.tobytes() == np.zeros(2).tobytes() and dist == 0.0
 
 
 # ---------------------------------------------------------------------------

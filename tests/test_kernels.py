@@ -288,6 +288,10 @@ def _degenerate_max_affine(draw):
 # a duplicated piece: the clipped cell of piece 0 gets a flipped edge 1e-16 long
 @example(piece=(np.array([[-0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.0, 0.0])),
          eta=0.47021961802737916, seed=0)
+# slopes 2.2e-308 apart: 1e-12 + 2.2e-308 y rounds to 1e-12, so only the
+# cell's own inequality puts piece 1's cell at y <= 0, 0.83 from point 2
+@example(piece=(np.array([[0.0, 2.2250738585072014e-308], [0.0, 0.0]]), np.array([1e-12, 0.0])),
+         eta=0.5, seed=0)
 def test_cell_actives_match_cell_distance_oracle(piece, eta, seed):
     slopes, intercepts = piece
     rng = np.random.default_rng(seed)
