@@ -51,10 +51,24 @@ _FLOW_SCALE = 10 ** 9  # max-flow feasibility checks run in int32-safe units
 
 
 def cost_matrix(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
-    """Pairwise costs ||x_i - y_j||^p."""
+    """Pairwise costs ||x_i - y_j||^p.
+
+    The squared distance is summed one coordinate at a time, in coordinate
+    order, with no (n, m, d) temporary.  Below 8 coordinates that is the
+    order in which NumPy's ``.sum(-1)`` adds a short contiguous axis, so the
+    bits are those of the broadcast reduction; from 8 on NumPy sums
+    pairwise, so the reduction itself is kept there.
+    """
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
-    d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    if X.shape[1] >= 8:  # pairwise summation order: keep its bits
+        d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    else:
+        d2 = (X[:, 0, None] - Y[None, :, 0]) ** 2
+        for k in range(1, X.shape[1]):
+            dk = X[:, k, None] - Y[None, :, k]
+            dk *= dk
+            d2 += dk
     if p == 2:
         return d2
     return d2 ** (p / 2.0)
@@ -542,31 +556,36 @@ def _matching_feasible(adj: np.ndarray) -> bool:
 def _flow_feasible(adj: np.ndarray, supply_units, demand_units) -> bool:
     n, m = adj.shape
     total = int(supply_units.sum())
-    size = n + m + 2
     src, snk = n + m, n + m + 1
-    rows, cols, caps = [], [], []
-    rows += [src] * n
-    cols += list(range(n))
-    caps += [int(x) for x in supply_units]
     ii, jj = np.nonzero(adj)
-    rows += list(ii)
-    cols += [n + int(j) for j in jj]
-    caps += [total] * len(ii)
-    rows += [n + int(j) for j in range(m)]
-    cols += [snk] * m
-    caps += [int(x) for x in demand_units]
-    graph = sp.csr_matrix((caps, (rows, cols)), shape=(size, size), dtype=np.int32)
+    rows = np.concatenate([np.full(n, src), ii, n + np.arange(m)])
+    cols = np.concatenate([np.arange(n), n + jj, np.full(m, snk)])
+    caps = np.concatenate([supply_units, np.full(len(ii), total), demand_units])
+    graph = sp.csr_matrix((caps, (rows, cols)), shape=(n + m + 2, n + m + 2),
+                          dtype=np.int32)
     return maximum_flow(graph, src, snk).flow_value == total
 
 
 def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling, float]:
     """min over couplings of the max transported distance.
 
-    Binary search on the sorted distinct distance set with a feasibility
-    check per threshold: Hopcroft-Karp matching when both measures are
-    uniform with equal support sizes, max-flow on scaled integer masses
-    otherwise.  The returned coupling is an admissible plan at the optimal
-    threshold, produced by a masked min-cost-flow solve.
+    Binary search over the distinct squared distances inside a certified
+    bracket, with a feasibility check per threshold: Hopcroft-Karp matching
+    when both measures are uniform with equal support sizes, max-flow on
+    scaled integer masses otherwise.  A threshold admits the edges with
+    ``d2 <= level * (1 + 1e-12)``.  The bracket's two certificates:
+
+    * below: every row and column that must ship mass needs an admitted
+      edge, so no level with ``level * (1 + 1e-12) < max(max_i min_j d2,
+      max_j min_i d2)`` is feasible;
+    * above: a known plan is feasible at its own longest edge, the identity
+      permutation (``max_i d2[i, i]``) in the uniform square case and every
+      edge (``d2.max()``) otherwise.
+
+    Feasibility is monotone in the level, so the search returns the same
+    level as one over every distinct distance (Burkard, Dell'Amico,
+    Martello, *Assignment Problems*, ch. 6).  The returned coupling is an
+    admissible plan at that level, produced by a masked min-cost-flow solve.
     """
     if mu.dim != nu.dim:
         raise ValueError("ambient dimension mismatch")
@@ -574,13 +593,19 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
     nu0, keep_t = nu.drop_zero_weights()
     d2 = cost_matrix(mu0.points, nu0.points, 2)
     n, m = d2.shape
-    levels = np.unique(d2)
 
     uniform = (n == m and np.abs(mu0.weights - 1.0 / n).max() <= 1e-12
                and np.abs(nu0.weights - 1.0 / n).max() <= 1e-12)
-    if not uniform:
+    if uniform:
+        lower = max(d2.min(axis=1).max(), d2.min(axis=0).max())
+        upper = d2.diagonal().max()
+    else:
         supply_units = _scaled_units(mu0.weights, _FLOW_SCALE)
         demand_units = _scaled_units(nu0.weights, _FLOW_SCALE)
+        # a row or column rounded to zero units ships nothing
+        lower = max(d2[supply_units > 0].min(axis=1).max(),
+                    d2[:, demand_units > 0].min(axis=0).max())
+        upper = d2.max()
 
     def feasible(level):
         adj = d2 <= level * (1 + 1e-12)
@@ -588,9 +613,8 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
             return _matching_feasible(adj)
         return _flow_feasible(adj, supply_units, demand_units)
 
-    lo, hi = 0, len(levels) - 1
-    if feasible(levels[0]):
-        hi = 0
+    levels = np.unique(d2[(d2 * (1 + 1e-12) >= lower) & (d2 <= upper)])
+    lo, hi = 0, len(levels) - 1  # levels[hi] = upper is feasible
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(levels[mid]):

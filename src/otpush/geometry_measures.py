@@ -434,6 +434,10 @@ def wasserstein_1d(m1: Measure1D, m2: Measure1D, r: float) -> float:
 
     Handles every order r in (1, inf]; for r = inf returns the sup norm of
     the quantile difference.  Exact on the piecewise-linear quantile class.
+    The cut points of both quantile functions split [0, 1] into pieces on
+    which both are linear; one ``searchsorted`` per measure on the piece
+    midpoints finds the quantile segment of each piece, and the pieces'
+    integrals are then summed in order.
     """
     if not (r > 1.0):
         raise ValueError("order r must exceed 1")
@@ -442,25 +446,22 @@ def wasserstein_1d(m1: Measure1D, m2: Measure1D, r: float) -> float:
     s2 = m2.quantile_segments()
     cuts = np.unique(np.concatenate([s1[:, :2].ravel(), s2[:, :2].ravel(), [0.0, 1.0]]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+    ulo, uhi = cuts[:-1], cuts[1:]
+    um = 0.5 * (ulo + uhi)
 
-    def eval_on(segs, idx, u):
-        u0, u1, x0, x1 = segs[idx]
-        if u1 <= u0:
-            return x0
-        return x0 + (x1 - x0) * (u - u0) / (u1 - u0)
+    def quantile_at_ends(segs):
+        idx = np.minimum(np.searchsorted(segs[:, 1], um, side="right"), len(segs) - 1)
+        u0, u1, x0, x1 = segs[idx].T
+        # a zero-width segment (mass below the spacing of u) takes its x_lo
+        zero_width = u1 <= u0
+        den = np.where(zero_width, 1.0, u1 - u0)
+        return [np.where(zero_width, x0, x0 + (x1 - x0) * (u - u0) / den)
+                for u in (ulo, uhi)]
 
     # both quantile functions are linear on each open cut interval; the
     # difference there is a + (b - a) * t with endpoint limits a, b
-    pieces = []
-    for ulo, uhi in zip(cuts[:-1], cuts[1:]):
-        if uhi - ulo <= 0:
-            continue
-        um = 0.5 * (ulo + uhi)
-        i1 = min(int(np.searchsorted(s1[:, 1], um, side="right")), s1.shape[0] - 1)
-        i2 = min(int(np.searchsorted(s2[:, 1], um, side="right")), s2.shape[0] - 1)
-        a = eval_on(s1, i1, ulo) - eval_on(s2, i2, ulo)
-        b = eval_on(s1, i1, uhi) - eval_on(s2, i2, uhi)
-        pieces.append((ulo, uhi, a, b))
+    (q1lo, q1hi), (q2lo, q2hi) = quantile_at_ends(s1), quantile_at_ends(s2)
+    pieces = zip(ulo, uhi, q1lo - q2lo, q1hi - q2hi)
 
     if math.isinf(r):
         return float(max(max(abs(a), abs(b)) for _, _, a, b in pieces))

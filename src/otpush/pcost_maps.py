@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_analysis import MaxAffineFunction, diam_subdiff_ball
+from .discrete_ot import cost_matrix
 
 __all__ = [
     "PCost",
@@ -159,9 +160,7 @@ class CConcavePotential:
 
     def piece_values(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = ((pts[:, None, :] - self.atoms[None, :, :]) ** 2).sum(-1)
-        pieces = d2 if self.p == 2 else d2 ** (self.p / 2.0)
-        return pieces - self.offsets
+        return cost_matrix(pts, self.atoms, self.p) - self.offsets
 
     def value(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)

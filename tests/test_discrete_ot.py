@@ -6,13 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import (maximum_bipartite_matching, maximum_flow,
+                                  shortest_path)
 
-from otpush.discrete_ot import (Coupling, _gap_graph, _solve_assignment,
+from otpush.discrete_ot import (_FLOW_SCALE, Coupling, _gap_graph,
+                                _scaled_units, _solve_assignment,
                                 bottleneck_solve, c_transform, cost_matrix,
                                 solve, wasserstein)
-from otpush.geometry_measures import DiscreteMeasure, Domain
+from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
+                                      discretize)
 
 DOM1 = Domain.ball(np.zeros(1), 2.0)
 
@@ -35,6 +39,24 @@ def _random_pair(rng, n, m, d=1, radius=1.5):
 # ---------------------------------------------------------------------------
 # reference example and basic structure
 # ---------------------------------------------------------------------------
+
+def test_cost_matrix_matches_broadcast_reduction_bitwise():
+    # the (n, m, d) broadcast form summed over its last axis, for every
+    # dimension on both sides of the d >= 8 switch
+    rng = np.random.default_rng(7)
+    for d in range(1, 10):
+        for trial in range(4):
+            n, m = rng.integers(1, 40, size=2)
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+            X = rng.normal(size=(n, d)) * scale
+            Y = rng.normal(size=(m, d)) * scale
+            d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+            for p in (1.5, 2.0, 3.0):
+                want = d2 if p == 2 else d2 ** (p / 2.0)
+                got = cost_matrix(X, Y, p)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, p)
+
 
 def test_two_point_mass_excess_example():
     eps = 0.1
@@ -349,6 +371,127 @@ def test_bottleneck_unequal_weights():
         assert coupling.max_distance() <= value + 1e-12
         # any W_q lower-bounds the bottleneck value
         assert wasserstein(mu, nu, 4.0) <= value + 1e-9
+
+
+def _full_range_bottleneck(mu, nu):
+    """The bottleneck level by binary search over every distinct squared
+    distance, each threshold checked on its own graph; with the perfect
+    matching at that level in the uniform square case, else None."""
+    d2 = cost_matrix(mu.points, nu.points, 2)
+    n, m = d2.shape
+    uniform = (n == m and np.abs(mu.weights - 1.0 / n).max() <= 1e-12
+               and np.abs(nu.weights - 1.0 / n).max() <= 1e-12)
+
+    def admitted(level):
+        return d2 <= level * (1 + 1e-12)
+
+    def feasible(level):
+        if uniform:
+            match = maximum_bipartite_matching(sp.csr_matrix(admitted(level)),
+                                               perm_type="column")
+            return bool((match >= 0).all())
+        supply = _scaled_units(mu.weights, _FLOW_SCALE)
+        demand = _scaled_units(nu.weights, _FLOW_SCALE)
+        cap = np.zeros((n + m + 2, n + m + 2), dtype=np.int32)
+        cap[n + m, :n] = supply
+        cap[:n, n:n + m] = np.where(admitted(level), _FLOW_SCALE, 0)
+        cap[n:n + m, n + m + 1] = demand
+        flow = maximum_flow(sp.csr_matrix(cap), n + m, n + m + 1)
+        return flow.flow_value == _FLOW_SCALE
+
+    levels = np.unique(d2)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    match = None
+    if uniform:
+        match = maximum_bipartite_matching(sp.csr_matrix(admitted(levels[hi])),
+                                           perm_type="column")
+    return levels[hi], match
+
+
+def _check_against_full_range(mu, nu):
+    level, match = _full_range_bottleneck(mu, nu)
+    coupling, value = bottleneck_solve(mu, nu)
+    assert value.hex() == float(np.sqrt(level)).hex()
+    if match is not None:
+        assert np.array_equal(coupling.i, np.arange(len(mu)))
+        assert np.array_equal(coupling.j, match)
+    assert coupling.max_distance() <= value * (1 + 1e-12)
+
+
+def _uniform(points, dom):
+    return DiscreteMeasure(points, np.full(len(points), 1.0 / len(points)), dom)
+
+
+def test_bottleneck_bracket_matches_full_range_search_uniform():
+    rng = np.random.default_rng(61)
+    for trial in range(30):
+        n = int(rng.integers(2, 26))
+        d = int(rng.integers(1, 4))
+        dom = Domain.ball(np.zeros(d), 10.0)
+        X, Y = rng.uniform(-1, 1, (2, n, d))
+        if trial % 3 == 0:  # lattice points: many tied distances
+            X, Y = np.round(3 * X), np.round(3 * Y)
+        _check_against_full_range(_uniform(X, dom), _uniform(Y, dom))
+
+
+def test_bottleneck_bracket_matches_full_range_search_jittered_grid():
+    # the stability audit's 2D instances: a uniform disc grid against its
+    # cell centers jittered by a fraction of the cell and kept in the disc
+    rng = np.random.default_rng(67)
+    for res in (6, 9, 12):
+        grid = discretize(GridDensity.uniform(Domain.ball(np.zeros(2), 1.0), res))
+        dom = Domain.ball(np.zeros(2), 2.0)
+        rho = DiscreteMeasure(grid.points, grid.weights, dom)
+        _check_against_full_range(rho, rho)
+        h = 2.0 / res
+        for trial in range(3):
+            scale = rng.uniform(0.1, 0.45) * h / 2.0
+            pts = rho.points + rng.uniform(-scale, scale, rho.points.shape)
+            norms = np.linalg.norm(pts, axis=1)
+            pts[norms > 1.0] *= ((1.0 - 1e-12) / norms[norms > 1.0])[:, None]
+            _check_against_full_range(rho, DiscreteMeasure(pts, rho.weights, dom))
+
+
+def test_bottleneck_level_admitted_by_tolerance_below_lower_bound():
+    # one pair sits a few 1e-13 relative beyond the others: the largest
+    # row minimum exceeds the answer, which the 1e-12 threshold tolerance
+    # still lets that pair under
+    rng = np.random.default_rng(71)
+    dom = Domain.ball(np.zeros(1), 100.0)
+    for trial in range(10):
+        n = int(rng.integers(2, 8))
+        offsets = rng.uniform(0.2, 1.0, n)
+        offsets[rng.permutation(n)[:2]] = 1.0, 1.0 + int(rng.integers(1, 5)) * 1e-13
+        X = 10.0 * np.arange(n, dtype=float)[:, None]
+        Y = X + offsets[:, None]
+        mu, nu = _uniform(X, dom), _uniform(Y, dom)
+        d2 = cost_matrix(X, Y, 2)
+        assert max(d2.min(axis=1).max(), d2.min(axis=0).max()) > 1.0
+        _check_against_full_range(mu, nu)
+        assert bottleneck_solve(mu, nu)[1] == 1.0
+    # unequal weights: the second source splits over two targets
+    mu = _m1([0.0, 10.0], [0.5, 0.5], dom)
+    nu = _m1([1.0, 11.0, 10.0 - (1.0 + 2e-13)], [0.5, 0.25, 0.25], dom)
+    _check_against_full_range(mu, nu)
+    assert bottleneck_solve(mu, nu)[1] == 1.0
+
+
+def test_bottleneck_bracket_matches_full_range_search_unequal_weights():
+    rng = np.random.default_rng(73)
+    for trial in range(12):
+        n, m = (int(k) for k in rng.integers(2, 9, size=2))
+        mu, nu = _random_pair(rng, n, m, d=1 + trial % 2)
+        _check_against_full_range(mu, nu)
+    # uniform weights on unequal support sizes also take the flow path
+    dom = Domain.ball(np.zeros(2), 2.0)
+    _check_against_full_range(_uniform(rng.uniform(-1, 1, (4, 2)), dom),
+                              _uniform(rng.uniform(-1, 1, (6, 2)), dom))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                      Measure1D, discretize,
+                                      Measure1D, _piece_integral, discretize,
                                       measure_from_json, quantile,
                                       unit_ball_volume, wasserstein_1d)
 
@@ -222,6 +222,90 @@ def test_w1d_monotone_in_r():
     nu = Measure1D.from_pieces(DOM, [(-0.4, 0.2, 0.7)], [(0.45, 0.3)])
     vals = [wasserstein_1d(rho, nu, r) for r in (1.5, 2.0, 3.0, 6.0, math.inf)]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
+
+
+def _scalar_cut_w1d(m1, m2, r):
+    """W_r by a scalar loop over the cut intervals: each interval looks up
+    its two quantile segments with its own ``searchsorted`` at the midpoint
+    and evaluates them at both ends, a zero-width segment at its x_lo."""
+    s1 = m1.quantile_segments()
+    s2 = m2.quantile_segments()
+    cuts = np.unique(np.concatenate([s1[:, :2].ravel(), s2[:, :2].ravel(), [0.0, 1.0]]))
+    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+
+    def eval_on(segs, idx, u):
+        u0, u1, x0, x1 = segs[idx]
+        if u1 <= u0:
+            return x0
+        return x0 + (x1 - x0) * (u - u0) / (u1 - u0)
+
+    pieces = []
+    for ulo, uhi in zip(cuts[:-1], cuts[1:]):
+        if uhi - ulo <= 0:
+            continue
+        um = 0.5 * (ulo + uhi)
+        i1 = min(int(np.searchsorted(s1[:, 1], um, side="right")), s1.shape[0] - 1)
+        i2 = min(int(np.searchsorted(s2[:, 1], um, side="right")), s2.shape[0] - 1)
+        pieces.append((ulo, uhi, eval_on(s1, i1, ulo) - eval_on(s2, i2, ulo),
+                       eval_on(s1, i1, uhi) - eval_on(s2, i2, uhi)))
+    if math.isinf(r):
+        return float(max(max(abs(a), abs(b)) for _, _, a, b in pieces))
+    total = 0.0
+    for ulo, uhi, a, b in pieces:
+        if a * b < 0:
+            t_root = a / (a - b)
+            total += _piece_integral(a, 0.0, (uhi - ulo) * t_root, r)
+            total += _piece_integral(0.0, b, (uhi - ulo) * (1.0 - t_root), r)
+        else:
+            total += _piece_integral(a, b, uhi - ulo, r)
+    return float(total ** (1.0 / r))
+
+
+_R_ORDERS = [1.5, 2.0, 3.0, 6.0, math.inf]
+_GRID = np.linspace(-1.0, 1.0, 9)
+
+
+@st.composite
+def _mixtures(draw):
+    """Interval/atom mixtures on a coarse grid: intervals on distinct grid
+    cells, atoms that may coincide with each other or with interval ends,
+    integer masses (zero included), so that two draws share cut points."""
+    cells = draw(st.lists(st.integers(0, 7), unique=True, max_size=4))
+    shrink = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5]),
+                           min_size=len(cells), max_size=len(cells)))
+    spots = draw(st.lists(st.sampled_from(list(_GRID) + [0.3, 1e-9]), max_size=4))
+    units = draw(st.lists(st.integers(0, 6), min_size=len(cells) + len(spots),
+                          max_size=len(cells) + len(spots)))
+    if sum(units) == 0:
+        units = [0] * len(cells) + [1] * len(spots) if spots else [1] * len(cells)
+    if sum(units) == 0:
+        units, spots = [1], [0.0]
+    total = float(sum(units))
+    iv = [(_GRID[c] + 0.25 * f, _GRID[c + 1], w / total)
+          for c, f, w in zip(cells, shrink, units)]
+    at = [(x, w / total) for x, w in zip(spots, units[len(cells):])]
+    return Measure1D.from_pieces(DOM, iv, at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m1=_mixtures(), m2=_mixtures(), r=st.sampled_from(_R_ORDERS))
+def test_w1d_matches_scalar_cut_loop(m1, m2, r):
+    assert wasserstein_1d(m1, m2, r).hex() == _scalar_cut_w1d(m1, m2, r).hex()
+
+
+def test_w1d_zero_width_top_segment_takes_its_start():
+    # the last piece's mass is below the spacing of u at 1, so its quantile
+    # segment has zero width; the other measure cuts at the float below 1,
+    # whose interval's midpoint rounds to 1 and selects that segment
+    tiny = Measure1D.from_pieces(
+        DOM, [(-1.0, -0.5, 0.5), (-0.5, 0.0, 0.5), (0.5, 1.0, 1e-18)])
+    below = np.nextafter(1.0, 0.0)
+    other = Measure1D.from_pieces(DOM, [(-1.0, 0.0, below), (0.0, 0.1, 1.0 - below)])
+    assert tiny.quantile_segments()[-1, 0] == 1.0
+    for r in _R_ORDERS:
+        assert (wasserstein_1d(tiny, other, r).hex()
+                == _scalar_cut_w1d(tiny, other, r).hex())
+    assert wasserstein_1d(tiny, other, math.inf) == 0.5
 
 
 # ---------------------------------------------------------------------------

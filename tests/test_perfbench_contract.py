@@ -2,9 +2,11 @@
 
 The traced benchmark run rebinds every target in ``perfbench/spans.py``'s
 ``PATCHES`` and reads the kernels' arguments and results; the child's
-environment block reads ``otpush._kernels.NUMBA_ACTIVE``.  A rename or a
-deletion in ``src/otpush`` that breaks either would otherwise show only when
-the benchmark runs.
+environment block reads ``otpush._kernels.NUMBA_ACTIVE``.  The bottleneck
+probe count is the number of matching and max-flow spans recorded under a
+bottleneck span, so ``bottleneck_solve`` must keep calling them by the
+patched names.  A rename or a deletion in ``src/otpush`` that breaks any of
+this would otherwise show only when the benchmark runs.
 """
 
 import os
@@ -45,6 +47,30 @@ _PATCH_ALL = textwrap.dedent("""
     assert ball["name"] == "kernels.ball_activity_2d", ball
     assert ball["points"] == 3 and ball["ambiguous"] == 2, ball
     assert _kernels.NUMBA_ACTIVE is False
+
+    # the audit's bottleneck and 1D distances, through the names the
+    # experiments module calls, under one root span as a workload runs them
+    from otpush import experiments
+    from otpush.geometry_measures import DiscreteMeasure, Domain, Measure1D
+
+    dom = Domain.ball(np.zeros(1), 2.0)
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [1.2]]), np.full(3, 1 / 3), dom)
+    nu = DiscreteMeasure(np.array([[0.1], [1.5], [0.9]]), np.full(3, 1 / 3), dom)
+
+    def audit_like():
+        experiments.bottleneck_solve(mu, nu)
+        experiments.wasserstein_1d(Measure1D.uniform(dom, -0.5, 0.5),
+                                   Measure1D.dirac(dom, 0.0), 2.0)
+
+    rec.spans.clear()
+    rec.wrap(spans.ROOT, audit_like)()
+    names = [(s["name"], rec.spans[s["parent"]]["name"])
+             for s in rec.spans if s["parent"] is not None]
+    assert ("discrete_ot.matching", "discrete_ot.bottleneck") in names, names
+    layer = spans.layer_metrics(rec.spans)
+    assert layer["discrete_ot.bottleneck.calls"] == 1, layer
+    assert layer["discrete_ot.bottleneck.probes"] >= 1, layer
+    assert layer["geometry_measures.wasserstein_1d.calls"] == 1, layer
 """)
 
 
