@@ -54,21 +54,15 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     """Pairwise costs ||x_i - y_j||^p.
 
     The squared distance is summed one coordinate at a time, in coordinate
-    order, with no (n, m, d) temporary.  Below 8 coordinates that is the
-    order in which NumPy's ``.sum(-1)`` adds a short contiguous axis, so the
-    bits are those of the broadcast reduction; from 8 on NumPy sums
-    pairwise, so the reduction itself is kept there.
+    order, with no (n, m, d) temporary.
     """
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
-    if X.shape[1] >= 8:  # pairwise summation order: keep its bits
-        d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
-    else:
-        d2 = (X[:, 0, None] - Y[None, :, 0]) ** 2
-        for k in range(1, X.shape[1]):
-            dk = X[:, k, None] - Y[None, :, k]
-            dk *= dk
-            d2 += dk
+    d2 = (X[:, 0, None] - Y[None, :, 0]) ** 2
+    for k in range(1, X.shape[1]):
+        dk = X[:, k, None] - Y[None, :, k]
+        dk *= dk
+        d2 += dk
     if p == 2:
         return d2
     return d2 ** (p / 2.0)

@@ -446,8 +446,8 @@ def wasserstein_1d(m1: Measure1D, m2: Measure1D, r: float) -> float:
     s2 = m2.quantile_segments()
     cuts = np.unique(np.concatenate([s1[:, :2].ravel(), s2[:, :2].ravel(), [0.0, 1.0]]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-    ulo, uhi = cuts[:-1], cuts[1:]
-    um = 0.5 * (ulo + uhi)
+    cut_lo, cut_hi = cuts[:-1], cuts[1:]
+    um = 0.5 * (cut_lo + cut_hi)
 
     def quantile_at_ends(segs):
         idx = np.minimum(np.searchsorted(segs[:, 1], um, side="right"), len(segs) - 1)
@@ -456,12 +456,12 @@ def wasserstein_1d(m1: Measure1D, m2: Measure1D, r: float) -> float:
         zero_width = u1 <= u0
         den = np.where(zero_width, 1.0, u1 - u0)
         return [np.where(zero_width, x0, x0 + (x1 - x0) * (u - u0) / den)
-                for u in (ulo, uhi)]
+                for u in (cut_lo, cut_hi)]
 
     # both quantile functions are linear on each open cut interval; the
     # difference there is a + (b - a) * t with endpoint limits a, b
     (q1lo, q1hi), (q2lo, q2hi) = quantile_at_ends(s1), quantile_at_ends(s2)
-    pieces = zip(ulo, uhi, q1lo - q2lo, q1hi - q2hi)
+    pieces = zip(cut_lo, cut_hi, q1lo - q2lo, q1hi - q2hi)
 
     if math.isinf(r):
         return float(max(max(abs(a), abs(b)) for _, _, a, b in pieces))
