@@ -11,8 +11,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import (maximum_bipartite_matching, maximum_flow,
                                   shortest_path)
 
-from otpush.discrete_ot import (_FLOW_SCALE, Coupling, _gap_graph,
-                                _scaled_units, _solve_assignment,
+from otpush import discrete_ot
+from otpush.discrete_ot import (_FLOW_SCALE, Coupling, DualPotentials,
+                                _gap_graph, _scaled_units, _solve_assignment,
                                 bottleneck_solve, c_transform, cost_matrix,
                                 solve, wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
@@ -184,6 +185,107 @@ def test_duality_gap_and_feasibility():
         pos = coupling.mass > 0
         assert np.abs(slack[coupling.i[pos], coupling.j[pos]]).max() <= \
             1e-9 * (1 + cost.max())
+
+
+def _with_zero_weights(rng, n, m, d, zeros_s, zeros_t):
+    """A random pair whose supports carry ``zeros_s``/``zeros_t`` extra
+    zero-weight atoms, interleaved with the weighted ones."""
+    mu, nu = _random_pair(rng, n, m, d=d)
+
+    def pad(meas, k):
+        pts = np.concatenate([meas.points, rng.uniform(-0.75, 0.75, (k, d))])
+        w = np.concatenate([meas.weights, np.zeros(k)])
+        order = rng.permutation(len(w))
+        return DiscreteMeasure(pts[order], w[order], meas.domain)
+
+    return pad(mu, zeros_s), pad(nu, zeros_t)
+
+
+@pytest.mark.parametrize("zeros", [(0, 0), (2, 0), (0, 3), (2, 3)])
+def test_solve_builds_one_cost_matrix(monkeypatch, zeros):
+    rng = np.random.default_rng(41)
+    mu, nu = _with_zero_weights(rng, 7, 5, 2, *zeros)
+    calls = []
+
+    def counted(X, Y, p):
+        calls.append((len(X), len(Y)))
+        return cost_matrix(X, Y, p)
+
+    monkeypatch.setattr(discrete_ot, "cost_matrix", counted)
+    solve(mu, nu, 2.0)
+    assert calls == [(len(mu), len(nu))]
+
+
+def _solve_by_separate_matrices(mu, nu, p, engine):
+    """Reference for ``solve`` on measures with zero weights: solve on the
+    positive-weight atoms, complete the duals by c-transforms on their own
+    cost matrices, and check them with ``DualPotentials.verify``."""
+    mu0, keep_s = mu.drop_zero_weights()
+    nu0, keep_t = nu.drop_zero_weights()
+    c0, _, d0 = solve(mu0, nu0, p, engine=engine)
+    u, v = d0.phi, d0.phi_c
+    u_full, v_full = np.empty(len(mu)), np.empty(len(nu))
+    u_full[keep_s], v_full[keep_t] = u, v
+    drop_s = np.setdiff1d(np.arange(len(mu)), keep_s)
+    drop_t = np.setdiff1d(np.arange(len(nu)), keep_t)
+    if drop_s.size:
+        u_full[drop_s] = (cost_matrix(mu.points[drop_s], nu0.points, p) - v).min(axis=1)
+    if drop_t.size:
+        v_full[drop_t] = (cost_matrix(mu.points, nu.points[drop_t], p)
+                          - u_full[:, None]).min(axis=0)
+    coupling = Coupling(keep_s[c0.i], keep_t[c0.j], c0.mass, mu, nu)
+    duals = DualPotentials(u_full, v_full, p)
+    duals.verify(coupling)
+    return coupling, coupling.value(p), duals
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _zero_weight_instances():
+    rng = np.random.default_rng(43)
+    for trial in range(24):
+        d = int(rng.integers(1, 3))
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        zeros_s, zeros_t = rng.integers(0, 4, size=2)
+        mu, nu = _with_zero_weights(rng, n, m, d, zeros_s, zeros_t)
+        yield mu, nu, float(rng.choice([1.5, 2.0, 3.0])), ("auto", "ssp", "highs")[trial % 3]
+    # a uniform source over integral targets: the assignment engine
+    dom = Domain.ball(np.zeros(2), 2.0)
+    mu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (9, 2)),
+                         np.r_[np.full(3, 1 / 6), 0.0, np.full(3, 1 / 6), 0.0, 0.0], dom)
+    nu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (4, 2)),
+                         np.array([1 / 3, 0.0, 1 / 2, 1 / 6]), dom)
+    yield mu, nu, 2.0, "assignment"
+
+
+def test_solve_with_zero_weights_matches_separate_matrices_bitwise():
+    for mu, nu, p, engine in _zero_weight_instances():
+        coupling, value, duals = solve(mu, nu, p, engine=engine)
+        ref_c, ref_value, ref_d = _solve_by_separate_matrices(mu, nu, p, engine)
+        assert np.array_equal(coupling.i, ref_c.i) and np.array_equal(coupling.j, ref_c.j)
+        assert np.array_equal(_bits(coupling.mass), _bits(ref_c.mass))
+        assert np.array_equal(_bits(value), _bits(ref_value))
+        assert np.array_equal(_bits(duals.phi), _bits(ref_d.phi))
+        assert np.array_equal(_bits(duals.phi_c), _bits(ref_d.phi_c))
+
+
+def test_verify_rejects_infeasible_duals():
+    rng = np.random.default_rng(53)
+    mu, nu = _with_zero_weights(rng, 6, 5, 2, 1, 1)
+    coupling, _, duals = solve(mu, nu, 2.0)
+    assert duals.verify(coupling) <= 1e-9
+    phi = duals.phi.copy()
+    phi[0] += 1.0
+    with pytest.raises(AssertionError, match="dual infeasibility"):
+        DualPotentials(phi, duals.phi_c, 2.0).verify(coupling)
+    # lowering a shipping source's dual keeps feasibility but opens a gap
+    # on its plan edges
+    phi = duals.phi.copy()
+    phi[coupling.i[coupling.mass > 0][0]] -= 1.0
+    with pytest.raises(AssertionError, match="complementary slackness violation"):
+        DualPotentials(phi, duals.phi_c, 2.0).verify(coupling)
 
 
 # ---------------------------------------------------------------------------
