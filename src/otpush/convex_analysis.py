@@ -197,38 +197,38 @@ class SubdiffPolytope:
     def project(self, point: np.ndarray) -> tuple[np.ndarray, float]:
         """Closest point of the hull and its distance (d <= 2 exact).
 
-        The best vertex or vertex-pair segment point q is the projection of
-        an outside p, since in d <= 2 the hull's boundary lies on those
-        segments.  By the projection theorem q = P(p) iff (v - q).(p - q)
-        <= 0 for every vertex v, while an inside p, a convex combination of
-        the vertices, has some vertex with (v - q).(p - q) >= |p - q|^2.  In
-        2D, p itself is returned when the maximum exceeds |p - q|^2 / 2.
+        Candidates are the vertices, then the closest point of each
+        vertex-pair segment (a < b in ``np.triu_indices`` order, skipping
+        |b - a|^2 < 1e-30).  On square-rooted distances the first closest
+        vertex wins unless a segment is strictly closer; then the first
+        closest segment wins.  Dots and norms are ``np.vecdot`` rows, which
+        unlike ``(A * B).sum(1)`` match 1-D ``@`` and ``np.linalg.norm`` bits.
+
+        In d <= 2 the hull's boundary lies on those segments, so the best
+        candidate q is the projection of an outside p.  By the projection
+        theorem q = P(p) iff (v - q).(p - q) <= 0 for every vertex v, while
+        an inside p, a convex combination of the vertices, has some vertex
+        with (v - q).(p - q) >= |p - q|^2.  In 2D, p itself is returned
+        when the maximum exceeds |p - q|^2 / 2.
         """
         p = np.asarray(point, dtype=float)
         V = self.vertices
         if V.shape[0] == 1:
             return V[0].copy(), float(np.linalg.norm(p - V[0]))
-        best_pt, best_d = None, np.inf
-        for v in V:
-            dist = float(np.linalg.norm(p - v))
-            if dist < best_d:
-                best_pt, best_d = v.copy(), dist
-        for a in range(len(V)):
-            for b in range(a + 1, len(V)):
-                e = V[b] - V[a]
-                ee = float(e @ e)
-                if ee < 1e-30:
-                    continue
-                t = float(np.clip((p - V[a]) @ e / ee, 0.0, 1.0))
-                cand = V[a] + t * e
-                dist = float(np.linalg.norm(p - cand))
-                if dist < best_d:
-                    best_pt, best_d = cand, dist
+        a, b = _vertex_pairs(len(V))
+        E = V[b] - V[a]
+        ee = np.vecdot(E, E)
+        t = np.clip(np.vecdot(p - V[a], E) / np.maximum(ee, 1e-30), 0.0, 1.0)
+        C = V[a] + t[:, None] * E
+        dv = np.sqrt(np.vecdot(p - V, p - V))
+        dc = np.where(ee < 1e-30, np.inf, np.sqrt(np.vecdot(p - C, p - C)))
+        i, j = dv.argmin(), dc.argmin()
+        q, dist = (C[j], dc[j]) if dc[j] < dv[i] else (V[i], dv[i])
         if self.dim == 2 and len(V) >= 3:
-            r = p - best_pt
-            if float(((V - best_pt) @ r).max()) > 0.5 * float(r @ r):
+            r = p - q
+            if float(((V - q) @ r).max()) > 0.5 * float(r @ r):
                 return p.copy(), 0.0
-        return best_pt, best_d
+        return q.copy(), float(dist)
 
     def contains(self, point: np.ndarray, tol: float = 1e-8) -> bool:
         return self.project(point)[1] <= tol
@@ -243,6 +243,17 @@ def _pairwise_diam(vectors: np.ndarray) -> float:
         return 0.0
     d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
     return float(np.sqrt(d2.max()))
+
+
+_VERTEX_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _vertex_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, kept per k: building it takes longer than
+    projecting onto a hull of a few vertices."""
+    if k not in _VERTEX_PAIRS:
+        _VERTEX_PAIRS[k] = np.triu_indices(k, 1)
+    return _VERTEX_PAIRS[k]
 
 
 def subdifferential(f: MaxAffineFunction, x: np.ndarray, tau: float = 0.0) -> SubdiffPolytope:

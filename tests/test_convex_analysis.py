@@ -1,6 +1,9 @@
 """Max-affine functions, subdifferentials and singular-set estimates."""
 
+import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,10 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, lipschitz_extension,
                                     subdifferential, verify_lemma_diam_l1)
+from otpush.convex_analysis import _cell_polygon
+from otpush.experiments import random_max_affine
+
+REPO = Path(__file__).resolve().parents[1]
 
 ABS = MaxAffineFunction(np.array([[-1.0], [1.0]]), np.zeros(2))
 AFFINE = MaxAffineFunction(np.array([[0.7]]), np.array([0.2]))
@@ -128,15 +135,10 @@ def test_subdiff_polytope_operations():
     assert single.is_singleton() and single.diam() == 0.0
 
 
-def _project_oracle(poly, point):
-    """Closest hull point by enumeration: vertices, vertex-pair segments and,
-    in 2D, a barycentric solve on every vertex triple (the triangle search
-    that ``SubdiffPolytope.project`` replaced by its certificate; it raised
-    on triples that LAPACK finds singular)."""
-    p = np.asarray(point, dtype=float)
-    V = poly.vertices
-    if V.shape[0] == 1:
-        return V[0].copy(), float(np.linalg.norm(p - V[0]))
+def _scalar_skeleton(V, p):
+    """Closest vertex, then closest vertex-pair segment point, one pair at
+    a time in (a, b), a < b order, taking a candidate only when its
+    ``np.linalg.norm`` distance is strictly smaller."""
     best_pt, best_d = None, np.inf
     for v in V:
         dist = float(np.linalg.norm(p - v))
@@ -153,6 +155,34 @@ def _project_oracle(poly, point):
             dist = float(np.linalg.norm(p - cand))
             if dist < best_d:
                 best_pt, best_d = cand, dist
+    return best_pt, best_d
+
+
+def _scalar_project(poly, point):
+    """``SubdiffPolytope.project`` written as scalar loops: the skeleton
+    search above, then the 2D projection certificate."""
+    p = np.asarray(point, dtype=float)
+    V = poly.vertices
+    if V.shape[0] == 1:
+        return V[0].copy(), float(np.linalg.norm(p - V[0]))
+    best_pt, best_d = _scalar_skeleton(V, p)
+    if poly.dim == 2 and len(V) >= 3:
+        r = p - best_pt
+        if float(((V - best_pt) @ r).max()) > 0.5 * float(r @ r):
+            return p.copy(), 0.0
+    return best_pt, best_d
+
+
+def _project_oracle(poly, point):
+    """Closest hull point by enumeration: the skeleton search and, in 2D, a
+    barycentric solve on every vertex triple (the triangle search that
+    ``SubdiffPolytope.project`` replaced by its certificate; it raised on
+    triples that LAPACK finds singular)."""
+    p = np.asarray(point, dtype=float)
+    V = poly.vertices
+    if V.shape[0] == 1:
+        return V[0].copy(), float(np.linalg.norm(p - V[0]))
+    best_pt, best_d = _scalar_skeleton(V, p)
     if poly.dim == 2 and len(V) >= 3:
         for a in range(len(V)):
             for b in range(a + 1, len(V)):
@@ -183,18 +213,25 @@ def _skeleton_distance(V, p):
     return d
 
 
-@st.composite
-def _hull_and_point(draw):
-    """1-12 vertices in 1-3 dimensions at scales 1e-3..1e3 (generic, collinear,
-    duplicated or small-lattice), and a point outside the hull, inside it
-    (Dirichlet weights), on a vertex-pair segment, anywhere, or at 0."""
-    dim = draw(st.sampled_from([2, 2, 2, 1, 3]))
-    k = draw(st.integers(1, 12))
-    scale = draw(st.sampled_from([1e-3, 0.037, 1.0, 3.7, 1e3]))
-    shape = draw(st.sampled_from(["generic", "collinear", "duplicated", "lattice"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+_DIMS = (2, 2, 2, 1, 3)
+_SCALES = (1e-3, 0.037, 1.0, 3.7, 1e3)
+_SHAPES = ("generic", "collinear", "duplicated", "lattice", "near-duplicate")
+_WHERES = ("outside", "inside", "edge", "free", "zero", "bisector")
+
+
+def _hull_case(rng, dim, k, scale, shape, where):
+    """k vertices in ``dim`` dimensions at ``scale``, and a point.
+
+    Shapes: generic thousandths, collinear, duplicated rows, a small
+    integer lattice, or near-duplicates (rows one ulp from another row,
+    about 1e-16 apart at scale 1, so their segments fall under the 1e-30
+    length cut).  Points: outside the hull, inside it (Dirichlet weights),
+    on a vertex-pair segment, anywhere, at 0, or on the perpendicular
+    bisector of two vertices (on the lattice at scales 1 and 1e3 both
+    distances are exact, so they tie after the square root).
+    """
     # thousandths keep every non-degenerate triangle's |det| >= 1e-12, far
-    # above the oracle's 1e-14 cutoff
+    # above the triangle oracle's 1e-14 cutoff
     if shape == "lattice":
         V = rng.integers(-2, 3, (k, dim)).astype(float)
     elif shape == "collinear":
@@ -205,8 +242,11 @@ def _hull_and_point(draw):
         if shape == "duplicated":
             V = V[rng.integers(0, k, k)]
     V = V * scale
+    if shape == "near-duplicate":
+        h = (k + 1) // 2
+        near = V[rng.integers(0, h, k - h)]
+        V[h:] = np.nextafter(near, near + rng.choice([-1.0, 1.0], near.shape))
     W = np.unique(V, axis=0)
-    where = draw(st.sampled_from(["outside", "inside", "edge", "free", "zero"]))
     if where == "zero":
         p = np.zeros(dim)
     elif where == "inside":
@@ -214,6 +254,16 @@ def _hull_and_point(draw):
     elif where == "edge":
         a, b = rng.integers(0, len(W), 2)
         p = W[a] + rng.uniform() * (W[b] - W[a])
+    elif where == "bisector":
+        a, b = rng.integers(0, len(W), 2)
+        e = W[b] - W[a]
+        if dim == 1:
+            n = np.zeros(1)
+        elif dim == 2:
+            n = np.array([-e[1], e[0]])
+        else:
+            n = np.cross(e, rng.integers(-2, 3, 3))
+        p = 0.5 * (W[a] + W[b]) + rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * n
     else:
         c = W.mean(axis=0)
         u = rng.normal(size=dim)
@@ -224,6 +274,17 @@ def _hull_and_point(draw):
         else:
             p = c + scale * rng.uniform(0.0, 2.0) * u
     return V, p
+
+
+@st.composite
+def _hull_and_point(draw):
+    """1-24 vertices in 1-3 dimensions at scales 1e-3..1e3 and a point, as
+    ``_hull_case`` builds them."""
+    return _hull_case(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                      draw(st.sampled_from(_DIMS)), draw(st.integers(1, 24)),
+                      draw(st.sampled_from(_SCALES)),
+                      draw(st.sampled_from(_SHAPES)),
+                      draw(st.sampled_from(_WHERES)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -241,6 +302,41 @@ def test_project_matches_triangle_enumeration(case):
     else:
         assert np.abs(pt - want_pt).max() <= 1e-12 * size
         assert abs(dist - want_dist) <= 1e-12 * size
+
+
+def _assert_same_bits(poly, p):
+    pt, dist = poly.project(p)
+    want_pt, want_dist = _scalar_project(poly, p)
+    assert type(dist) is float and pt.base is None
+    assert pt.tobytes() == want_pt.tobytes()
+    assert np.float64(dist).tobytes() == np.float64(want_dist).tobytes()
+    return pt, dist
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_hull_and_point())
+@example(case=(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(2)))
+def test_project_matches_scalar_loop(case):
+    V, p = case
+    _assert_same_bits(SubdiffPolytope(V), p)
+
+
+# sha256 of project's points and distances on 2,000 seeded cases, recorded
+# when ``project`` itself was the scalar loop that ``_scalar_project`` keeps.
+_PROJECT_DIGEST = "c3899f9559079746e07c8d2694de175cae1f2b6c96a87549efcd5d1da2d8c1c2"
+
+
+def test_project_is_pinned():
+    rng = np.random.default_rng(2718)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        V, p = _hull_case(rng, int(rng.choice(_DIMS)), int(rng.integers(1, 25)),
+                          float(rng.choice(_SCALES)), str(rng.choice(_SHAPES)),
+                          str(rng.choice(_WHERES)))
+        pt, dist = _assert_same_bits(SubdiffPolytope(V), p)
+        digest.update(pt.tobytes())
+        digest.update(np.float64(dist).tobytes())
+    assert digest.hexdigest() == _PROJECT_DIGEST
 
 
 def test_project_zero_on_an_edge_is_exact():
@@ -436,6 +532,132 @@ def test_verify_lemma_holds_randomly():
         eta = float(rng.uniform(0.05, 0.4))
         lhs, rhs = verify_lemma_diam_l1(f, x, eta)
         assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
+
+
+def _disc_area_in_polygon(poly, center, r):
+    """Area of the counter-clockwise polygon ``poly`` inside B(center, r).
+
+    Summed over edges pq: the signed area of the disc's part of the triangle
+    (center, p, q).  The edge p + t (q - p) lies in the disc for t between
+    the roots of |p + t (q - p)|^2 = r^2 (none when it misses or touches
+    the circle); a piece there adds its triangle, a piece outside adds the
+    sector r^2 * angle / 2.
+    """
+    P = np.asarray(poly, dtype=float) - center
+    area = 0.0
+    for p, q in zip(P, np.roll(P, -1, axis=0)):
+        d = q - p
+        A, B, C = d @ d, p @ d, p @ p - r * r
+        enter, leave = np.inf, -np.inf
+        if A > 0.0 and B * B > A * C:
+            s = math.sqrt(B * B - A * C)
+            enter, leave = (-B - s) / A, (-B + s) / A
+        ts = [0.0] + [t for t in (enter, leave) if 0.0 < t < 1.0] + [1.0]
+        for t0, t1 in zip(ts, ts[1:]):
+            u, v = p + t0 * d, p + t1 * d
+            cross = u[0] * v[1] - u[1] * v[0]
+            if enter < 0.5 * (t0 + t1) < leave:
+                area += 0.5 * cross
+            else:
+                area += 0.5 * r * r * math.atan2(cross, u @ v)
+    return area
+
+
+def _exact_gradient_integral(f, x, radius):
+    """Integral of |grad f| over B(x, radius) for a 2D max-affine f with
+    distinct pieces: sum_i |a_i| area(cell_i & disc), cells clipped by
+    ``_cell_polygon`` from the disc's bounding square."""
+    box = x + radius * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    A, B = f.slopes, f.intercepts
+    return sum(np.linalg.norm(A[i]) * _disc_area_in_polygon(_cell_polygon(A, B, i, box), x, radius)
+               for i in range(len(B)))
+
+
+def _midpoint_cells_cut(f, x, eta):
+    """How many of the 256^2 midpoint-rule squares of
+    ``verify_lemma_diam_l1`` meet the disc B(x, 4 eta) but may not lie in
+    it and in one max-affine cell.  A square lies in cell i when all four
+    corners have argmax i by a margin, since cells are convex."""
+    h = 8.0 * eta / 256.0
+    edges = h * np.arange(257) - 4.0 * eta
+    gx, gy = np.meshgrid(edges, edges, indexing="ij")
+    vals = f.piece_values(np.column_stack([gx.ravel(), gy.ravel()]) + x)
+    top = vals.argmax(axis=1).reshape(257, 257)
+    margin = (vals.max(axis=1)[:, None] - vals > 1e-9).sum(axis=1)
+    clear = (margin == f.n_pieces - 1).reshape(257, 257)
+    corners = [(slice(None, -1), slice(None, -1)), (slice(1, None), slice(None, -1)),
+               (slice(None, -1), slice(1, None)), (slice(1, None), slice(1, None))]
+    one_cell = np.logical_and.reduce([(top[c] == top[corners[0]]) & clear[c] for c in corners])
+    lo, hi = edges[:-1], edges[1:]
+    near = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0)) ** 2
+    far = np.maximum(lo ** 2, hi ** 2)
+    r2 = 16.0 * eta * eta
+    meets = near[:, None] + near[None, :] <= r2 * (1 + 1e-9)
+    inside = far[:, None] + far[None, :] < r2 * (1 - 1e-9)
+    return int((meets & ~(inside & one_cell)).sum())
+
+
+def _check_lemma_rhs(f, x, eta):
+    """``verify_lemma_diam_l1``'s midpoint right-hand side lies within its
+    quadrature error of the exact one, and both give the same verdict.
+
+    A square inside the disc and inside one cell contributes |a_i| h^2 to
+    both, a square outside the disc nothing; any other square at most
+    max|a| h^2 to either.  The 1e-9 slack covers rounding and the 1e-12
+    overlap of neighbouring clipped cells.
+    """
+    lhs, rhs = verify_lemma_diam_l1(f, x, eta)
+    scale = 12.0 / (math.pi * eta * eta)
+    exact = scale * _exact_gradient_integral(f, x, 4.0 * eta)
+    err = scale * f.lip * (8.0 * eta / 256.0) ** 2 * _midpoint_cells_cut(f, x, eta)
+    assert abs(rhs - exact) <= err + 1e-9 * exact
+    assert (lhs <= rhs) == (lhs <= exact)
+    return rhs, exact, err
+
+
+def test_disc_area_in_polygon_closed_forms():
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    c = np.zeros(2)
+    assert _disc_area_in_polygon(square, c, 0.5) == pytest.approx(math.pi / 4, rel=1e-14)
+    assert _disc_area_in_polygon(square, c, 2.0) == pytest.approx(4.0, rel=1e-14)
+    # every side touches the circle at one point
+    assert _disc_area_in_polygon(square, c, 1.0) == pytest.approx(math.pi, rel=1e-14)
+    half = np.array([[0.0, -2.0], [2.0, -2.0], [2.0, 2.0], [0.0, 2.0]])
+    assert _disc_area_in_polygon(half, c, 1.0) == pytest.approx(math.pi / 2, rel=1e-14)
+    # the strip 0 <= y <= 1 in x >= 0 holds int_0^1 sqrt(2 - y^2) dy of the
+    # disc of radius sqrt(2)
+    strip = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [0.0, 1.0]])
+    assert _disc_area_in_polygon(strip, c, math.sqrt(2.0)) == pytest.approx(
+        0.5 + math.pi / 4, rel=1e-14)
+    assert _disc_area_in_polygon(np.empty((0, 2)), c, 1.0) == 0.0
+
+
+def test_lemma_rhs_against_exact_cell_areas():
+    rng = np.random.default_rng(41)
+    for k in range(2, 7):
+        for _ in range(6):
+            f = random_max_affine(rng, 2, k, 3.0, 1.0)
+            eta = float(rng.uniform(0.05, 0.3))
+            x = rng.uniform(-0.8, 0.8, 2)
+            while x @ x > 0.64:
+                x = rng.uniform(-0.8, 0.8, 2)
+            _check_lemma_rhs(f, x, eta)
+    # one piece: |a| times the disc's area, with no cell edge to cut
+    f = MaxAffineFunction(np.array([[0.6, -0.8]]), np.array([0.1]))
+    rhs, exact, err = _check_lemma_rhs(f, np.array([0.2, 0.1]), 0.25)
+    assert exact == pytest.approx(12.0 * 16.0, rel=1e-12)
+
+
+def test_lemma_verdicts_on_scan_instances():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(4):
+        calls = [c for c in workloads.scan_instances(seed) if c[0] == "verify_lemma_diam_l1"]
+        assert len(calls) == 50
+        for _, f, x, eta in calls:
+            _check_lemma_rhs(f, x, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Experiment scenarios: sweeps, audits, figure pipeline, reporting."""
 
+import hashlib
 import json
 import math
 
@@ -331,6 +332,25 @@ def test_figure_pipeline_small(tmp_path):
                             out=str(out2)))
     for name in sorted(f.name for f in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 over the name and bytes of every file ``figure1 --grid 16`` writes
+# but its report ``figure1.csv``, which records the output directory.
+_FIGURE16_DIGEST = "b5b5474f6ddf593c09f3937a7cf0621bfef15173a3bfd3f8809be6df5322e5d5"
+
+
+def test_figure_pipeline_bytes_are_pinned(tmp_path):
+    assert run_figure1(SweepConfig(scenario="figure1", grid=16,
+                                   out=str(tmp_path))).passed
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == ["manifest.json"] + [
+        f"mu_t{t}.{ext}" for t in ("0.00", "0.25", "0.50", "0.75", "1.00")
+        for ext in ("csv", "svg")]
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == _FIGURE16_DIGEST
 
 
 def test_figure_pipeline_custom_and_malformed_targets(tmp_path):
