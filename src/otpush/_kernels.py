@@ -188,7 +188,7 @@ def active_diam2(active, pair_d2):
     for a in range(k):
         for b in range(a + 1, k):
             both = active[a] & active[b]
-            np.maximum(out, np.where(both, pair_d2[a, b], 0.0), out=out)
+            np.maximum(out, pair_d2[a, b], out=out, where=both)
     return out
 
 
@@ -217,7 +217,9 @@ def ball_activity_2d(slopes, intercepts, points, eta, tol):
     pair_d2 = pair_dist2(slopes)
     pair_gap = eta * np.sqrt(pair_d2)
 
-    vals = np.ascontiguousarray((points @ slopes.T + intercepts).T)  # (k, npts)
+    vals = points @ slopes.T
+    vals += intercepts
+    vals = np.ascontiguousarray(vals.T)  # (k, npts)
     in_upper = np.ones(vals.shape, dtype=bool)
     for a in range(k):
         for b in range(a + 1, k):

@@ -89,7 +89,9 @@ class MaxAffineFunction:
 
     def piece_values(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.slopes.T + self.intercepts
+        vals = pts @ self.slopes.T
+        vals += self.intercepts
+        return vals
 
     def __call__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
@@ -98,9 +100,8 @@ class MaxAffineFunction:
         return float(vals[0]) if single else vals
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Slope of an argmax piece per point (any selection at ties)."""
-        idx = np.argmax(self.piece_values(points), axis=1)
-        return self.slopes[idx]
+        """Slope of the first argmax piece per point."""
+        return self.slopes[_first_argmax(self.piece_values(points))]
 
     @staticmethod
     def from_supports(points: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> "MaxAffineFunction":
@@ -153,6 +154,19 @@ class MaxAffineFunction:
         env = (np.array(env_s), np.array(env_b), np.array(bp))
         object.__setattr__(self, "_env", env)
         return env
+
+
+def _first_argmax(vals: np.ndarray) -> np.ndarray:
+    """Per row of finite ``vals``, the column of its first maximum, as
+    ``np.argmax(vals, axis=1)``: one pass per column, where a later column
+    wins only when strictly larger."""
+    cols = np.ascontiguousarray(vals.T)
+    best = cols[0].copy()
+    idx = np.zeros(len(best), dtype=np.intp)
+    for a in range(1, len(cols)):
+        idx[cols[a] > best] = a
+        np.maximum(best, cols[a], out=best)
+    return idx
 
 
 def breakpoints_1d(f: MaxAffineFunction) -> np.ndarray:
@@ -290,11 +304,12 @@ def _cell_polygon(A: np.ndarray, B: np.ndarray, i: int, box: np.ndarray) -> np.n
     for j in range(len(B)):
         if j == i or len(poly) == 0:
             continue
+        nxt = np.arange(1, len(poly) + 1) % len(poly)
         g = poly @ (A[i] - A[j]) + (B[i] - B[j] + _TIE_TOL)
         keep = g >= 0
-        cross = keep != np.roll(keep, -1)
-        t = np.divide(g, g - np.roll(g, -1), out=np.zeros_like(g), where=cross)
-        hit = poly + (np.roll(poly, -1, axis=0) - poly) * t[:, None]
+        cross = keep != keep[nxt]
+        t = np.divide(g, g - g[nxt], out=np.zeros_like(g), where=cross)
+        hit = poly + (poly[nxt] - poly) * t[:, None]
         poly = np.stack([poly, hit], axis=1)[np.stack([keep, cross], axis=1)]
     return poly
 
@@ -311,10 +326,13 @@ def _cell_actives_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> n
     lo = centers.min(axis=0) - 2.0 * eta
     hi = centers.max(axis=0) + 2.0 * eta
     box = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
-    active = np.empty((len(B), len(centers)), dtype=bool)
+    active = np.ones((len(B), len(centers)), dtype=bool)
     x, y = centers[:, 0], centers[:, 1]
     for i in range(len(B)):
-        active[i] = (centers @ (A[i] - A).T + (B[i] - B + _TIE_TOL) >= 0).all(axis=1)
+        g = centers @ (A[i] - A).T
+        g += B[i] - B + _TIE_TOL
+        for j in range(len(B)):
+            active[i] &= g[:, j] >= 0
         poly = _cell_polygon(A, B, i, box)
         d2 = np.full(len(centers), np.inf)
         for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
@@ -389,6 +407,14 @@ class SingularSetReport:
                      f"alpha={self.alpha!r},R={self.R!r}\n")
 
 
+def _disc_grid(axis: np.ndarray, r2: float) -> np.ndarray:
+    """Points (axis[i], axis[j]) with axis[i]^2 + axis[j]^2 <= r2, in
+    row-major (i, j) order, without the full product grid."""
+    sq = axis * axis
+    i, j = np.nonzero(sq[:, None] + sq[None, :] <= r2)
+    return np.stack([axis[i], axis[j]], axis=1)
+
+
 def _scan_grid(d: int, R: float, step: float) -> np.ndarray:
     n = int(math.floor(2.0 * R / step + 1e-9))
     axis = -R + step * np.arange(n + 1)
@@ -396,9 +422,7 @@ def _scan_grid(d: int, R: float, step: float) -> np.ndarray:
         axis = np.append(axis, R)
     if d == 1:
         return axis[:, None]
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts[(pts ** 2).sum(1) <= R * R * (1 + 1e-12)]
+    return _disc_grid(axis, R * R * (1 + 1e-12))
 
 
 def count_bound(d: int, R: float, eta: float, alpha: float, lip: float) -> float:
@@ -480,10 +504,7 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
         h = min(eta / 8.0, R / 512.0)
         n = int(math.ceil(2.0 * R / h))
         axis = -R + h * (np.arange(n) + 0.5)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = pts[(pts ** 2).sum(1) <= R * R]
-        vals = _ball_diams(f, pts, eta)
+        vals = _ball_diams(f, _disc_grid(axis, R * R), eta)
         return IntegralDiamEstimate(float((vals ** q).sum() * h * h), bound)
     raise NotImplementedError("integral scans are implemented for d in {1, 2}")
 
@@ -494,7 +515,14 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
 
 def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tuple[float, float]:
     """(lhs, rhs) of  diam(active slopes over B(x,eta))
-    <= (12 / (beta_d eta^d)) * integral of |grad f| over B(x, 4 eta)."""
+    <= (12 / (beta_d eta^d)) * integral of |grad f| over B(x, 4 eta).
+
+    lhs is exact.  In 1D the integral is exact too (|grad f| is constant
+    between kinks).  In 2D it is a midpoint rule: the centers of a 256 x 256
+    grid of squares over the box around B(x, 4 eta) that lie in the disc,
+    each weighted by |a_i| of its first maximal piece i (on a tie the lowest
+    index wins).
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -510,10 +538,9 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     elif f.dim == 2:
         h = 8.0 * eta / 256.0
         axis = h * (np.arange(256) + 0.5) - 4.0 * eta
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = pts[(pts ** 2).sum(1) <= 16.0 * eta * eta] + x
-        norms = np.linalg.norm(f.slopes, axis=1)[np.argmax(f.piece_values(pts), axis=1)]
+        pts = _disc_grid(axis, 16.0 * eta * eta)
+        pts += x
+        norms = np.linalg.norm(f.slopes, axis=1)[_first_argmax(f.piece_values(pts))]
         integral = float(norms.sum() * h * h)
     else:
         raise NotImplementedError("implemented for d in {1, 2}")

@@ -208,10 +208,12 @@ class CConcavePotential:
         return float(slopes.max()), float(slopes.min())
 
     def max_active_distance(self, n: int = 4097) -> float:
-        """Largest |x - y_active(x)| over a dense grid on the domain ball.
+        """Largest |x - y_active(x)| over a grid on the domain ball.
 
-        Values <= R certify that the Lipschitz / partner-convexity constants
-        of the cost apply to every active difference.
+        A value <= R says that the Lipschitz / partner-convexity constants of
+        the cost apply to every active difference at the grid points.  It is
+        a sample, not a certificate: the maximum between grid points may be
+        larger.
         """
         if self.dim == 1:
             pts = np.linspace(-self.R, self.R, n)[:, None]

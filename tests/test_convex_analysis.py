@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from otpush import _kernels, convex_analysis
 from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     SingularSetReport, SubdiffPolytope,
                                     breakpoints_1d, count_bound,
@@ -17,7 +18,8 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, lipschitz_extension,
                                     subdifferential, verify_lemma_diam_l1)
-from otpush.convex_analysis import _cell_polygon
+from otpush.convex_analysis import (_cell_polygon, _disc_grid, _first_argmax,
+                                    _scan_grid)
 from otpush.experiments import random_max_affine
 
 REPO = Path(__file__).resolve().parents[1]
@@ -36,6 +38,18 @@ def test_max_affine_evaluation_and_gradient():
     assert np.allclose(ABS.gradient(xs).ravel(), [-1.0, -1.0, -1.0, 1.0])
     assert ABS.lip == 1.0
     assert AFFINE.lip == 0.7
+
+
+def test_gradient_takes_the_first_maximal_piece():
+    # pieces 0 and 2 are one plane, so they tie wherever they win; the
+    # origin ties all four pieces
+    f = MaxAffineFunction(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                          np.zeros(4))
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [0.5, 0.5],
+                    [-0.0, -0.0], [0.0, 2.0]])
+    first = np.argmax(pts @ f.slopes.T + f.intercepts, axis=1)
+    assert first.tolist() == [0, 0, 1, 0, 0, 0, 3]
+    assert f.gradient(pts).tobytes() == f.slopes[first].tobytes()
 
 
 def test_max_affine_from_supports():
@@ -658,6 +672,140 @@ def test_lemma_verdicts_on_scan_instances():
         assert len(calls) == 50
         for _, f, x, eta in calls:
             _check_lemma_rhs(f, x, eta)
+
+
+# ---------------------------------------------------------------------------
+# 2D scans bit for bit against the array code they replaced
+# ---------------------------------------------------------------------------
+
+def _meshgrid_disc(axis, r2):
+    """The full product grid, masked by each point's summed squares."""
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    return pts[(pts ** 2).sum(1) <= r2]
+
+
+def _broadcast_piece_values(self, points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return pts @ self.slopes.T + self.intercepts
+
+
+def _rolled_cell_polygon(A, B, i, box):
+    poly = box
+    for j in range(len(B)):
+        if j == i or len(poly) == 0:
+            continue
+        g = poly @ (A[i] - A[j]) + (B[i] - B[j] + convex_analysis._TIE_TOL)
+        keep = g >= 0
+        cross = keep != np.roll(keep, -1)
+        t = np.divide(g, g - np.roll(g, -1), out=np.zeros_like(g), where=cross)
+        hit = poly + (np.roll(poly, -1, axis=0) - poly) * t[:, None]
+        poly = np.stack([poly, hit], axis=1)[np.stack([keep, cross], axis=1)]
+    return poly
+
+
+def _where_active_diam2(active, pair_d2):
+    k, npts = active.shape
+    out = np.zeros(npts)
+    for a in range(k):
+        for b in range(a + 1, k):
+            np.maximum(out, np.where(active[a] & active[b], pair_d2[a, b], 0.0), out=out)
+    return out
+
+
+def _old_scan_code(monkeypatch):
+    """Put back the meshgrid point sets, ``np.argmax`` along the piece axis,
+    broadcast intercept adds, ``np.roll`` clipping and ``np.where``
+    diameters."""
+    monkeypatch.setattr(convex_analysis, "_disc_grid", _meshgrid_disc)
+    monkeypatch.setattr(convex_analysis, "_first_argmax", lambda v: np.argmax(v, axis=1))
+    monkeypatch.setattr(MaxAffineFunction, "piece_values", _broadcast_piece_values)
+    monkeypatch.setattr(convex_analysis, "_cell_polygon", _rolled_cell_polygon)
+    monkeypatch.setattr(_kernels, "active_diam2", _where_active_diam2)
+
+
+def _bits(*arrays):
+    return [(np.asarray(a).shape, np.asarray(a, dtype=float).tobytes()) for a in arrays]
+
+
+def test_disc_grid_matches_meshgrid_mask():
+    # (+-3, +-4), (+-4, +-3), (+-5, 0) and (0, +-5) lie exactly on the circle
+    axis = np.arange(-6.0, 7.0)
+    pts = _disc_grid(axis, 25.0)
+    assert pts.flags.c_contiguous
+    assert _bits(pts) == _bits(_meshgrid_disc(axis, 25.0))
+    assert int(((pts ** 2).sum(1) == 25.0).sum()) == 12
+    assert _disc_grid(axis + 100.0, 25.0).shape == (0, 2)
+    # _scan_grid appends R when its step stops short; with a step just over
+    # 1/4, 1e-7 is on the axis and (+-1, 1e-7) is within the 1e-12 slack
+    step = (1.0 + 1e-7) / 4.0
+    axis = -1.0 + step * np.arange(8)
+    assert axis[-1] < 1.0 - 1e-12
+    axis = np.append(axis, 1.0)
+    pts = _scan_grid(2, 1.0, step)
+    assert _bits(pts) == _bits(_meshgrid_disc(axis, 1.0 + 1e-12))
+    assert (pts[:, 0] == 1.0).sum() == 1 and (pts[:, 1] == 1.0).sum() == 1
+
+
+def test_first_argmax_matches_numpy_argmax():
+    up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    cases = [
+        np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -2.0, -1.0]]),
+        np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]]),
+        np.array([[1.0, up], [down, 1.0], [1.0, down], [up, up]]),
+        np.array([[5.0], [-1.0], [0.0]]),
+        np.empty((0, 3)),
+    ]
+    rng = np.random.default_rng(5)
+    for k in range(1, 7):
+        ties = rng.integers(-2, 3, (300, k)).astype(float)
+        cases += [ties, ties[:, np.r_[0:k, 0]], rng.normal(size=(300, k))]
+    for vals in cases:
+        got = _first_argmax(vals)
+        want = np.argmax(vals, axis=1) if len(vals) else np.zeros(0, dtype=np.intp)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _scan_cases(rng):
+    for k in range(1, 7):
+        f = random_max_affine(rng, 2, k, 3.0, 1.0)
+        x = rng.uniform(-0.6, 0.6, 2)
+        yield f, x, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.2, 1.5)) * f.lip
+
+
+def test_lemma_and_covering_match_old_scan_code_bitwise(monkeypatch):
+    rng = np.random.default_rng(43)
+    cases = list(_scan_cases(rng))
+    # the tie line x_1 = 0 runs through a grid column (h = 1/32, x_1 offset
+    # h/2) between pieces of norms 1 and 2: only the first may win there
+    tie = MaxAffineFunction(np.array([[1.0, 0.0], [-2.0, 0.0]]), np.zeros(2))
+    cases.append((tie, np.array([1.0 / 64.0, 0.0]), 1.0, 1.0))
+    # a duplicated piece
+    f = cases[3][0]
+    dup = MaxAffineFunction(f.slopes[[0, 1, 2, 3, 1]], f.intercepts[[0, 1, 2, 3, 1]])
+    cases.append((dup,) + cases[3][1:])
+
+    def run():
+        out = []
+        for f, x, eta, alpha in cases:
+            lhs, rhs = verify_lemma_diam_l1(f, x, eta)
+            rep = covering_number_sigma(f, min(eta, 0.15), alpha, 1.0)
+            out.append(_bits(lhs, rhs, rep.count, rep.centers, f.gradient(x[None, :] + rep.centers)))
+        return out
+
+    new = run()
+    _old_scan_code(monkeypatch)
+    assert run() == new
+
+
+def test_integral_matches_old_scan_code_bitwise(monkeypatch):
+    # each is a 1024^2 grid clipped to the unit disc: 823,592 points
+    rng = np.random.default_rng(47)
+    cases = [(random_max_affine(rng, 2, k, 3.0, 1.0), float(rng.uniform(0.05, 0.2)), q)
+             for k, q in ((1, 2.0), (4, 1.5), (6, 3.0))]
+    new = [_bits(*integral_diam_estimate(f, eta, q, 1.0)) for f, eta, q in cases]
+    _old_scan_code(monkeypatch)
+    assert [_bits(*integral_diam_estimate(f, eta, q, 1.0)) for f, eta, q in cases] == new
 
 
 # ---------------------------------------------------------------------------

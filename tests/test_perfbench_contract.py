@@ -6,9 +6,13 @@ environment block reads ``otpush._kernels.NUMBA_ACTIVE``.  The bottleneck
 probe count is the number of matching and max-flow spans recorded under a
 bottleneck span, so ``bottleneck_solve`` must keep calling them by the
 patched names.  A rename or a deletion in ``src/otpush`` that breaks any of
-this would otherwise show only when the benchmark runs.
+this would otherwise show only when the benchmark runs.  So would a change
+to the bits of the ``scan`` workload's values, which
+``test_scan_values_match_reference_digests`` checks for a few seeds.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -82,3 +86,14 @@ def test_perfbench_patch_targets_resolve():
         [sys.executable, "-c", _PATCH_ALL, str(REPO / "perfbench" / "spans.py")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scan_values_match_reference_digests():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())["scan"]
+    for seed in range(3):
+        values = workloads.run_scan(workloads.scan_instances(seed))
+        assert workloads.output_digest({"name": "scan"}, values) == reference[str(seed)], seed
