@@ -101,7 +101,8 @@ class MaxAffineFunction:
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """Slope of the first argmax piece per point."""
-        return self.slopes[_first_argmax(self.piece_values(points))]
+        idx = np.argmax(self.piece_values(points), axis=1)
+        return self.slopes[idx]
 
     @staticmethod
     def from_supports(points: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> "MaxAffineFunction":
@@ -154,19 +155,6 @@ class MaxAffineFunction:
         env = (np.array(env_s), np.array(env_b), np.array(bp))
         object.__setattr__(self, "_env", env)
         return env
-
-
-def _first_argmax(vals: np.ndarray) -> np.ndarray:
-    """Per row of finite ``vals``, the column of its first maximum, as
-    ``np.argmax(vals, axis=1)``: one pass per column, where a later column
-    wins only when strictly larger."""
-    cols = np.ascontiguousarray(vals.T)
-    best = cols[0].copy()
-    idx = np.zeros(len(best), dtype=np.intp)
-    for a in range(1, len(cols)):
-        idx[cols[a] > best] = a
-        np.maximum(best, cols[a], out=best)
-    return idx
 
 
 def breakpoints_1d(f: MaxAffineFunction) -> np.ndarray:
@@ -540,7 +528,7 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
         axis = h * (np.arange(256) + 0.5) - 4.0 * eta
         pts = _disc_grid(axis, 16.0 * eta * eta)
         pts += x
-        norms = np.linalg.norm(f.slopes, axis=1)[_first_argmax(f.piece_values(pts))]
+        norms = np.linalg.norm(f.slopes, axis=1)[np.argmax(f.piece_values(pts), axis=1)]
         integral = float(norms.sum() * h * h)
     else:
         raise NotImplementedError("implemented for d in {1, 2}")

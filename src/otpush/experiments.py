@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_analysis import (MaxAffineFunction, _first_argmax,
-                              covering_number_sigma, integral_diam_estimate,
-                              kink_ladder, verify_lemma_diam_l1)
+from .convex_analysis import (MaxAffineFunction, covering_number_sigma,
+                              integral_diam_estimate, kink_ladder,
+                              verify_lemma_diam_l1)
 from .discrete_ot import bottleneck_solve, wasserstein
 from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                 Measure1D, discretize, measure_from_json,
@@ -807,9 +807,7 @@ def random_max_affine(rng: np.random.Generator, d: int, k: int,
         intercepts = anchor + rng.uniform(-width, width, k)
         if attempt == 399:
             intercepts = anchor
-        vals = scan @ slopes.T
-        vals += intercepts
-        winners = _first_argmax(vals)
+        winners = np.argmax(scan @ slopes.T + intercepts[None, :], axis=1)
         if np.unique(winners).size == k:
             return MaxAffineFunction(slopes, intercepts)
         if attempt % 60 == 59:

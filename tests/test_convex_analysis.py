@@ -18,8 +18,7 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, lipschitz_extension,
                                     subdifferential, verify_lemma_diam_l1)
-from otpush.convex_analysis import (_cell_polygon, _disc_grid, _first_argmax,
-                                    _scan_grid)
+from otpush.convex_analysis import _cell_polygon, _disc_grid, _scan_grid
 from otpush.experiments import random_max_affine
 
 REPO = Path(__file__).resolve().parents[1]
@@ -713,13 +712,63 @@ def _where_active_diam2(active, pair_d2):
     return out
 
 
+def _broadcast_ball_activity_2d(slopes, intercepts, points, eta, tol):
+    slopes = np.asarray(slopes, dtype=np.float64)
+    intercepts = np.asarray(intercepts, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    eta = float(eta)
+    tol = float(tol)
+    k = slopes.shape[0]
+    pair_d2 = _kernels.pair_dist2(slopes)
+    pair_gap = eta * np.sqrt(pair_d2)
+    vals = np.ascontiguousarray((points @ slopes.T + intercepts).T)
+    in_upper = np.ones(vals.shape, dtype=bool)
+    for a in range(k):
+        for b in range(a + 1, k):
+            diff = vals[a] - vals[b]
+            in_upper[a] &= (diff + pair_gap[a, b]) >= -tol
+            in_upper[b] &= (pair_gap[b, a] - diff) >= -tol
+    best = vals[0].copy()
+    for a in range(1, k):
+        np.maximum(best, vals[a], out=best)
+    in_lower = vals >= best - tol
+    diam2_hi = _kernels.active_diam2(in_upper, pair_d2)
+    diam2_lo = _kernels.active_diam2(in_lower, pair_d2)
+    return diam2_lo, diam2_hi, (np.sqrt(diam2_hi) - np.sqrt(diam2_lo)) > tol
+
+
+def _all_axis_cell_actives_2d(f, centers, eta):
+    A, B = f.slopes, f.intercepts
+    lo = centers.min(axis=0) - 2.0 * eta
+    hi = centers.max(axis=0) + 2.0 * eta
+    box = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+    active = np.empty((len(B), len(centers)), dtype=bool)
+    x, y = centers[:, 0], centers[:, 1]
+    for i in range(len(B)):
+        active[i] = (centers @ (A[i] - A).T
+                     + (B[i] - B + convex_analysis._TIE_TOL) >= 0).all(axis=1)
+        poly = convex_analysis._cell_polygon(A, B, i, box)
+        d2 = np.full(len(centers), np.inf)
+        for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
+            wx, wy = x - p[0], y - p[1]
+            ee = e @ e
+            if ee > 0:
+                t = np.clip((wx * e[0] + wy * e[1]) / ee, 0.0, 1.0)
+                wx -= t * e[0]
+                wy -= t * e[1]
+            np.minimum(d2, wx * wx + wy * wy, out=d2)
+        active[i] |= d2 <= eta * eta
+    return active
+
+
 def _old_scan_code(monkeypatch):
-    """Put back the meshgrid point sets, ``np.argmax`` along the piece axis,
-    broadcast intercept adds, ``np.roll`` clipping and ``np.where``
-    diameters."""
+    """Put back the meshgrid point sets, the broadcast intercept adds of
+    ``piece_values`` and ``ball_activity_2d``, the ``.all(axis=1)`` cell
+    membership, ``np.roll`` clipping and ``np.where`` diameters."""
     monkeypatch.setattr(convex_analysis, "_disc_grid", _meshgrid_disc)
-    monkeypatch.setattr(convex_analysis, "_first_argmax", lambda v: np.argmax(v, axis=1))
     monkeypatch.setattr(MaxAffineFunction, "piece_values", _broadcast_piece_values)
+    monkeypatch.setattr(_kernels, "ball_activity_2d", _broadcast_ball_activity_2d)
+    monkeypatch.setattr(convex_analysis, "_cell_actives_2d", _all_axis_cell_actives_2d)
     monkeypatch.setattr(convex_analysis, "_cell_polygon", _rolled_cell_polygon)
     monkeypatch.setattr(_kernels, "active_diam2", _where_active_diam2)
 
@@ -745,25 +794,6 @@ def test_disc_grid_matches_meshgrid_mask():
     pts = _scan_grid(2, 1.0, step)
     assert _bits(pts) == _bits(_meshgrid_disc(axis, 1.0 + 1e-12))
     assert (pts[:, 0] == 1.0).sum() == 1 and (pts[:, 1] == 1.0).sum() == 1
-
-
-def test_first_argmax_matches_numpy_argmax():
-    up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
-    cases = [
-        np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -2.0, -1.0]]),
-        np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]]),
-        np.array([[1.0, up], [down, 1.0], [1.0, down], [up, up]]),
-        np.array([[5.0], [-1.0], [0.0]]),
-        np.empty((0, 3)),
-    ]
-    rng = np.random.default_rng(5)
-    for k in range(1, 7):
-        ties = rng.integers(-2, 3, (300, k)).astype(float)
-        cases += [ties, ties[:, np.r_[0:k, 0]], rng.normal(size=(300, k))]
-    for vals in cases:
-        got = _first_argmax(vals)
-        want = np.argmax(vals, axis=1) if len(vals) else np.zeros(0, dtype=np.intp)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _scan_cases(rng):
