@@ -2,6 +2,11 @@
 
 * ``ssp_flow`` — successive-shortest-path min-cost flow on a dense bipartite
   transportation instance with integer supplies/demands and float costs.
+  Ties between optimal plans are settled by a fixed pop order (smallest
+  label, sources before sinks, lower index first) and a fixed predecessor
+  rule (first source in pop order), so a plan and its duals are a function
+  of the instance alone.  Each pop costs a handful of NumPy calls on rows of
+  one clamped reduced-cost matrix built per augmentation.
 * ``ball_activity_2d`` — for a max-affine function and a batch of query
   points, bracket the set of affine pieces active somewhere in the closed
   ball of radius ``eta`` around each point, between the pieces active at
@@ -31,24 +36,36 @@ def ssp_flow(cost, supply, demand, *, max_iters):
     """Successive-shortest-path min-cost flow on a dense bipartite graph.
 
     Node potentials keep every residual reduced cost nonnegative, so each
-    augmentation is one Dijkstra pass.  Returns ``(flow, u, v, status)`` with
-    ``status`` 0 on success, 1 if the iteration cap was hit, 2 if no
-    deficient sink is reachable (supply exceeds demand).  Dual feasibility:
-    u[i] + v[j] <= cost[i, j] with equality on every arc carrying flow.
+    augmentation is one Dijkstra pass (Ahuja, Magnanti, Orlin, *Network
+    Flows*, ch. 9).  Returns ``(flow, u, v, status)`` with ``status`` 0 on
+    success, 1 if the iteration cap was hit, 2 if no deficient sink is
+    reachable (supply exceeds demand); on 1 and 2 the state after the last
+    completed augmentation is returned.  Dual feasibility: u[i] + v[j] <=
+    cost[i, j] with equality on every arc carrying flow.
 
-    Nodes are popped in a fixed order, which fixes the plan and duals on
-    tied instances: smallest label first, sources before sinks on ties,
-    lower index first within each side.  Two facts keep the pops few and
-    cheap without changing that order:
+    Tied instances have many optimal plans; two rules pick one.
 
-    * popping a source never gives another source a label, so every source
-      holding the current minimum label is popped as one batch, relaxing
-      all sinks in one array operation (first index wins label ties);
-    * a popped sink relaxes only the sources carrying flow into it, a short
-      scalar loop; the labels it sets go on a heap keyed (label, index).
+    * Pop order: smallest label first, sources before sinks on ties, lower
+      index first within each side.  Popping a source never gives another
+      source a label, so every source holding the current minimum label is
+      popped as one batch.  A popped sink relaxes only the sources carrying
+      flow into it, a short scalar loop; the labels it sets go on a heap
+      keyed (label, index).
+    * Predecessors: a sink's predecessor is the first source in pop order
+      (batch after batch, ascending index within a batch) whose label plus
+      clamped reduced cost equals the sink's label.  It is the source whose
+      relaxation first set that label, so it is recovered only for the
+      sinks on the augmenting path, after the search.
 
-    Reduced costs are clamped at zero, so no relaxation sets a label below
-    the popped node's own; popped nodes therefore need no mask.
+    The clamped reduced costs ``red = max((cost - u) - v, 0)`` are built
+    once per augmentation, and not at all after one that moved no
+    potential (target label 0).  A batch at label ``d`` relaxes the sinks
+    with one ``min(label, red[batch].min(0) + d)``, with inf added on the
+    popped sinks: rounding is monotone, so that is the minimum over the
+    batch of ``d + red``.  Clamping means no relaxation sets a label below
+    the popped node's own, so labels are final when popped.  A node that is
+    not popped has a label at least the target's, which is what it counts
+    as in the potential update.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
@@ -59,21 +76,30 @@ def ssp_flow(cost, supply, demand, *, max_iters):
     v = cost.min(axis=0)
     cost_cols = cost.T.tolist()
     senders = [set() for _ in range(m)]  # sources with flow into sink j
-    cols = np.arange(m)
+    red = np.empty((n, m))
 
     iters = 0
+    dt = _INF
     while rem_s.sum() > 0:
         iters += 1
         if iters > max_iters:
             return flow, u, v, 1
-        u_list = u.tolist()
-        v_list = v.tolist()
+        if dt != 0.0:
+            # an update by label 0 moves u and v by at most the sign of a
+            # zero, which vanishes when added to a label (never -0.0)
+            np.subtract(cost, u[:, None], out=red)
+            red -= v
+            np.maximum(red, 0.0, out=red)
+            u_list = u.tolist()
+            v_list = v.tolist()
         dist_s = [_INF] * n
         done_s = [False] * n
         prev_s = [-1] * n
-        dist_t = np.full(m, _INF)
-        label_t = np.full(m, _INF)  # dist_t with popped sinks masked out
-        prev_t = np.full(m, -1, dtype=np.int64)
+        order = []  # sources in pop order
+        label = np.full(m, _INF)  # labels of the sinks not yet popped
+        shut = np.zeros(m)  # inf on the popped sinks
+        dist_t = np.full(m, _INF)  # labels of the popped sinks
+        deficient = (rem_d > 0).tolist()
         heap = []
 
         # every source with supply starts at label 0 and is popped first
@@ -85,30 +111,19 @@ def ssp_flow(cost, supply, demand, *, max_iters):
         target = -1
         while True:
             if batch:
+                order += batch
                 if len(batch) == 1:
-                    src = batch[0]
-                    nd = cost[src] - u[src] - v
-                    np.maximum(nd, 0.0, out=nd)
-                    nd = d + nd
+                    nd = red[batch[0]] + d
                 else:
-                    rows = np.array(batch)
-                    rc = cost[rows] - u[rows, None] - v
-                    np.maximum(rc, 0.0, out=rc)
-                    rc = d + rc
-                    first = rc.argmin(axis=0)
-                    nd = rc[first, cols]
-                    src = rows[first]
-                better = np.flatnonzero(nd < dist_t)
-                if better.size:
-                    vals = nd[better]
-                    dist_t[better] = vals
-                    label_t[better] = vals
-                    prev_t[better] = src if len(batch) == 1 else src[better]
+                    nd = np.minimum.reduce(red.take(batch, axis=0))
+                    nd += d
+                nd += shut
+                np.minimum(label, nd, out=label)
                 batch = None
             while heap and done_s[heap[0][1]]:
                 heapq.heappop(heap)
-            j = int(label_t.argmin())
-            dj = float(label_t[j])
+            j = int(label.argmin())
+            dj = float(label[j])
             if heap and heap[0][0] <= dj:
                 d = heap[0][0]
                 batch = []
@@ -120,10 +135,12 @@ def ssp_flow(cost, supply, demand, *, max_iters):
                 continue
             if dj == _INF:
                 break
-            if rem_d[j] > 0:
+            dist_t[j] = dj
+            if deficient[j]:
                 target = j
                 break
-            label_t[j] = _INF
+            label[j] = _INF
+            shut[j] = _INF
             vj = v_list[j]
             cj = cost_cols[j]
             for i in senders[j]:
@@ -138,16 +155,14 @@ def ssp_flow(cost, supply, demand, *, max_iters):
         if target < 0:
             return flow, u, v, 2
 
-        # Johnson-style update keeps residual reduced costs >= 0
-        dt = dist_t[target]
-        u -= np.minimum(np.array(dist_s), dt)
-        v += np.minimum(dist_t, dt)
-
+        dist_s = np.array(dist_s)
         path = []
         j = target
         bottleneck = rem_d[target]
         while True:
-            i = int(prev_t[j])
+            # sources not popped have label inf, or above the target's
+            ties = np.flatnonzero(red[:, j] + dist_s == dist_t[j]).tolist()
+            i = min(ties, key=order.index)
             path.append((i, j))
             jprev = prev_s[i]
             if jprev < 0:
@@ -156,6 +171,11 @@ def ssp_flow(cost, supply, demand, *, max_iters):
             bottleneck = min(bottleneck, flow[i, jprev])
             path.append((i, jprev))
             j = jprev
+
+        # Johnson-style update keeps residual reduced costs >= 0
+        dt = dist_t[target]
+        u -= np.minimum(dist_s, dt)
+        v += np.minimum(dist_t, dt)
         for k, (i, j) in enumerate(path):
             if k % 2 == 0:
                 flow[i, j] += bottleneck

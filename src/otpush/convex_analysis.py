@@ -176,7 +176,14 @@ class SubdiffPolytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.shape[0] == 0:
             raise ValueError("empty polytope")
-        object.__setattr__(self, "vertices", np.unique(v, axis=0))
+        # rows in lexicographic order, each run of ==-equal rows cut to its
+        # first row; the sort is stable, so of two rows that differ only in
+        # the sign of a zero the one given first stays
+        v = v[np.lexsort(v.T[::-1])]
+        keep = np.empty(len(v), dtype=bool)
+        keep[0] = True
+        np.any(v[1:] != v[:-1], axis=1, out=keep[1:])
+        object.__setattr__(self, "vertices", v[keep])
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,9 @@ Engines
 -------
 * ``direct``     — one of the marginals is a Dirac: the plan is forced.
 * ``ssp``        — in-house successive-shortest-paths min-cost flow
-                   (NumPy kernel, see ``_kernels``).
+                   (NumPy kernel, see ``_kernels``).  A kernel failure
+                   (iteration cap or unroutable units) raises
+                   ``SolverError``; no other engine re-solves.
 * ``assignment`` — uniform sources whose target masses are integer
                    multiples of 1/n: successive shortest paths on the
                    K-node target graph, each row moved whole, so the plan
@@ -217,11 +219,15 @@ def _solve_ssp(cost, w_s, w_t):
     supply = _scaled_units(w_s, MASS_SCALE)
     demand = _scaled_units(w_t, MASS_SCALE)
     n, m = cost.shape
-    flow, u, v, status = _kernels.ssp_flow(cost, supply, demand, max_iters=10 * (n + m) + 64)
-    if status == 1:
-        raise SolverError("iteration cap hit")
-    if status == 2:
-        raise SolverError("infeasible scaled instance")
+    cap = 10 * (n + m) + 64
+    flow, u, v, status = _kernels.ssp_flow(cost, supply, demand, max_iters=cap)
+    if status:
+        reason = ("iteration cap hit" if status == 1
+                  else "no sink with demand left is reachable")
+        raise SolverError(
+            f"SSP failed on a {n}x{m} instance: {reason} (status {status}, "
+            f"cap 10(n+m)+64 = {cap}); {int(supply.sum() - flow.sum())} of "
+            f"{int(supply.sum())} units unrouted")
     ii, jj = np.nonzero(flow)
     mass = flow[ii, jj] / MASS_SCALE
     return ii.astype(np.int64), jj.astype(np.int64), mass, u, v
@@ -522,10 +528,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
             raise SolverError("direct engine needs a Dirac marginal")
         i, j, mass, u, v = _solve_direct(cost, w_s, w_t)
     elif engine == "ssp":
-        try:
-            i, j, mass, u, v = _solve_ssp(cost, w_s, w_t)
-        except SolverError:
-            i, j, mass, u, v = _solve_highs(cost, w_s, w_t)
+        i, j, mass, u, v = _solve_ssp(cost, w_s, w_t)
     elif engine == "assignment":
         i, j, mass, u, v = _solve_assignment(cost, w_s, w_t)
     elif engine == "highs":

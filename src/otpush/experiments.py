@@ -554,10 +554,14 @@ def _random_valid_potential_1d(rng: np.random.Generator, p: float, R: float,
 
 def _random_valid_potential_2d(rng: np.random.Generator, p: float,
                                max_atoms: int = 6) -> CConcavePotential:
-    """Random planar Laguerre-form potential, valid on the 2-ball.
+    """Random planar Laguerre-form potential, checked on the 2-ball.
 
-    Atoms live in the 0.6-ball and sources in the unit ball, so every active
-    difference has norm < 2 = R by construction.
+    Atoms lie in the 0.6-ball, at least 0.1 apart, with offsets in +-0.03.
+    Nothing bounds the active differences by construction: a point near the
+    rim of the R = 2 ball can be up to 2.6 from its active atom.  So a draw
+    is kept only when ``max_active_distance`` finds every |x - y_active(x)|
+    <= R at the points of a 64 x 64 grid that lie in that ball (a sample,
+    not a certificate); a rejected draw is drawn again, up to 500 times.
     """
     R = 2.0
     for _ in range(500):

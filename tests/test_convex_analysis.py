@@ -148,6 +148,51 @@ def test_subdiff_polytope_operations():
     assert single.is_singleton() and single.diam() == 0.0
 
 
+_SIGNED_ZERO_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+def _assert_vertices_bits(V, want):
+    got = SubdiffPolytope(V).vertices
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_subdiff_dedupe_matches_np_unique_up_to_16_rows():
+    # np.unique(axis=0) sorts with an unstable sort, which is insertion sort,
+    # hence stable, on up to 16 rows: there even rows that differ only in
+    # the sign of a zero dedupe to the same bits
+    rng = np.random.default_rng(107)
+    for d in (1, 2):
+        for k in range(1, 17):
+            for _ in range(60):
+                V = _SIGNED_ZERO_VALUES[rng.integers(0, 5, (k, d))]
+                _assert_vertices_bits(V, np.unique(V, axis=0))
+
+
+def test_subdiff_dedupe_matches_np_unique_without_signed_zero_ties():
+    rng = np.random.default_rng(109)
+    unsigned = np.array([-1.0, 0.0, 0.5, 1.0])
+    for d in (1, 2):
+        for k in (17, 40, 200):
+            for _ in range(20):
+                V = unsigned[rng.integers(0, 4, (k, d))]
+                _assert_vertices_bits(V, np.unique(V, axis=0))
+                W = rng.uniform(-1.0, 1.0, (k, d))
+                W = W[rng.integers(0, k, k)]  # repeated rows
+                _assert_vertices_bits(W, np.unique(W, axis=0))
+
+
+def test_subdiff_dedupe_keeps_first_signed_zero_row():
+    # 24 rows with +-0 ties, where np.unique keeps other signs: of rows
+    # that differ only in the sign of a zero, the first one given stays
+    V = _SIGNED_ZERO_VALUES[np.random.default_rng(113).integers(0, 5, (24, 2))]
+    firsts = {}
+    for row in V:
+        firsts.setdefault(tuple(float(x) + 0.0 for x in row), row)  # -0.0 + 0.0 is 0.0
+    want = np.array([firsts[key] for key in sorted(firsts)])
+    _assert_vertices_bits(V, want)
+    assert np.signbit(np.unique(V, axis=0)).tobytes() != np.signbit(want).tobytes()
+
+
 def _scalar_skeleton(V, p):
     """Closest vertex, then closest vertex-pair segment point, one pair at
     a time in (a, b), a < b order, taking a candidate only when its

@@ -314,24 +314,34 @@ def test_singularity_suite_small():
 # figure pipeline
 # ---------------------------------------------------------------------------
 
+def _figure_digest(out):
+    """sha256 over the name and bytes of every file in ``out``."""
+    digest = hashlib.sha256()
+    for name in sorted(f.name for f in out.iterdir()):
+        digest.update(name.encode())
+        digest.update((out / name).read_bytes())
+    return digest.hexdigest()
+
+
+# ``_figure_digest`` of every file ``figure1 --grid 24`` writes.  Its 576
+# cells do not divide the 1e12 mass units, so its solves route leftover
+# units one short path at a time, which grid 16 (256 cells) never does.
+_FIGURE24_DIGEST = "5518b333e59b54311d064050934ea264b7d072cf68ff99c21f0daebb10235327"
+
+
 def test_figure_pipeline_small(tmp_path):
-    out1 = tmp_path / "run1"
-    out2 = tmp_path / "run2"
     rep = run_figure1(SweepConfig(scenario="figure1", grid=24, seed=0,
-                                  out=str(out1)))
+                                  out=str(tmp_path)))
     assert rep.passed
-    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest["files"]) == {"0.00", "0.25", "0.50", "0.75", "1.00"}
     checks = manifest["checks"]
     assert checks["endpoint_residual_start"] <= 2 * checks["cell_diagonal"]
     assert checks["endpoint_residual_end"] <= 2 * checks["cell_diagonal"]
     for stem in manifest["files"].values():
-        assert (out1 / stem["csv"]).exists()
-        assert (out1 / stem["svg"]).exists()
-    run_figure1(SweepConfig(scenario="figure1", grid=24, seed=0,
-                            out=str(out2)))
-    for name in sorted(f.name for f in out1.iterdir()):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert (tmp_path / stem["csv"]).exists()
+        assert (tmp_path / stem["svg"]).exists()
+    assert _figure_digest(tmp_path) == _FIGURE24_DIGEST
 
 
 # sha256 over the name and bytes of every file ``figure1 --grid 16`` writes
@@ -346,11 +356,7 @@ def test_figure_pipeline_bytes_are_pinned(tmp_path):
     assert names == ["manifest.json"] + [
         f"mu_t{t}.{ext}" for t in ("0.00", "0.25", "0.50", "0.75", "1.00")
         for ext in ("csv", "svg")]
-    digest = hashlib.sha256()
-    for name in names:
-        digest.update(name.encode())
-        digest.update((tmp_path / name).read_bytes())
-    assert digest.hexdigest() == _FIGURE16_DIGEST
+    assert _figure_digest(tmp_path) == _FIGURE16_DIGEST
 
 
 def test_figure_pipeline_custom_and_malformed_targets(tmp_path):

@@ -1,12 +1,15 @@
 """Oracle tests for the NumPy kernels.
 
 ``ssp_flow`` is checked against ``linear_sum_assignment`` on permutation
-instances and against the HiGHS LP on general integer instances.
+instances, against the HiGHS LP on general integer instances, and bit for
+bit against its earlier form, which stored every sink's predecessor during
+the search.
 ``ball_activity_2d`` and the 2D ball scans built on it are checked against
 exact max-affine cells, clipped from a box by halfplanes.
 """
 
 import hashlib
+import heapq
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,6 +20,7 @@ from otpush import random_max_affine
 from otpush._kernels import ball_activity_2d, ssp_flow
 from otpush.convex_analysis import (_TIE_TOL, MaxAffineFunction, _ball_diams,
                                     _cell_actives_2d)
+from otpush.discrete_ot import MASS_SCALE, _scaled_units
 
 # ---------------------------------------------------------------------------
 # min-cost flow
@@ -128,6 +132,231 @@ def test_ssp_flow_tie_breaking_is_pinned():
         for part in (flow, u, v, np.int64(status)):
             digest.update(part.tobytes())
     assert digest.hexdigest() == _TIE_DIGEST
+
+
+# The kernel before predecessors were recovered after the search: every
+# relaxation recomputed its rows' reduced costs and stored the predecessor
+# of each improved sink (first row of a batch, strict ``<`` across batches).
+# Kept verbatim as the bit-for-bit oracle of ``ssp_flow``.
+_INF = np.inf
+
+
+def _ssp_flow_oracle(cost, supply, demand, *, max_iters):
+    """Successive-shortest-path min-cost flow on a dense bipartite graph.
+
+    Node potentials keep every residual reduced cost nonnegative, so each
+    augmentation is one Dijkstra pass.  Returns ``(flow, u, v, status)`` with
+    ``status`` 0 on success, 1 if the iteration cap was hit, 2 if no
+    deficient sink is reachable (supply exceeds demand).  Dual feasibility:
+    u[i] + v[j] <= cost[i, j] with equality on every arc carrying flow.
+
+    Nodes are popped in a fixed order, which fixes the plan and duals on
+    tied instances: smallest label first, sources before sinks on ties,
+    lower index first within each side.  Two facts keep the pops few and
+    cheap without changing that order:
+
+    * popping a source never gives another source a label, so every source
+      holding the current minimum label is popped as one batch, relaxing
+      all sinks in one array operation (first index wins label ties);
+    * a popped sink relaxes only the sources carrying flow into it, a short
+      scalar loop; the labels it sets go on a heap keyed (label, index).
+
+    Reduced costs are clamped at zero, so no relaxation sets a label below
+    the popped node's own; popped nodes therefore need no mask.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    flow = np.zeros((n, m), dtype=np.int64)
+    rem_s = np.array(supply, dtype=np.int64)
+    rem_d = np.array(demand, dtype=np.int64)
+    u = np.zeros(n)
+    v = cost.min(axis=0)
+    cost_cols = cost.T.tolist()
+    senders = [set() for _ in range(m)]  # sources with flow into sink j
+    cols = np.arange(m)
+
+    iters = 0
+    while rem_s.sum() > 0:
+        iters += 1
+        if iters > max_iters:
+            return flow, u, v, 1
+        u_list = u.tolist()
+        v_list = v.tolist()
+        dist_s = [_INF] * n
+        done_s = [False] * n
+        prev_s = [-1] * n
+        dist_t = np.full(m, _INF)
+        label_t = np.full(m, _INF)  # dist_t with popped sinks masked out
+        prev_t = np.full(m, -1, dtype=np.int64)
+        heap = []
+
+        # every source with supply starts at label 0 and is popped first
+        batch = np.flatnonzero(rem_s > 0).tolist()
+        d = 0.0
+        for i in batch:
+            dist_s[i] = 0.0
+            done_s[i] = True
+        target = -1
+        while True:
+            if batch:
+                if len(batch) == 1:
+                    src = batch[0]
+                    nd = cost[src] - u[src] - v
+                    np.maximum(nd, 0.0, out=nd)
+                    nd = d + nd
+                else:
+                    rows = np.array(batch)
+                    rc = cost[rows] - u[rows, None] - v
+                    np.maximum(rc, 0.0, out=rc)
+                    rc = d + rc
+                    first = rc.argmin(axis=0)
+                    nd = rc[first, cols]
+                    src = rows[first]
+                better = np.flatnonzero(nd < dist_t)
+                if better.size:
+                    vals = nd[better]
+                    dist_t[better] = vals
+                    label_t[better] = vals
+                    prev_t[better] = src if len(batch) == 1 else src[better]
+                batch = None
+            while heap and done_s[heap[0][1]]:
+                heapq.heappop(heap)
+            j = int(label_t.argmin())
+            dj = float(label_t[j])
+            if heap and heap[0][0] <= dj:
+                d = heap[0][0]
+                batch = []
+                while heap and heap[0][0] == d:
+                    i = heapq.heappop(heap)[1]
+                    if not done_s[i]:
+                        done_s[i] = True
+                        batch.append(i)
+                continue
+            if dj == _INF:
+                break
+            if rem_d[j] > 0:
+                target = j
+                break
+            label_t[j] = _INF
+            vj = v_list[j]
+            cj = cost_cols[j]
+            for i in senders[j]:
+                if done_s[i]:
+                    continue
+                rc = u_list[i] + vj - cj[i]
+                nd_i = dj + (rc if rc > 0.0 else 0.0)
+                if nd_i < dist_s[i]:
+                    dist_s[i] = nd_i
+                    prev_s[i] = j
+                    heapq.heappush(heap, (nd_i, i))
+        if target < 0:
+            return flow, u, v, 2
+
+        # Johnson-style update keeps residual reduced costs >= 0
+        dt = dist_t[target]
+        u -= np.minimum(np.array(dist_s), dt)
+        v += np.minimum(dist_t, dt)
+
+        path = []
+        j = target
+        bottleneck = rem_d[target]
+        while True:
+            i = int(prev_t[j])
+            path.append((i, j))
+            jprev = prev_s[i]
+            if jprev < 0:
+                bottleneck = min(bottleneck, rem_s[i])
+                break
+            bottleneck = min(bottleneck, flow[i, jprev])
+            path.append((i, jprev))
+            j = jprev
+        for k, (i, j) in enumerate(path):
+            if k % 2 == 0:
+                flow[i, j] += bottleneck
+            else:
+                flow[i, j] -= bottleneck
+            if flow[i, j] > 0:
+                senders[j].add(i)
+            else:
+                senders[j].discard(i)
+        rem_s[path[-1][0]] -= bottleneck
+        rem_d[target] -= bottleneck
+    return flow, u, v, 0
+
+
+def _assert_same_bits(got, want):
+    assert got[3] == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _lattice_count_instance(rng, n_cells, lo=2, hi=5):
+    """The instances ``figure1`` solves: pushforwards of an ``n_cells``-cell
+    grid land on lattice points, so costs tie everywhere and each side
+    weighs count / n_cells, rounded to 1e12 units as ``solve`` does."""
+    def side(size):
+        pts, counts = np.unique(rng.integers(0, size, (n_cells, 2)) / 4.0,
+                                axis=0, return_counts=True)
+        return pts, _scaled_units(counts / n_cells, MASS_SCALE)
+    X, supply = side(lo)
+    Y, demand = side(hi)
+    cost = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    return cost, supply, demand
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(97)
+    # N = 16 and 25 divide 1e12; N = 24, 7 and 48 leave units that are
+    # routed one short path at a time
+    for n_cells in (16, 25, 24, 7, 48):
+        for _ in range(3):
+            yield _lattice_count_instance(rng, n_cells, 4, 5)
+            yield _lattice_count_instance(rng, n_cells, 5, 3)
+    # n >> m and m >> n
+    for _ in range(3):
+        cost, supply, demand = _lattice_count_instance(rng, 60, 9, 2)
+        yield cost, supply, demand
+        yield cost.T.copy(), demand, supply
+    # duplicate rows and columns
+    for _ in range(3):
+        cost, supply, demand = _tie_instance(rng, 6, 5)
+        rows = rng.integers(0, 6, 9)
+        yield cost[rows][:, [0, 1, 1, 2, 3, 4, 4]], supply[rows], np.bincount(
+            rng.integers(0, 7, int(supply[rows].sum())), minlength=7)
+    for _ in range(3):
+        yield _random_flow_instance(rng, 7, 5)
+
+
+def test_ssp_flow_matches_recorded_predecessor_oracle():
+    for cost, supply, demand in _oracle_cases():
+        _assert_same_bits(ssp_flow(cost, supply, demand, max_iters=10_000),
+                          _ssp_flow_oracle(cost, supply, demand, max_iters=10_000))
+
+
+def test_ssp_flow_oracle_mid_run_states():
+    # every cap from 1 up to a full run: status 1 returns the state after
+    # the last completed augmentation, and that state matches too
+    rng = np.random.default_rng(101)
+    for n_cells in (24, 7):
+        cost, supply, demand = _lattice_count_instance(rng, n_cells, 4, 4)
+        for cap in range(1, 40):
+            want = _ssp_flow_oracle(cost, supply, demand, max_iters=cap)
+            _assert_same_bits(ssp_flow(cost, supply, demand, max_iters=cap), want)
+            if want[3] == 0:
+                break
+        assert want[3] == 0
+
+
+def test_ssp_flow_oracle_excess_supply():
+    rng = np.random.default_rng(103)
+    for trial in range(6):
+        cost, supply, demand = _lattice_count_instance(rng, 16, 4, 4)
+        demand = demand.copy()
+        demand[trial % len(demand)] -= 10 ** (trial + 3)
+        want = _ssp_flow_oracle(cost, supply, demand, max_iters=10_000)
+        assert want[3] == 2
+        _assert_same_bits(ssp_flow(cost, supply, demand, max_iters=10_000), want)
 
 
 # ---------------------------------------------------------------------------
