@@ -58,8 +58,7 @@ def ssp_flow(cost, supply, demand, *, max_iters):
       sinks on the augmenting path, after the search.
 
     The clamped reduced costs ``red = max((cost - u) - v, 0)`` are built
-    once per augmentation, and not at all after one that moved no
-    potential (target label 0).  A batch at label ``d`` relaxes the sinks
+    once per augmentation.  A batch at label ``d`` relaxes the sinks
     with one ``min(label, red[batch].min(0) + d)``, with inf added on the
     popped sinks: rounding is monotone, so that is the minimum over the
     batch of ``d + red``.  Clamping means no relaxation sets a label below
@@ -79,19 +78,15 @@ def ssp_flow(cost, supply, demand, *, max_iters):
     red = np.empty((n, m))
 
     iters = 0
-    dt = _INF
     while rem_s.sum() > 0:
         iters += 1
         if iters > max_iters:
             return flow, u, v, 1
-        if dt != 0.0:
-            # an update by label 0 moves u and v by at most the sign of a
-            # zero, which vanishes when added to a label (never -0.0)
-            np.subtract(cost, u[:, None], out=red)
-            red -= v
-            np.maximum(red, 0.0, out=red)
-            u_list = u.tolist()
-            v_list = v.tolist()
+        np.subtract(cost, u[:, None], out=red)
+        red -= v
+        np.maximum(red, 0.0, out=red)
+        u_list = u.tolist()
+        v_list = v.tolist()
         dist_s = [_INF] * n
         done_s = [False] * n
         prev_s = [-1] * n

@@ -291,16 +291,17 @@ def _assert_same_bits(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def _lattice_count_instance(rng, n_cells, lo=2, hi=5):
+def _lattice_count_instance(rng, n_cells, source_side, target_side):
     """The instances ``figure1`` solves: pushforwards of an ``n_cells``-cell
-    grid land on lattice points, so costs tie everywhere and each side
-    weighs count / n_cells, rounded to 1e12 units as ``solve`` does."""
+    grid land on lattice points (here of a side x side lattice), so costs
+    tie everywhere and each side weighs count / n_cells, rounded to 1e12
+    units as ``solve`` does."""
     def side(size):
         pts, counts = np.unique(rng.integers(0, size, (n_cells, 2)) / 4.0,
                                 axis=0, return_counts=True)
         return pts, _scaled_units(counts / n_cells, MASS_SCALE)
-    X, supply = side(lo)
-    Y, demand = side(hi)
+    X, supply = side(source_side)
+    Y, demand = side(target_side)
     cost = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
     return cost, supply, demand
 
