@@ -123,11 +123,7 @@ def _build_config(args) -> tuple[SweepConfig, str | None]:
     eps = _eps_from_flags(args)
     if eps is not None:
         fields["eps"] = eps
-    for name in ("p", "q", "r", "grid", "seed", "out"):
-        v = getattr(args, name, None)
-        if v is not None:
-            fields[name] = v
-    for name in ("count_1d", "count_2d"):
+    for name in ("p", "q", "r", "grid", "seed", "out", "count_1d", "count_2d"):
         v = getattr(args, name, None)
         if v is not None:
             fields[name] = v

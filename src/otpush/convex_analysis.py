@@ -250,8 +250,7 @@ def _pairwise_diam(vectors: np.ndarray) -> float:
     v = np.atleast_2d(vectors)
     if v.shape[0] <= 1:
         return 0.0
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
-    return float(np.sqrt(d2.max()))
+    return float(np.sqrt(_kernels.pair_dist2(v).max()))
 
 
 _VERTEX_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -24,7 +24,9 @@ Engines
                    never reach this engine (no benchmark workload does)
                    need not pay.
 
-``engine="auto"`` routes between them by instance shape.
+``engine="auto"`` routes between them by instance shape.  HiGHS is reached
+only through ``solve``; ``bottleneck_solve`` builds its plans with the
+matching or the SSP kernel and raises ``SolverError`` when they fail.
 """
 
 from __future__ import annotations
@@ -594,9 +596,9 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
     scaled integer masses otherwise.  A threshold admits the edges with
     ``d2 <= level * (1 + 1e-12)``.  The bracket's two certificates:
 
-    * below: every row and column that must ship mass needs an admitted
-      edge, so no level with ``level * (1 + 1e-12) < max(max_i min_j d2,
-      max_j min_i d2)`` is feasible;
+    * below: every row and column of positive weight must ship mass and so
+      needs an admitted edge; no level with ``level * (1 + 1e-12) <
+      max(max_i min_j d2, max_j min_i d2)`` is feasible;
     * above: a known plan is feasible at its own longest edge, the identity
       permutation (``max_i d2[i, i]``) in the uniform square case and every
       edge (``d2.max()``) otherwise.
@@ -604,7 +606,10 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
     Feasibility is monotone in the level, so the search returns the same
     level as one over every distinct distance (Burkard, Dell'Amico,
     Martello, *Assignment Problems*, ch. 6).  The returned coupling is an
-    admissible plan at that level, produced by a masked min-cost-flow solve.
+    admissible plan at that level: the perfect matching in the uniform
+    square case, otherwise an SSP min-cost flow on 0/1 costs (0 on the
+    admitted edges), whose plans of cost 0 are exactly the admissible ones.
+    A plan that still uses a forbidden edge raises ``SolverError``.
     """
     if mu.dim != nu.dim:
         raise ValueError("ambient dimension mismatch")
@@ -615,15 +620,12 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
 
     uniform = (n == m and np.abs(mu0.weights - 1.0 / n).max() <= 1e-12
                and np.abs(nu0.weights - 1.0 / n).max() <= 1e-12)
+    lower = max(d2.min(axis=1).max(), d2.min(axis=0).max())
     if uniform:
-        lower = max(d2.min(axis=1).max(), d2.min(axis=0).max())
         upper = d2.diagonal().max()
     else:
         supply_units = _scaled_units(mu0.weights, _FLOW_SCALE)
         demand_units = _scaled_units(nu0.weights, _FLOW_SCALE)
-        # a row or column rounded to zero units ships nothing
-        lower = max(d2[supply_units > 0].min(axis=1).max(),
-                    d2[:, demand_units > 0].min(axis=0).max())
         upper = d2.max()
 
     def feasible(level):
@@ -654,20 +656,17 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
         j = match.astype(np.int64)
         mass = np.full(n, 1.0 / n)
     else:
-        # forbid edges above the threshold with a penalty exceeding any
-        # achievable admissible total
-        penalty = (d2.max() + 1.0) * 1e14
-        masked = np.where(allowed, d2, penalty)
-        try:
-            i, j, mass, _, _ = _solve_ssp(masked, mu0.weights, nu0.weights)
-        except SolverError:
-            i, j, mass, _, _ = _solve_highs(masked, mu0.weights, nu0.weights)
-        if not allowed[i, j].all():
-            i, j, mass, _, _ = _solve_highs(masked, mu0.weights, nu0.weights)
-    if not allowed[i, j].all():
-        raise SolverError("admissible plan construction used a forbidden edge")
-    coupling = Coupling(keep_s[i], keep_t[j], mass, mu, nu)
-    return coupling, float(np.sqrt(level))
+        # every label and potential of this solve is a small integer, so
+        # no rounding of the costs decides which edges the plan uses
+        i, j, mass, _, _ = _solve_ssp(np.where(allowed, 0.0, 1.0),
+                                      mu0.weights, nu0.weights)
+    distance = float(np.sqrt(level))
+    forbidden = ~allowed[i, j]
+    if forbidden.any():
+        raise SolverError(
+            f"no admissible plan on a {n}x{m} instance at level {distance!r}: "
+            f"mass {float(mass[forbidden].sum())!r} sits on forbidden edges")
+    return Coupling(keep_s[i], keep_t[j], mass, mu, nu), distance
 
 
 # ---------------------------------------------------------------------------

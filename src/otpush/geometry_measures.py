@@ -241,16 +241,11 @@ class GridDensity:
         res = tuple(int(r) for r in np.atleast_1d(resolution))
         if len(res) == 1 and domain.dim > 1:
             res = res * domain.dim
-        lo, hi = domain.bounding_box()
-        widths = (hi - lo) / np.asarray(res, dtype=float)
-        axes = [lo[a] + (np.arange(r) + 0.5) * widths[a] for a, r in enumerate(res)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([g.ravel() for g in grids], axis=1)
-        inside = domain.contains(centers, tol=0.0)
-        masses = inside.astype(float)
+        # the grid's cells with placeholder masses and no density bound
+        cells = GridDensity(domain, res, np.full(res, 1.0 / np.prod(res)), np.inf)
+        masses = domain.contains(cells.cell_centers(), tol=0.0).astype(float)
         masses /= masses.sum()
-        cellvol = float(np.prod(widths))
-        bound = masses.max() / cellvol
+        bound = masses.max() / cells.cell_volume
         return GridDensity(domain, res, masses.reshape(res), bound)
 
     @staticmethod

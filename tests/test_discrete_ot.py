@@ -13,9 +13,9 @@ from scipy.sparse.csgraph import (maximum_bipartite_matching, maximum_flow,
 
 from otpush import discrete_ot
 from otpush.discrete_ot import (_FLOW_SCALE, Coupling, DualPotentials,
-                                _gap_graph, _scaled_units, _solve_assignment,
-                                bottleneck_solve, c_transform, cost_matrix,
-                                solve, wasserstein)
+                                SolverError, _gap_graph, _scaled_units,
+                                _solve_assignment, bottleneck_solve,
+                                c_transform, cost_matrix, solve, wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
 
@@ -423,6 +423,15 @@ def test_triangle_inequality():
             assert ab <= ak + kb + 1e-9
 
 
+@pytest.fixture
+def no_highs(monkeypatch):
+    """HiGHS raises if called: bottleneck plans never reach it."""
+    def fail(*args):
+        raise AssertionError("bottleneck_solve called HiGHS")
+    monkeypatch.setattr(discrete_ot, "_solve_highs", fail)
+
+
+@pytest.mark.usefixtures("no_highs")
 def test_wp_monotone_in_p():
     rng = np.random.default_rng(41)
     for trial in range(10):
@@ -437,6 +446,7 @@ def test_wp_monotone_in_p():
 # bottleneck
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("no_highs")
 def test_bottleneck_examples():
     mu = _m1([-0.5, 0.5], [0.5, 0.5])
     coupling, value = bottleneck_solve(mu, mu)
@@ -468,6 +478,7 @@ def test_bottleneck_matches_minimax_permutation_oracle():
         coupling.check_marginals()
 
 
+@pytest.mark.usefixtures("no_highs")
 def test_bottleneck_unequal_weights():
     rng = np.random.default_rng(59)
     for trial in range(8):
@@ -564,6 +575,7 @@ def test_bottleneck_bracket_matches_full_range_search_jittered_grid():
             _check_against_full_range(rho, DiscreteMeasure(pts, rho.weights, dom))
 
 
+@pytest.mark.usefixtures("no_highs")
 def test_bottleneck_level_admitted_by_tolerance_below_lower_bound():
     # one pair sits a few 1e-13 relative beyond the others: the largest
     # row minimum exceeds the answer, which the 1e-12 threshold tolerance
@@ -588,6 +600,7 @@ def test_bottleneck_level_admitted_by_tolerance_below_lower_bound():
     assert bottleneck_solve(mu, nu)[1] == 1.0
 
 
+@pytest.mark.usefixtures("no_highs")
 def test_bottleneck_bracket_matches_full_range_search_unequal_weights():
     rng = np.random.default_rng(73)
     for trial in range(12):
@@ -598,6 +611,43 @@ def test_bottleneck_bracket_matches_full_range_search_unequal_weights():
     dom = Domain.ball(np.zeros(2), 2.0)
     _check_against_full_range(_uniform(rng.uniform(-1, 1, (4, 2)), dom),
                               _uniform(rng.uniform(-1, 1, (6, 2)), dom))
+    # lattice points: many tied distances, and ties in the 0/1 plan solve
+    for trial in range(12):
+        n, m = (int(k) for k in rng.integers(2, 9, size=2))
+        mu, nu = _random_pair(rng, n, m, d=1 + trial % 2)
+        _check_against_full_range(
+            DiscreteMeasure(np.round(3 * mu.points) / 3, mu.weights, mu.domain),
+            DiscreteMeasure(np.round(3 * nu.points) / 3, nu.weights, nu.domain))
+
+
+@pytest.mark.usefixtures("no_highs")
+@pytest.mark.parametrize("w", [3e-13, 3e-10, 3e-9])
+def test_bottleneck_counts_atoms_below_one_flow_unit(w):
+    # the atom at 5 holds fewer than one max-flow unit (1/_FLOW_SCALE) for
+    # the two smaller weights, but it must still ship its mass 4 away
+    dom = Domain.ball(np.zeros(1), 10.0)
+    mu = _m1([0.0, 1.0, 5.0], [0.5, 0.5 - w, w], dom)
+    nu = _m1([0.0, 1.0], [0.5, 0.5], dom)
+    coupling, value = bottleneck_solve(mu, nu)
+    assert value == 4.0
+    coupling.check_marginals()
+    assert coupling.max_distance() <= value * (1 + 1e-12)
+
+
+def test_bottleneck_raises_on_plan_with_forbidden_edge(monkeypatch):
+    # a plan solve that ships mass on forbidden edges is reported, not
+    # repaired by another engine
+    mu = _m1([0.0, 1.0], [0.5, 0.5])
+    nu = _m1([0.0, 1.0, 1.5], [0.5, 0.25, 0.25])
+    assert bottleneck_solve(mu, nu)[1] == 0.5
+    real = discrete_ot._solve_ssp
+    # on inverted 0/1 costs the plan avoids every admitted edge
+    monkeypatch.setattr(discrete_ot, "_solve_ssp",
+                        lambda cost, w_s, w_t: real(1.0 - cost, w_s, w_t))
+    with pytest.raises(SolverError) as exc:
+        bottleneck_solve(mu, nu)
+    for part in ("2x3", "level 0.5", "mass 1.0 sits on forbidden edges"):
+        assert part in str(exc.value), (part, str(exc.value))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ _SCRIPT = textwrap.dedent("""
 
 # A failed SSP solve raises with the instance's shape, cap and unrouted
 # units; it is not re-solved by HiGHS, so ``scipy.optimize`` stays unloaded.
+# The same holds for the plan solve of a general-weight ``bottleneck_solve``.
 _SSP_FAILURE_SCRIPT = textwrap.dedent("""
     import sys
 
@@ -100,7 +101,15 @@ _SSP_FAILURE_SCRIPT = textwrap.dedent("""
             for part in ("6x9", reason, f"status {status}", "= 214",
                          f"{unrouted} of {discrete_ot.MASS_SCALE} units"):
                 assert part in msg, (part, msg)
-    assert seen == [214] * 4, seen
+        try:
+            discrete_ot.bottleneck_solve(mu, nu)
+        except discrete_ot.SolverError as exc:
+            msg = str(exc)
+        else:
+            raise AssertionError("SSP failure in bottleneck_solve passed silently")
+        for part in ("6x9", reason, f"status {status}", "= 214"):
+            assert part in msg, (part, msg)
+    assert seen == [214] * 6, seen
     assert "scipy.optimize" not in sys.modules, "SSP failure"
 """)
 
