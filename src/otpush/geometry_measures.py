@@ -186,6 +186,22 @@ class DiscreteMeasure:
 # grid densities
 # ---------------------------------------------------------------------------
 
+def _cell_widths(domain: Domain, resolution) -> np.ndarray:
+    """Cell widths of the grid of ``resolution`` tiling the domain's box."""
+    lo, hi = domain.bounding_box()
+    return (hi - lo) / np.asarray(resolution, dtype=float)
+
+
+def _cell_centers(domain: Domain, resolution) -> np.ndarray:
+    """Cell centers of that grid, in C order, one row per cell."""
+    lo, _ = domain.bounding_box()
+    widths = _cell_widths(domain, resolution)
+    axes = [lo[a] + (np.arange(r) + 0.5) * widths[a]
+            for a, r in enumerate(resolution)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Absolutely continuous measure stored as cell masses on a uniform grid.
@@ -221,19 +237,14 @@ class GridDensity:
 
     @property
     def cell_widths(self) -> np.ndarray:
-        lo, hi = self.domain.bounding_box()
-        return (hi - lo) / np.asarray(self.resolution, dtype=float)
+        return _cell_widths(self.domain, self.resolution)
 
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_widths))
 
     def cell_centers(self) -> np.ndarray:
-        lo, _ = self.domain.bounding_box()
-        axes = [lo[a] + (np.arange(r) + 0.5) * self.cell_widths[a]
-                for a, r in enumerate(self.resolution)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return _cell_centers(self.domain, self.resolution)
 
     @staticmethod
     def uniform(domain: Domain, resolution) -> "GridDensity":
@@ -241,20 +252,16 @@ class GridDensity:
         res = tuple(int(r) for r in np.atleast_1d(resolution))
         if len(res) == 1 and domain.dim > 1:
             res = res * domain.dim
-        # the grid's cells with placeholder masses and no density bound
-        cells = GridDensity(domain, res, np.full(res, 1.0 / np.prod(res)), np.inf)
-        masses = domain.contains(cells.cell_centers(), tol=0.0).astype(float)
+        masses = domain.contains(_cell_centers(domain, res), tol=0.0).astype(float)
         masses /= masses.sum()
-        bound = masses.max() / cells.cell_volume
+        bound = masses.max() / float(np.prod(_cell_widths(domain, res)))
         return GridDensity(domain, res, masses.reshape(res), bound)
 
     @staticmethod
     def from_cell_masses(domain: Domain, masses: np.ndarray) -> "GridDensity":
         masses = np.asarray(masses, dtype=float)
         masses = masses / masses.sum()
-        lo, hi = domain.bounding_box()
-        widths = (hi - lo) / np.asarray(masses.shape, dtype=float)
-        bound = float(masses.max() / np.prod(widths))
+        bound = float(masses.max() / np.prod(_cell_widths(domain, masses.shape)))
         return GridDensity(domain, masses.shape, masses, bound)
 
 

@@ -7,13 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import (maximum_bipartite_matching, maximum_flow,
-                                  shortest_path)
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse.csgraph import maximum_bipartite_matching, shortest_path
 
 from otpush import discrete_ot
-from otpush.discrete_ot import (_FLOW_SCALE, Coupling, DualPotentials,
-                                SolverError, _gap_graph, _scaled_units,
+from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
+                                SolverError, _gap_graph, _unit_bounds,
                                 _solve_assignment, bottleneck_solve,
                                 c_transform, cost_matrix, solve, wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
@@ -490,10 +489,27 @@ def test_bottleneck_unequal_weights():
         assert wasserstein(mu, nu, 4.0) <= value + 1e-9
 
 
+def _bounds_feasible(admitted, mu, nu):
+    """Whether some plan on the admitted edges has row and column sums in
+    the unit bounds of ``_unit_bounds`` and MASS_SCALE units in all: an LP
+    by HiGHS, whose constraint matrix is totally unimodular, so that an
+    integer plan exists whenever a fractional one does."""
+    (lo_s, hi_s), (lo_t, hi_t) = _unit_bounds(mu.weights), _unit_bounds(nu.weights)
+    ii, jj = np.nonzero(admitted)
+    k = np.arange(len(ii))
+    rows = sp.csr_matrix((np.ones(len(ii)), (ii, k)), shape=(len(mu), len(ii)))
+    cols = sp.csr_matrix((np.ones(len(ii)), (jj, k)), shape=(len(nu), len(ii)))
+    res = linprog(np.zeros(len(ii)), A_ub=sp.vstack([rows, -rows, cols, -cols]),
+                  b_ub=np.concatenate([hi_s, -lo_s, hi_t, -lo_t]),
+                  A_eq=np.ones((1, len(ii))), b_eq=[MASS_SCALE], method="highs")
+    return res.status == 0
+
+
 def _full_range_bottleneck(mu, nu):
     """The bottleneck level by binary search over every distinct squared
-    distance, each threshold checked on its own graph; with the perfect
-    matching at that level in the uniform square case, else None."""
+    distance, each threshold checked on its own graph by matching or by
+    ``_bounds_feasible``; with the perfect matching at that level in the
+    uniform square case, else None."""
     d2 = cost_matrix(mu.points, nu.points, 2)
     n, m = d2.shape
     uniform = (n == m and np.abs(mu.weights - 1.0 / n).max() <= 1e-12
@@ -507,14 +523,7 @@ def _full_range_bottleneck(mu, nu):
             match = maximum_bipartite_matching(sp.csr_matrix(admitted(level)),
                                                perm_type="column")
             return bool((match >= 0).all())
-        supply = _scaled_units(mu.weights, _FLOW_SCALE)
-        demand = _scaled_units(nu.weights, _FLOW_SCALE)
-        cap = np.zeros((n + m + 2, n + m + 2), dtype=np.int32)
-        cap[n + m, :n] = supply
-        cap[:n, n:n + m] = np.where(admitted(level), _FLOW_SCALE, 0)
-        cap[n:n + m, n + m + 1] = demand
-        flow = maximum_flow(sp.csr_matrix(cap), n + m, n + m + 1)
-        return flow.flow_value == _FLOW_SCALE
+        return _bounds_feasible(admitted(level), mu, nu)
 
     levels = np.unique(d2)
     lo, hi = 0, len(levels) - 1
@@ -623,30 +632,74 @@ def test_bottleneck_bracket_matches_full_range_search_unequal_weights():
 @pytest.mark.usefixtures("no_highs")
 @pytest.mark.parametrize("w", [3e-13, 3e-10, 3e-9])
 def test_bottleneck_counts_atoms_below_one_flow_unit(w):
-    # the atom at 5 holds fewer than one max-flow unit (1/_FLOW_SCALE) for
-    # the two smaller weights, but it must still ship its mass 4 away
-    dom = Domain.ball(np.zeros(1), 10.0)
-    mu = _m1([0.0, 1.0, 5.0], [0.5, 0.5 - w, w], dom)
-    nu = _m1([0.0, 1.0], [0.5, 0.5], dom)
-    coupling, value = bottleneck_solve(mu, nu)
-    assert value == 4.0
-    coupling.check_marginals()
-    assert coupling.max_distance() <= value * (1 + 1e-12)
+    # an atom of less than 1e-9 of mass (less than one 1e-12 unit for the
+    # smallest w) must still ship it: from 5 to 1, 4 away; and from 1,
+    # whose nearest target 0 is full, to 10, 9 away
+    dom = Domain.ball(np.zeros(1), 20.0)
+    for near, small, level in ((1.0, 5.0, 4.0), (10.0, 1.0, 9.0)):
+        mu = _m1([0.0, near, small], [0.5, 0.5 - w, w], dom)
+        nu = _m1([0.0, near], [0.5, 0.5], dom)
+        for a, b in ((mu, nu), (nu, mu)):
+            coupling, value = bottleneck_solve(a, b)
+            assert value == level
+            coupling.check_marginals()
+            assert coupling.max_distance() <= value * (1 + 1e-12)
+
+
+@pytest.mark.usefixtures("no_highs")
+def test_bottleneck_count_weights_round_alike():
+    # 1/7 rounds to 142857142857.14 units: the leftover unit of each
+    # side's largest-fraction rounding lands on different atoms, yet the
+    # atom at 0 holds 1/7 on both sides, so level 0 is feasible
+    dom = Domain.ball(np.zeros(1), 20.0)
+    mu = _m1([0.0] + [10.0] * 6, np.full(7, 1 / 7), dom)
+    nu = _m1([0.0, 10.0], [1 / 7, 6 / 7], dom)
+    for a, b in ((mu, nu), (nu, mu)):
+        coupling, value = bottleneck_solve(a, b)
+        assert value == 0.0
+        coupling.check_marginals()
+        assert coupling.max_distance() == 0.0
+
+
+@pytest.mark.usefixtures("no_highs")
+@pytest.mark.parametrize("count", [7, 24, 48, 99])
+def test_bottleneck_zero_between_two_splits_of_one_count_measure(count):
+    # count/N units on a few lattice sites, split into atoms two different
+    # ways: the measures are equal, so the level is 0
+    rng = np.random.default_rng(count)
+    dom = Domain.ball(np.zeros(2), 10.0)
+    for trial in range(6):
+        sites = rng.integers(-3, 4, (int(rng.integers(2, 6)), 2)).astype(float)
+        owner = rng.integers(0, len(sites), count)
+        owner[:len(sites)] = np.arange(len(sites))
+
+        def split():
+            atom = np.minimum(rng.integers(0, 3, count), owner % 3)
+            keys, units = np.unique(np.stack([owner, atom], 1), axis=0,
+                                    return_counts=True)
+            return DiscreteMeasure(sites[keys[:, 0]], units / count, dom)
+
+        coupling, value = bottleneck_solve(split(), split())
+        assert value == 0.0
+        coupling.check_marginals()
+        assert coupling.max_distance() == 0.0
 
 
 def test_bottleneck_raises_on_plan_with_forbidden_edge(monkeypatch):
     # a plan solve that ships mass on forbidden edges is reported, not
     # repaired by another engine
-    mu = _m1([0.0, 1.0], [0.5, 0.5])
-    nu = _m1([0.0, 1.0, 1.5], [0.5, 0.25, 0.25])
+    mu = _m1([0.0, 1.0], [1 / 3, 2 / 3])
+    nu = _m1([0.0, 1.0, 1.5], [1 / 3, 1 / 3, 1 / 3])
     assert bottleneck_solve(mu, nu)[1] == 0.5
-    real = discrete_ot._solve_ssp
-    # on inverted 0/1 costs the plan avoids every admitted edge
-    monkeypatch.setattr(discrete_ot, "_solve_ssp",
-                        lambda cost, w_s, w_t: real(1.0 - cost, w_s, w_t))
+    real = discrete_ot._ssp_units
+    # on inverted 0/1 costs every probe fails, and the plan at the top
+    # level, where every edge between atoms is admitted, puts the spare
+    # units of the thirds on the forbidden edges of the dummy row and column
+    monkeypatch.setattr(discrete_ot, "_ssp_units",
+                        lambda cost, supply, demand: real(1.0 - cost, supply, demand))
     with pytest.raises(SolverError) as exc:
         bottleneck_solve(mu, nu)
-    for part in ("2x3", "level 0.5", "mass 1.0 sits on forbidden edges"):
+    for part in ("2x3", "level 1.5", "sits on forbidden edges"):
         assert part in str(exc.value), (part, str(exc.value))
 
 

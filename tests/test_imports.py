@@ -59,7 +59,10 @@ _SCRIPT = textwrap.dedent("""
 
 # A failed SSP solve raises with the instance's shape, cap and unrouted
 # units; it is not re-solved by HiGHS, so ``scipy.optimize`` stays unloaded.
-# The same holds for the plan solve of a general-weight ``bottleneck_solve``.
+# The same holds for the 0/1-cost solves of a general-weight
+# ``bottleneck_solve``, on the 6x9 instance widened by a second row or
+# column for each atom with a fractional unit count and a dummy row and
+# column: 13x19.
 _SSP_FAILURE_SCRIPT = textwrap.dedent("""
     import sys
 
@@ -107,9 +110,9 @@ _SSP_FAILURE_SCRIPT = textwrap.dedent("""
             msg = str(exc)
         else:
             raise AssertionError("SSP failure in bottleneck_solve passed silently")
-        for part in ("6x9", reason, f"status {status}", "= 214"):
+        for part in ("13x19", reason, f"status {status}", "= 384"):
             assert part in msg, (part, msg)
-    assert seen == [214] * 6, seen
+    assert seen == [214, 214, 384] * 2, seen
     assert "scipy.optimize" not in sys.modules, "SSP failure"
 """)
 
