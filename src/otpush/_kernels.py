@@ -151,13 +151,15 @@ def ssp_flow(cost, supply, demand, *, max_iters):
             return flow, u, v, 2
 
         dist_s = np.array(dist_s)
+        rank = np.full(n, n)  # pop rank of each source, n if not popped
+        rank[order] = np.arange(len(order))
         path = []
         j = target
         bottleneck = rem_d[target]
         while True:
             # sources not popped have label inf, or above the target's
-            ties = np.flatnonzero(red[:, j] + dist_s == dist_t[j]).tolist()
-            i = min(ties, key=order.index)
+            hit = red[:, j] + dist_s == dist_t[j]
+            i = int(np.where(hit, rank, n).argmin())
             path.append((i, j))
             jprev = prev_s[i]
             if jprev < 0:

@@ -268,10 +268,8 @@ def potential_from_discrete_ot(rho, mu: DiscreteMeasure, p: float = 2.0
     coupling, _, duals = solve(src, mu_pos, p=2.0)
     v = duals.phi_c
     ii, jj = coupling.i, coupling.j
-    if len(np.unique(ii)) == len(ii) == len(src):
-        order = np.argsort(ii)
-        assign = jj[order]
-        v_centered = _max_margin_duals(cost_matrix(src.points, mu_pos.points, 2.0), assign,
+    if np.array_equal(ii, np.arange(len(src))):  # ``Coupling`` sorts i
+        v_centered = _max_margin_duals(cost_matrix(src.points, mu_pos.points, 2.0), jj,
                                        len(mu_pos))
         if v_centered is not None:
             v = v_centered

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse.csgraph import maximum_bipartite_matching, shortest_path
+from scipy.sparse.csgraph import dijkstra, maximum_bipartite_matching, shortest_path
 
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
-                                SolverError, _gap_graph, _unit_bounds,
+                                SolverError, _dijkstra, _gap_graph, _unit_bounds,
                                 _solve_assignment, bottleneck_solve,
                                 c_transform, cost_matrix, solve, wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
@@ -403,6 +403,82 @@ def test_assignment_engine_memory_stays_below_one_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+# ---------------------------------------------------------------------------
+# in-house graph searches against SciPy's csgraph
+# ---------------------------------------------------------------------------
+
+def _dijkstra_by_rule(W, sources):
+    """Dijkstra as ``_dijkstra`` documents it, one scalar relaxation at a
+    time: pop the smallest (label, index), update a label only on a strict
+    ``<``.  Returns the predecessors and the pop order."""
+    m = len(W)
+    label, pred, done, order = [math.inf] * m, [-1] * m, [False] * m, []
+    for s in sources:
+        label[s] = 0.0
+    while len(order) < m:
+        d, a = min((label[b], b) for b in range(m) if not done[b])
+        if d == math.inf:
+            break
+        done[a] = True
+        order.append(a)
+        for b in range(m):
+            if not done[b] and d + W[a, b] < label[b]:
+                label[b], pred[b] = d + W[a, b], a
+    return np.array(pred), np.array(order)
+
+
+def _random_dense_graph(rng, m):
+    """Nonnegative weights with zeros, tied sums, missing arcs and rows of
+    missing arcs only."""
+    kind = rng.integers(3)
+    if kind == 0:
+        W = rng.uniform(0.0, 1.0, (m, m))
+    elif kind == 1:
+        W = rng.integers(0, 4, (m, m)).astype(float)
+    else:
+        W = rng.integers(0, 3, (m, m)) * 0.1
+    W[rng.random((m, m)) < 0.1] = 0.0
+    W[rng.random((m, m)) < 0.3] = np.inf
+    W[rng.random(m) < 0.1] = np.inf
+    return W
+
+
+def test_dijkstra_matches_csgraph_and_its_tie_rule():
+    rng = np.random.default_rng(211)
+    for trial in range(300):
+        m = int(rng.integers(1, 30))
+        W = _random_dense_graph(rng, m)
+        sources = np.sort(rng.choice(m, int(rng.integers(1, min(m, 4) + 1)),
+                                     replace=False))
+        dist, pred, root, order = _dijkstra(W, sources)
+        # every arc stored, zero weights included: a dense input would
+        # make csgraph drop them
+        csr = sp.csr_array((W.ravel(), np.tile(np.arange(m), m),
+                            np.arange(0, m * m + 1, m)), shape=(m, m))
+        ref = dijkstra(csr, min_only=True, indices=sources)
+        assert np.array_equal(dist, ref), trial
+        ref_pred, ref_order = _dijkstra_by_rule(W, sources)
+        assert np.array_equal(order, ref_order), trial
+        assert np.array_equal(pred, ref_pred), trial
+        reached = np.isfinite(dist)
+        assert np.array_equal(np.sort(order), np.flatnonzero(reached))
+        assert (root[~reached] == -1).all() and (root[sources] == sources).all()
+        tree = reached & (pred >= 0)
+        assert np.array_equal(root[tree], root[pred[tree]])
+
+
+def test_matching_equals_csgraph_column_matching():
+    rng = np.random.default_rng(223)
+    for trial in range(600):
+        n = int(rng.integers(1, 41))
+        m = n if trial % 3 == 0 else int(rng.integers(1, 41))
+        adj = rng.random((n, m)) < rng.uniform(0.01, 0.7)
+        adj[rng.random(n) < 0.1] = False
+        adj[:, rng.random(m) < 0.1] = False
+        ref = maximum_bipartite_matching(sp.csr_array(adj), perm_type="column")
+        assert np.array_equal(discrete_ot.maximum_bipartite_matching(adj), ref), trial
 
 
 # ---------------------------------------------------------------------------
