@@ -7,27 +7,29 @@ a complementary-slackness audit runs after every solve.
 
 Engines
 -------
-* ``direct``     — one of the marginals is a Dirac: the plan is forced.
-* ``ssp``        — in-house successive-shortest-paths min-cost flow
-                   (NumPy kernel, see ``_kernels``).  A kernel failure
-                   (iteration cap or unroutable units) raises
-                   ``SolverError``; no other engine re-solves.
-* ``assignment`` — uniform sources whose target masses are integer
-                   multiples of 1/n: successive shortest paths on the
-                   K-node target graph, each row moved whole, so the plan
-                   is an exact unsplit assignment; target duals are the
-                   shortest distances from target 0 on that graph.
-* ``highs``      — transportation LP via ``scipy.optimize.linprog`` for
-                   large instances with general weights.
+``solve`` picks one from the instance alone:
 
-``engine="auto"`` routes between them by instance shape.  HiGHS is reached
-only through ``solve``; ``bottleneck_solve`` builds its plans with the
-matching or the SSP kernel and raises ``SolverError`` when they fail.
+* ``_solve_direct``     — one of the marginals is a Dirac: the plan is
+                          forced.
+* ``_solve_assignment`` — a uniform source whose target masses are integer
+                          multiples of 1/n: successive shortest paths on
+                          the K-node target graph, each row moved whole, so
+                          the plan is an exact unsplit assignment; target
+                          duals are the shortest distances from target 0 on
+                          that graph.
+* ``_solve_ssp``        — every other instance: in-house successive-
+                          shortest-paths min-cost flow (NumPy kernel, see
+                          ``_kernels``).  A kernel failure (iteration cap or
+                          unroutable units) raises ``SolverError``; nothing
+                          re-solves.
 
-Only NumPy is imported here: the graph searches are in-house, and
-``_solve_highs`` imports ``scipy.sparse`` and ``scipy.optimize`` on first
-use (about 0.65 s and 45 MiB of resident memory), which runs that never
-reach that engine need not pay.
+``bottleneck_solve`` builds its plans with the matching or the SSP kernel
+and raises ``SolverError`` when they fail.
+
+Only NumPy is imported here, and no solve imports SciPy.  ``_solve_highs``,
+the transportation LP by ``scipy.optimize.linprog``, is the reference that
+tests compare the engines against; it imports ``scipy.sparse`` and
+``scipy.optimize`` when called.
 """
 
 from __future__ import annotations
@@ -239,6 +241,11 @@ def _solve_ssp(cost, w_s, w_t):
     return ii.astype(np.int64), jj.astype(np.int64), mass, u, v
 
 
+def _uniform(w):
+    """Whether every weight is 1/len(w), to within 1e-12."""
+    return np.abs(w - 1.0 / len(w)).max() <= 1e-12
+
+
 def _integral_multiples(w_t, n):
     """Target counts n * w_t, or None unless each is an integer; a positive
     weight that rounds to a zero count is not a multiple of 1/n."""
@@ -431,13 +438,11 @@ def _canonical_duals(gap, v):
     return np.array(dist)
 
 
-def _solve_assignment(cost, w_s, w_t):
-    """Uniform source, integer-multiple targets: an exact assignment, with
-    the canonical target duals of ``_canonical_duals``."""
+def _solve_assignment(cost, w_s, counts):
+    """Uniform source, target capacities ``counts`` (the target masses in
+    units of 1/n): an exact assignment, with the canonical target duals of
+    ``_canonical_duals``."""
     n = cost.shape[0]
-    counts = _integral_multiples(w_t, n)
-    if counts is None or np.abs(w_s - 1.0 / n).max() > 1e-12:
-        raise SolverError("assignment engine needs uniform source and integral targets")
     assign, v = _assign_to_targets(cost, counts)
     u = cost[np.arange(n), assign] - v[assign]
     slack = cost - u[:, None]
@@ -448,51 +453,9 @@ def _solve_assignment(cost, w_s, w_t):
     return i, assign.astype(np.int64), w_s.copy(), u, v
 
 
-def _forest_masses(ii, jj, w_s, w_t):
-    """Exact masses for a plan supported on a forest, by leaf elimination.
-
-    LP solvers return marginals only to their own feasibility tolerance;
-    a basic solution's support is a forest, on which the masses satisfying
-    the marginal constraints are unique and recoverable at float precision.
-    """
-    from collections import deque
-
-    n, m = len(w_s), len(w_t)
-    K = len(ii)
-    row_set = [set() for _ in range(n)]
-    col_set = [set() for _ in range(m)]
-    for k in range(K):
-        row_set[ii[k]].add(k)
-        col_set[jj[k]].add(k)
-    rem_r = np.array(w_s, dtype=float)
-    rem_c = np.array(w_t, dtype=float)
-    mass = np.zeros(K)
-    q = deque((0, a) for a in range(n) if len(row_set[a]) == 1)
-    q.extend((1, b) for b in range(m) if len(col_set[b]) == 1)
-    done = 0
-    while q:
-        side, node = q.popleft()
-        entries = row_set[node] if side == 0 else col_set[node]
-        if len(entries) != 1:
-            continue
-        k = next(iter(entries))
-        a, b = int(ii[k]), int(jj[k])
-        mass[k] = max(rem_r[a] if side == 0 else rem_c[b], 0.0)
-        rem_r[a] -= mass[k]
-        rem_c[b] -= mass[k]
-        row_set[a].discard(k)
-        col_set[b].discard(k)
-        done += 1
-        if len(row_set[a]) == 1:
-            q.append((0, a))
-        if len(col_set[b]) == 1:
-            q.append((1, b))
-    if done != K:
-        raise SolverError("plan support contains a cycle")
-    return mass
-
-
 def _solve_highs(cost, w_s, w_t):
+    """Optimal value of the transportation LP by HiGHS: the reference that
+    tests compare the exact engines against.  No solve calls it."""
     import scipy.sparse as sp  # on first use; see the module docstring
     from scipy.optimize import linprog
 
@@ -504,22 +467,11 @@ def _solve_highs(cost, w_s, w_t):
     res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
-    u, v = duals[:n].copy(), duals[n:].copy()
-    slack = cost - u[:, None] - v[None, :]
-    if slack.min() < -1e-8 * (1.0 + np.abs(cost).max()):
-        u, v = -u, -v  # sign convention differs across scipy versions
-    ii, jj = np.nonzero(plan > 1e-15)
-    ii = ii.astype(np.int64)
-    jj = jj.astype(np.int64)
-    mass = _forest_masses(ii, jj, w_s, w_t)
-    keep = mass > 0
-    return ii[keep], jj[keep], mass[keep], u, v
+    return res.fun
 
 
-def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-          engine: str = "auto") -> tuple[Coupling, float, DualPotentials]:
+def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
+          p: float) -> tuple[Coupling, float, DualPotentials]:
     """Exact optimal transport plan, its cost value and dual potentials.
 
     Returns (coupling, value, duals) with value = sum of mass * cost
@@ -544,30 +496,15 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     n, m = cost.shape
     w_s, w_t = mu0.weights, nu0.weights
 
-    if engine == "auto":
-        if n == 1 or m == 1:
-            engine = "direct"
-        elif np.abs(w_s - 1.0 / n).max() <= 1e-12 and _integral_multiples(w_t, n) is not None:
-            # exact unsplit plans (no mass-scaling artifacts); preferred
-            # whenever the structure allows it
-            engine = "assignment"
-        elif n * m <= 120_000:
-            engine = "ssp"
-        else:
-            engine = "highs"
-
-    if engine == "direct":
-        if n != 1 and m != 1:
-            raise SolverError("direct engine needs a Dirac marginal")
+    if n == 1 or m == 1:
         i, j, mass, u, v = _solve_direct(cost, w_s, w_t)
-    elif engine == "ssp":
-        i, j, mass, u, v = _solve_ssp(cost, w_s, w_t)
-    elif engine == "assignment":
-        i, j, mass, u, v = _solve_assignment(cost, w_s, w_t)
-    elif engine == "highs":
-        i, j, mass, u, v = _solve_highs(cost, w_s, w_t)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        counts = _integral_multiples(w_t, n) if _uniform(w_s) else None
+        if counts is None:
+            i, j, mass, u, v = _solve_ssp(cost, w_s, w_t)
+        else:
+            # an exact unsplit plan, with no mass-scaling artifacts
+            i, j, mass, u, v = _solve_assignment(cost, w_s, counts)
 
     coupling = Coupling(keep_s[i], keep_t[j], mass, mu, nu)
     # extend duals to dropped zero-weight points by c-transform, which is
@@ -589,8 +526,8 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     return coupling, value, duals_full
 
 
-def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, engine: str = "auto") -> float:
-    _, value, _ = solve(mu, nu, p, engine=engine)
+def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
+    _, value, _ = solve(mu, nu, p)
     return float(value ** (1.0 / p))
 
 
@@ -725,8 +662,7 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
     d2 = cost_matrix(mu0.points, nu0.points, 2)
     n, m = d2.shape
 
-    uniform = (n == m and np.abs(mu0.weights - 1.0 / n).max() <= 1e-12
-               and np.abs(nu0.weights - 1.0 / n).max() <= 1e-12)
+    uniform = n == m and _uniform(mu0.weights) and _uniform(nu0.weights)
     lower = max(d2.min(axis=1).max(), d2.min(axis=0).max())
     if uniform:
         upper = d2.diagonal().max()

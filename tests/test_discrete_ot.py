@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra, maximum_bipartite_matching, shortest_
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
                                 SolverError, _dijkstra, _gap_graph, _unit_bounds,
-                                _solve_assignment, bottleneck_solve,
+                                _solve_assignment, _solve_highs, bottleneck_solve,
                                 c_transform, cost_matrix, solve, wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
@@ -102,8 +102,6 @@ def test_solver_input_validation():
         solve(mu, nu2, 2.0)
     with pytest.raises(ValueError):
         solve(mu, _m1([0.0, 1.0], [0.5, 0.6]), 2.0)
-    with pytest.raises(ValueError):
-        solve(mu, _m1([0.0], [1.0]), 2.0, engine="quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +134,62 @@ def test_solver_matches_permutation_oracle():
         assert value == pytest.approx(_brute_force_value(mu, nu, p), abs=1e-10)
 
 
+def _lp_value(mu, nu, p):
+    return _solve_highs(cost_matrix(mu.points, nu.points, p), mu.weights, nu.weights)
+
+
+def _must_not_run(monkeypatch, *names):
+    def fail(*args):
+        raise AssertionError("the wrong engine ran")
+    for name in names:
+        monkeypatch.setattr(discrete_ot, name, fail)
+
+
 def test_engines_agree():
     rng = np.random.default_rng(11)
     for trial in range(10):
         mu, nu = _random_pair(rng, 6, 9, d=2)
-        ref = solve(mu, nu, 2.0, engine="ssp")[1]
-        assert solve(mu, nu, 2.0, engine="highs")[1] == pytest.approx(ref, abs=1e-9)
-        assert solve(mu, nu, 2.0, engine="auto")[1] == pytest.approx(ref, abs=1e-9)
+        assert solve(mu, nu, 2.0)[1] == pytest.approx(_lp_value(mu, nu, 2.0), abs=1e-9)
 
 
-def test_auto_engine_routes_tiny_target_weight_to_ssp():
+@pytest.mark.usefixtures("no_highs")
+def test_ssp_solves_general_weights_past_120k_cells():
+    # 1,250 x 97 = 121,250 cells, count weights over N = 10,000: general
+    # weights go to the SSP engine at every size
+    rng = np.random.default_rng(19)
+    dom = Domain.ball(np.zeros(2), 2.0)
+
+    def counted(k):
+        units = 1 + rng.multinomial(10_000 - k, np.full(k, 1.0 / k))
+        return DiscreteMeasure(rng.uniform(-0.7, 0.7, (k, 2)), units / 10_000, dom)
+
+    mu, nu = counted(1250), counted(97)
+    coupling, value, _ = solve(mu, nu, 2.0)
+    coupling.check_marginals()
+    ref = _lp_value(mu, nu, 2.0)
+    assert abs(value - ref) <= 1e-9 * abs(ref)
+
+
+def test_auto_engine_routes_tiny_target_weight_to_ssp(monkeypatch):
     # 10 * 1e-15 rounds to a zero count, so the targets are not integral
     # multiples of the uniform source weight and the assignment engine,
     # whose canonical duals start from target 0, must not be chosen
     rng = np.random.default_rng(17)
     mu = _m1(rng.uniform(-1, 1, 10), np.full(10, 0.1))
     nu = _m1(rng.uniform(-1, 1, 3), [1e-15, 0.5, 0.5 - 1e-15])
+    i, j, mass, _, _ = discrete_ot._solve_ssp(cost_matrix(mu.points, nu.points, 2.0),
+                                              mu.weights, nu.weights)
+    _must_not_run(monkeypatch, "_solve_assignment")
     coupling, value, _ = solve(mu, nu, 2.0)
-    assert value == solve(mu, nu, 2.0, engine="ssp")[1]
+    assert value == Coupling(i, j, mass, mu, nu).value(2.0)
     coupling.check_marginals()
 
 
-def test_direct_engine_dirac_marginal():
+def test_direct_engine_dirac_marginal(monkeypatch):
     mu = _m1([0.25], [1.0])
     nu = _m1([-1.0, 1.0], [0.5, 0.5])
-    coupling, value, _ = solve(mu, nu, 2.0, engine="direct")
+    _must_not_run(monkeypatch, "_solve_ssp", "_solve_assignment")
+    coupling, value, _ = solve(mu, nu, 2.0)
     assert value == pytest.approx(0.5 * 1.25 ** 2 + 0.5 * 0.75 ** 2, abs=1e-12)
     coupling.check_marginals()
 
@@ -215,13 +244,13 @@ def test_solve_builds_one_cost_matrix(monkeypatch, zeros):
     assert calls == [(len(mu), len(nu))]
 
 
-def _solve_by_separate_matrices(mu, nu, p, engine):
+def _solve_by_separate_matrices(mu, nu, p):
     """Reference for ``solve`` on measures with zero weights: solve on the
     positive-weight atoms, complete the duals by c-transforms on their own
     cost matrices, and check them with ``DualPotentials.verify``."""
     mu0, keep_s = mu.drop_zero_weights()
     nu0, keep_t = nu.drop_zero_weights()
-    c0, _, d0 = solve(mu0, nu0, p, engine=engine)
+    c0, _, d0 = solve(mu0, nu0, p)
     u, v = d0.phi, d0.phi_c
     u_full, v_full = np.empty(len(mu)), np.empty(len(nu))
     u_full[keep_s], v_full[keep_t] = u, v
@@ -249,20 +278,20 @@ def _zero_weight_instances():
         n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         zeros_s, zeros_t = rng.integers(0, 4, size=2)
         mu, nu = _with_zero_weights(rng, n, m, d, zeros_s, zeros_t)
-        yield mu, nu, float(rng.choice([1.5, 2.0, 3.0])), ("auto", "ssp", "highs")[trial % 3]
+        yield mu, nu, float(rng.choice([1.5, 2.0, 3.0]))
     # a uniform source over integral targets: the assignment engine
     dom = Domain.ball(np.zeros(2), 2.0)
     mu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (9, 2)),
                          np.r_[np.full(3, 1 / 6), 0.0, np.full(3, 1 / 6), 0.0, 0.0], dom)
     nu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (4, 2)),
                          np.array([1 / 3, 0.0, 1 / 2, 1 / 6]), dom)
-    yield mu, nu, 2.0, "assignment"
+    yield mu, nu, 2.0
 
 
 def test_solve_with_zero_weights_matches_separate_matrices_bitwise():
-    for mu, nu, p, engine in _zero_weight_instances():
-        coupling, value, duals = solve(mu, nu, p, engine=engine)
-        ref_c, ref_value, ref_d = _solve_by_separate_matrices(mu, nu, p, engine)
+    for mu, nu, p in _zero_weight_instances():
+        coupling, value, duals = solve(mu, nu, p)
+        ref_c, ref_value, ref_d = _solve_by_separate_matrices(mu, nu, p)
         assert np.array_equal(coupling.i, ref_c.i) and np.array_equal(coupling.j, ref_c.j)
         assert np.array_equal(_bits(coupling.mass), _bits(ref_c.mass))
         assert np.array_equal(_bits(value), _bits(ref_value))
@@ -301,7 +330,7 @@ def _lsap_assignment(cost, counts):
 
 def _check_assignment_engine(cost, counts, generic):
     n, m = cost.shape
-    i, j, mass, u, v = _solve_assignment(cost, np.full(n, 1.0 / n), counts / n)
+    i, j, mass, u, v = _solve_assignment(cost, np.full(n, 1.0 / n), counts)
     assert (i == np.arange(n)).all() and (mass == 1.0 / n).all()
     assert (np.bincount(j, minlength=m) == counts).all()
     ref = _lsap_assignment(cost, counts)
@@ -398,7 +427,7 @@ def test_assignment_engine_memory_stays_below_one_square_matrix():
     counts[: n - counts.sum()] += 1
     tracemalloc.start()
     try:
-        _solve_assignment(cost, np.full(n, 1.0 / n), counts / n)
+        _solve_assignment(cost, np.full(n, 1.0 / n), counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,10 +529,8 @@ def test_triangle_inequality():
 
 @pytest.fixture
 def no_highs(monkeypatch):
-    """HiGHS raises if called: bottleneck plans never reach it."""
-    def fail(*args):
-        raise AssertionError("bottleneck_solve called HiGHS")
-    monkeypatch.setattr(discrete_ot, "_solve_highs", fail)
+    """HiGHS raises if called: no solve and no bottleneck plan reaches it."""
+    _must_not_run(monkeypatch, "_solve_highs")
 
 
 @pytest.mark.usefixtures("no_highs")

@@ -1,8 +1,9 @@
 """What importing and running otpush loads.
 
-``import otpush`` loads NumPy only: the transport solves use in-house graph
-searches.  SciPy is needed only by the ``highs`` engine, which imports
-``scipy.sparse`` and ``scipy.optimize`` on first use (together about
+``import otpush`` loads NumPy only, and no solve loads SciPy: the transport
+solves use in-house graph searches.  SciPy is needed only by the LP
+reference ``discrete_ot._solve_highs`` that tests compare against, which
+imports ``scipy.sparse`` and ``scipy.optimize`` when called (together about
 0.65 s and 45 MiB), and by the names that the traced benchmark patches,
 which ``discrete_ot`` resolves on first access.  The checks run in a fresh
 interpreter, since this test process may already hold SciPy from other
@@ -43,16 +44,17 @@ _SCRIPT = textwrap.dedent("""
             assert otpush.cli.main(argv + ["--out", out]) == 0, argv
             assert not scipy_loaded(), (argv, scipy_loaded())
 
-    # the HiGHS engine still works, loading scipy.sparse and
+    # the LP reference still works, loading scipy.sparse and
     # scipy.optimize itself
     rng = np.random.default_rng(3)
     dom = Domain.ball(np.zeros(2), 2.0)
     w, v = rng.uniform(0.2, 1.0, 6), rng.uniform(0.2, 1.0, 9)
     mu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (6, 2)), w / w.sum(), dom)
     nu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (9, 2)), v / v.sum(), dom)
-    ssp = discrete_ot.solve(mu, nu, 2.0, engine="ssp")[1]
-    assert not scipy_loaded(), ("engine='ssp'", scipy_loaded())
-    highs = discrete_ot.solve(mu, nu, 2.0, engine="highs")[1]
+    ssp = discrete_ot.solve(mu, nu, 2.0)[1]
+    assert not scipy_loaded(), ("solve", scipy_loaded())
+    highs = discrete_ot._solve_highs(discrete_ot.cost_matrix(mu.points, nu.points, 2.0),
+                                     mu.weights, nu.weights)
     assert abs(highs - ssp) <= 1e-9, (highs, ssp)
     assert "scipy.sparse" in sys.modules and "scipy.optimize" in sys.modules
 
@@ -73,7 +75,7 @@ _SCRIPT = textwrap.dedent("""
 
 
 # A failed SSP solve raises with the instance's shape, cap and unrouted
-# units; it is not re-solved by HiGHS, so SciPy stays unloaded.
+# units; nothing re-solves it, so SciPy stays unloaded.
 # The same holds for the 0/1-cost solves of a general-weight
 # ``bottleneck_solve``, on the 6x9 instance widened by a second row or
 # column for each atom with a fractional unit count and a dummy row and
@@ -109,16 +111,15 @@ _SSP_FAILURE_SCRIPT = textwrap.dedent("""
     assert unrouted > 0
     for status, reason in ((1, "iteration cap hit"), (2, "no sink")):
         _kernels.ssp_flow = failing(status)
-        for engine in ("ssp", "auto"):
-            try:
-                discrete_ot.solve(mu, nu, 2.0, engine=engine)
-            except discrete_ot.SolverError as exc:
-                msg = str(exc)
-            else:
-                raise AssertionError("SSP failure passed silently")
-            for part in ("6x9", reason, f"status {status}", "= 214",
-                         f"{unrouted} of {discrete_ot.MASS_SCALE} units"):
-                assert part in msg, (part, msg)
+        try:
+            discrete_ot.solve(mu, nu, 2.0)
+        except discrete_ot.SolverError as exc:
+            msg = str(exc)
+        else:
+            raise AssertionError("SSP failure passed silently")
+        for part in ("6x9", reason, f"status {status}", "= 214",
+                     f"{unrouted} of {discrete_ot.MASS_SCALE} units"):
+            assert part in msg, (part, msg)
         try:
             discrete_ot.bottleneck_solve(mu, nu)
         except discrete_ot.SolverError as exc:
@@ -127,7 +128,7 @@ _SSP_FAILURE_SCRIPT = textwrap.dedent("""
             raise AssertionError("SSP failure in bottleneck_solve passed silently")
         for part in ("13x19", reason, f"status {status}", "= 384"):
             assert part in msg, (part, msg)
-    assert seen == [214, 214, 384] * 2, seen
+    assert seen == [214, 384] * 2, seen
     assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "SSP failure"
 """)
 

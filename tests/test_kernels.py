@@ -14,13 +14,13 @@ import heapq
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from otpush import random_max_affine
 from otpush._kernels import ball_activity_2d, ssp_flow
 from otpush.convex_analysis import (_TIE_TOL, MaxAffineFunction, _ball_diams,
                                     _cell_actives_2d)
-from otpush.discrete_ot import MASS_SCALE, _scaled_units
+from otpush.discrete_ot import MASS_SCALE, _scaled_units, _solve_highs
 
 # ---------------------------------------------------------------------------
 # min-cost flow
@@ -61,16 +61,6 @@ def _check_flow_optimal(cost, supply, demand, flow, u, v, status):
     assert np.abs(slack[active]).max() <= 1e-9 * (1.0 + np.abs(cost).max())
 
 
-def _highs_value(cost, supply, demand):
-    n, m = cost.shape
-    A_eq = np.vstack([np.kron(np.eye(n), np.ones((1, m))),
-                      np.kron(np.ones((1, n)), np.eye(m))])
-    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([supply, demand]),
-                  bounds=(0, None), method="highs")
-    assert res.status == 0
-    return res.fun
-
-
 def test_ssp_flow_matches_lsap_on_permutations():
     rng = np.random.default_rng(71)
     for trial in range(30):
@@ -95,7 +85,7 @@ def test_ssp_flow_matches_highs_on_integer_instances():
         cost, supply, demand = make(rng, n, m)
         flow, u, v, status = ssp_flow(cost, supply, demand, max_iters=10_000)
         _check_flow_optimal(cost, supply, demand, flow, u, v, status)
-        ref = _highs_value(cost, supply, demand)
+        ref = _solve_highs(cost, supply, demand)
         assert abs((flow * cost).sum() - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
