@@ -11,9 +11,11 @@
   points, bracket the set of affine pieces active somewhere in the closed
   ball of radius ``eta`` around each point, between the pieces active at
   the center and a pairwise-slack upper set (squared slope-diameter
-  brackets plus an ambiguity flag).  ``convex_analysis`` resolves the
-  ambiguous points exactly from the pieces' cells, taking diameters from
-  the same ``pair_dist2`` values through ``active_diam2``.
+  brackets plus an ambiguity flag).  It serves ``convex_analysis``'s
+  one-point queries (``diam_subdiff_ball``), which resolve the ambiguous
+  points exactly from the pieces' cells; the grid scans mark exact cell
+  offsets instead.  Both take diameters from the same ``pair_dist2``
+  values through ``active_diam2``.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def ssp_flow(cost, supply, demand, *, max_iters):
 
 
 # ---------------------------------------------------------------------------
-# ball activity bracketing for max-affine functions (2D scans)
+# slope diameters over balls for max-affine functions (2D)
 # ---------------------------------------------------------------------------
 
 def pair_dist2(slopes):

@@ -19,11 +19,15 @@ Exactness strategy: in 1D every quantity is computed from the upper envelope
 of the affine pieces (slopes active on an interval are a contiguous run of
 envelope slopes).  In 2D piece i is active somewhere in B(x, eta) exactly
 when its max-affine cell {z : f_i(z) >= f_j(z) - tol for all j} lies within
-eta of x.  A fast kernel first brackets the active set between the pieces
-active at the center and a pairwise-slack upper set; where the two
-diameters agree they are exact.  The remaining points are resolved in one
-batch: each cell is clipped once from a box holding every ball, and a piece
-is active when the point lies in its cell or within eta of its boundary.
+eta of x: x meets the cell's inequalities or lies within eta of the cell
+clipped from a box holding every ball (``_cell_active``).  The grid scans
+of the covering and the integral mark each row's section of every cell's
+eta-offset directly and run that predicate only on a few columns around the
+section ends and on the rows nearly tangent to the offset.  A one-point
+query first brackets the active set between the pieces active at the
+center and a pairwise-slack upper set (``_kernels.ball_activity_2d``);
+where the two diameters agree they are exact, and otherwise the predicate
+decides.
 """
 
 from __future__ import annotations
@@ -308,36 +312,47 @@ def _cell_polygon(A: np.ndarray, B: np.ndarray, i: int, box: np.ndarray) -> np.n
     return poly
 
 
+def _box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The counter-clockwise square [lo, hi] that ``_cell_polygon`` clips."""
+    return np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+
+
+def _cell_active(A: np.ndarray, B: np.ndarray, i: int, poly: np.ndarray,
+                 centers: np.ndarray, eta: float) -> np.ndarray:
+    """Whether piece i's cell comes within eta of each center: the center
+    meets the cell's inequalities (in the arithmetic that clips the cell), or
+    its squared distance to the clipped cell ``poly`` is at most eta^2."""
+    g = centers @ (A[i] - A).T
+    g += B[i] - B + _TIE_TOL
+    active = np.ones(len(centers), dtype=bool)
+    for j in range(len(B)):
+        active &= g[:, j] >= 0
+    x, y = centers[:, 0], centers[:, 1]
+    d2 = np.full(len(centers), np.inf)
+    for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
+        wx, wy = x - p[0], y - p[1]
+        ee = e @ e
+        if ee > 0:
+            t = np.clip((wx * e[0] + wy * e[1]) / ee, 0.0, 1.0)
+            wx -= t * e[0]
+            wy -= t * e[1]
+        np.minimum(d2, wx * wx + wy * wy, out=d2)
+    active |= d2 <= eta * eta
+    return active
+
+
 def _cell_actives_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
     """Exact (k, npts) mask of the pieces active somewhere in each B(x, eta).
 
-    Piece i is active iff its cell comes within eta of x: x lies in the cell
-    (meets its inequalities, in the arithmetic that clips the cell), or x is
-    within eta of the cell's boundary.  Cells are clipped once from a box
-    holding every ball, which changes no distance up to eta.
+    Piece i is active iff its cell comes within eta of x (``_cell_active``).
+    Cells are clipped once from a box holding every ball, which changes no
+    distance up to eta.
     """
     A, B = f.slopes, f.intercepts
-    lo = centers.min(axis=0) - 2.0 * eta
-    hi = centers.max(axis=0) + 2.0 * eta
-    box = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
-    active = np.ones((len(B), len(centers)), dtype=bool)
-    x, y = centers[:, 0], centers[:, 1]
+    box = _box(centers.min(axis=0) - 2.0 * eta, centers.max(axis=0) + 2.0 * eta)
+    active = np.empty((len(B), len(centers)), dtype=bool)
     for i in range(len(B)):
-        g = centers @ (A[i] - A).T
-        g += B[i] - B + _TIE_TOL
-        for j in range(len(B)):
-            active[i] &= g[:, j] >= 0
-        poly = _cell_polygon(A, B, i, box)
-        d2 = np.full(len(centers), np.inf)
-        for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
-            wx, wy = x - p[0], y - p[1]
-            ee = e @ e
-            if ee > 0:
-                t = np.clip((wx * e[0] + wy * e[1]) / ee, 0.0, 1.0)
-                wx -= t * e[0]
-                wy -= t * e[1]
-            np.minimum(d2, wx * wx + wy * wy, out=d2)
-        active[i] |= d2 <= eta * eta
+        active[i] = _cell_active(A, B, i, _cell_polygon(A, B, i, box), centers, eta)
     return active
 
 
@@ -401,22 +416,159 @@ class SingularSetReport:
                      f"alpha={self.alpha!r},R={self.R!r}\n")
 
 
+def _disc_mask(axis: np.ndarray, r2: float) -> np.ndarray:
+    """(n, n) mask of the grid points (axis[i], axis[j]) with
+    axis[i]^2 + axis[j]^2 <= r2.  On an increasing axis each row's points
+    are one run of columns."""
+    sq = axis * axis
+    return sq[:, None] + sq[None, :] <= r2
+
+
 def _disc_grid(axis: np.ndarray, r2: float) -> np.ndarray:
     """Points (axis[i], axis[j]) with axis[i]^2 + axis[j]^2 <= r2, in
     row-major (i, j) order, without the full product grid."""
-    sq = axis * axis
-    i, j = np.nonzero(sq[:, None] + sq[None, :] <= r2)
+    i, j = np.nonzero(_disc_mask(axis, r2))
     return np.stack([axis[i], axis[j]], axis=1)
 
 
-def _scan_grid(d: int, R: float, step: float) -> np.ndarray:
+def _scan_axis(R: float, step: float) -> np.ndarray:
+    """-R, -R + step, ... up to R, with R appended when the steps stop short."""
     n = int(math.floor(2.0 * R / step + 1e-9))
     axis = -R + step * np.arange(n + 1)
     if axis[-1] < R - 1e-12:
         axis = np.append(axis, R)
-    if d == 1:
-        return axis[:, None]
-    return _disc_grid(axis, R * R * (1 + 1e-12))
+    return axis
+
+
+# Columns on each side of a row section's ends that the exact predicate decides.
+_BAND = 3
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integer ranges [lo[t], hi[t]) (each lo <= hi), concatenated."""
+    lens = hi - lo
+    offsets = np.cumsum(lens) - lens  # where each range starts in the output
+    return np.arange(lens.sum()) + np.repeat(lo - offsets, lens)
+
+
+def _row_span(c: float, lo: np.ndarray, hi: np.ndarray):
+    """The v with lo <= c v <= hi, as (low end, high end); empty rows get
+    (inf, -inf)."""
+    if c > 0:
+        return lo / c, hi / c
+    if c < 0:
+        return hi / c, lo / c
+    hit = (lo <= 0) & (hi >= 0)
+    return np.where(hit, -np.inf, np.inf), np.where(hit, np.inf, -np.inf)
+
+
+def _offset_sections(poly: np.ndarray, x: np.ndarray, eta: float):
+    """Ends (lo, hi) of the sections of the rows {(x[r], y)} through the
+    points within eta of the convex polygon ``poly``: lo = inf, hi = -inf on
+    a row that misses them.
+
+    That set is the union over the polygon's edges of the stadiums
+    edge + B(0, eta) (with the polygon, which lies between them on every
+    row), so each end is the outermost end over the edges of the stadium
+    sections.  A stadium is the disc around its edge's start (the end is the
+    next edge's start) and the rectangle of points projecting onto the edge
+    within eta of it, whose section is cut out by four half-planes.
+    """
+    lo = np.full(len(x), np.inf)
+    hi = np.full(len(x), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
+            u = x - p[0]
+            chord2 = eta * eta - u * u
+            hit = chord2 >= 0
+            half = np.sqrt(np.where(hit, chord2, 0.0))
+            np.minimum(lo, np.where(hit, p[1] - half, np.inf), out=lo)
+            np.maximum(hi, np.where(hit, p[1] + half, -np.inf), out=hi)
+            ee = e @ e
+            if ee == 0:
+                continue
+            # v = y - p_y with 0 <= u e_x + v e_y <= |e|^2 and
+            # |u e_y - v e_x| <= eta |e|
+            along = _row_span(e[1], -u * e[0], ee - u * e[0])
+            width = eta * math.sqrt(ee)
+            across = _row_span(e[0], u * e[1] - width, u * e[1] + width)
+            v_lo = np.maximum(along[0], across[0])
+            v_hi = np.minimum(along[1], across[1])
+            hit = v_lo <= v_hi
+            np.minimum(lo, np.where(hit, p[1] + v_lo, np.inf), out=lo)
+            np.maximum(hi, np.where(hit, p[1] + v_hi, -np.inf), out=hi)
+    return lo, hi
+
+
+def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: float) -> np.ndarray:
+    """Exact diameter of the slopes active in B(x, eta) at every point of
+    ``_disc_grid(axis, r2)`` in its order, for a 2D f.  It gives the bits of
+    ``_ball_diams`` on those points, except where a point lies exactly eta
+    from a cell, to the last bit, and the bracket kernel rounds the other way.
+
+    Piece i is active in B(x, eta) iff x lies within eta of its cell, and
+    each grid row (fixed axis[r], varying axis[c]) meets that convex set in
+    one section (``_offset_sections``).  Points more than ``_BAND`` columns
+    inside a section are active and points more than ``_BAND`` columns
+    outside it are not: a margin of at least two grid steps, far above
+    rounding.  The exact predicate ``_cell_active`` decides the band points
+    in between, and every point of the rows within ``_BAND + 1`` rows of the
+    set's leftmost or rightmost x, where rows cross its boundary nearly
+    tangentially and a column margin is no distance margin.  Each cell is
+    clipped once from the box of the axis's ends +- 2 eta.
+    """
+    A, B = f.slopes, f.intercepts
+    n = len(axis)
+    inside = _disc_mask(axis, r2)
+    first = inside.argmax(axis=1)  # each row's first column
+    stop = first + inside.sum(axis=1)  # and one past its last
+    start = np.concatenate([[0], np.cumsum(stop - first)])  # point index of each row's first column
+    npts = int(start[-1])
+    box = _box(np.full(2, axis[0] - 2.0 * eta), np.full(2, axis[-1] + 2.0 * eta))
+    active = np.zeros((len(B), npts), dtype=bool)
+    for i in range(len(B)):
+        poly = _cell_polygon(A, B, i, box)
+        if len(poly) == 0:
+            continue
+        r0 = np.searchsorted(axis, poly[:, 0].min() - eta)
+        r1 = np.searchsorted(axis, poly[:, 0].max() + eta, side="right") - 1
+        rows = np.arange(max(r0 - _BAND - 1, 0), min(r1 + _BAND + 2, n))
+        full = (np.abs(rows - r0) <= _BAND + 1) | (np.abs(rows - r1) <= _BAND + 1)
+        cut = rows[~full]
+        lo, hi = _offset_sections(poly, axis[cut], eta)
+        met = lo <= hi
+        cut, lo, hi = cut[met], lo[met], hi[met]
+        c_lo = np.searchsorted(axis, lo)  # first column in the section
+        c_hi = np.searchsorted(axis, hi, side="right")  # first column past it
+        sure_lo = c_lo + _BAND
+        sure_hi = np.maximum(c_hi - _BAND, sure_lo)
+
+        # sure columns: a difference array over point indices, summed up
+        a = np.clip(sure_lo, first[cut], stop[cut])
+        b = np.clip(sure_hi, first[cut], stop[cut])
+        some = a < b
+        to_index = start[cut] - first[cut]
+        diff = np.zeros(npts + 1, dtype=np.int8)
+        diff[(a + to_index)[some]] = 1
+        diff[(b + to_index)[some]] -= 1  # after the 1s: a run may end where the next starts
+        np.cumsum(diff[:npts], dtype=np.int8, out=diff[:npts])
+        np.not_equal(diff[:npts], 0, out=active[i])
+
+        # band columns and full rows: the exact predicate
+        whole = rows[full]
+        r = np.concatenate([cut, cut, whole])
+        c_from = np.concatenate([c_lo - _BAND, sure_hi, first[whole]])
+        c_to = np.concatenate([sure_lo, c_hi + _BAND, stop[whole]])
+        c_from = np.clip(c_from, first[r], stop[r])
+        c_to = np.clip(c_to, c_from, stop[r])
+        cols = _ranges(c_from, c_to)
+        r = np.repeat(r, c_to - c_from)
+        centers = np.stack([axis[r], axis[cols]], axis=1)
+        idx = start[r] + cols - first[r]
+        # a one-row product takes BLAS's matrix-vector path, with other bits
+        batch = centers if len(centers) > 1 else np.repeat(centers, 2, axis=0)
+        active[i, idx] = _cell_active(A, B, i, poly, batch, eta)[:len(idx)]
+    return np.sqrt(_kernels.active_diam2(active, _kernels.pair_dist2(A)))
 
 
 def count_bound(d: int, R: float, eta: float, alpha: float, lip: float) -> float:
@@ -431,7 +583,8 @@ def covering_number_sigma(f: MaxAffineFunction, eta: float, alpha: float, R: flo
 
     The greedy centers are pairwise > 8 eta apart, so the reported count is
     simultaneously a valid covering size and subject to the packing-style
-    count bound.
+    count bound.  In 2D the scan's diameters come from row sections of the
+    cells' eta-offsets (``_grid_ball_diams``).
     """
     if min(eta, alpha, R) <= 0:
         raise ValueError("eta, alpha, R must be positive")
@@ -440,8 +593,16 @@ def covering_number_sigma(f: MaxAffineFunction, eta: float, alpha: float, R: flo
     bound = count_bound(d, R, eta, alpha, lip)
     if alpha > 2.0 * lip:
         return SingularSetReport(eta, alpha, R, np.empty((0, d)), 0, bound, lip)
-    pts = _scan_grid(d, R, eta / 4.0)
-    diams = _ball_diams(f, pts, eta)
+    axis = _scan_axis(R, eta / 4.0)
+    if d == 1:
+        pts = axis[:, None]
+        diams = _ball_diams(f, pts, eta)
+    elif d == 2:
+        r2 = R * R * (1 + 1e-12)
+        pts = _disc_grid(axis, r2)
+        diams = _grid_ball_diams(f, axis, r2, eta)
+    else:
+        raise NotImplementedError("ball scans are implemented for d in {1, 2}")
     detected = pts[diams >= alpha - _ALPHA_TOL]
     centers = []
     uncovered = np.ones(len(detected), dtype=bool)
@@ -478,7 +639,9 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
     1D: the integrand is piecewise constant in x with breakpoints at
     kink +- eta, so midpoint evaluation on the breakpoint-aligned partition
     integrates it exactly.  2D: midpoint rule on a uniform grid of step
-    min(eta/8, R/512) restricted to the ball.
+    min(eta/8, R/512) restricted to the ball, with each point's exact
+    diameter from row sections of the cells' eta-offsets
+    (``_grid_ball_diams``).
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
@@ -498,7 +661,7 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
         h = min(eta / 8.0, R / 512.0)
         n = int(math.ceil(2.0 * R / h))
         axis = -R + h * (np.arange(n) + 0.5)
-        vals = _ball_diams(f, _disc_grid(axis, R * R), eta)
+        vals = _grid_ball_diams(f, axis, R * R, eta)
         return IntegralDiamEstimate(float((vals ** q).sum() * h * h), bound)
     raise NotImplementedError("integral scans are implemented for d in {1, 2}")
 

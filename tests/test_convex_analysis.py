@@ -18,7 +18,7 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, lipschitz_extension,
                                     subdifferential, verify_lemma_diam_l1)
-from otpush.convex_analysis import _cell_polygon, _disc_grid, _scan_grid
+from otpush.convex_analysis import _cell_polygon, _disc_grid, _scan_axis
 from otpush.experiments import random_max_affine
 
 REPO = Path(__file__).resolve().parents[1]
@@ -830,13 +830,14 @@ def test_disc_grid_matches_meshgrid_mask():
     assert _bits(pts) == _bits(_meshgrid_disc(axis, 25.0))
     assert int(((pts ** 2).sum(1) == 25.0).sum()) == 12
     assert _disc_grid(axis + 100.0, 25.0).shape == (0, 2)
-    # _scan_grid appends R when its step stops short; with a step just over
+    # _scan_axis appends R when its step stops short; with a step just over
     # 1/4, 1e-7 is on the axis and (+-1, 1e-7) is within the 1e-12 slack
     step = (1.0 + 1e-7) / 4.0
     axis = -1.0 + step * np.arange(8)
     assert axis[-1] < 1.0 - 1e-12
     axis = np.append(axis, 1.0)
-    pts = _scan_grid(2, 1.0, step)
+    assert _bits(_scan_axis(1.0, step)) == _bits(axis)
+    pts = _disc_grid(_scan_axis(1.0, step), 1.0 + 1e-12)
     assert _bits(pts) == _bits(_meshgrid_disc(axis, 1.0 + 1e-12))
     assert (pts[:, 0] == 1.0).sum() == 1 and (pts[:, 1] == 1.0).sum() == 1
 
@@ -881,6 +882,29 @@ def test_integral_matches_old_scan_code_bitwise(monkeypatch):
     new = [_bits(*integral_diam_estimate(f, eta, q, 1.0)) for f, eta, q in cases]
     _old_scan_code(monkeypatch)
     assert [_bits(*integral_diam_estimate(f, eta, q, 1.0)) for f, eta, q in cases] == new
+
+
+def test_grid_scans_run_without_the_bracket_kernel(monkeypatch):
+    # the values the bracket kernel and its exact fallback gave; the
+    # covering's step 0.0325 stops short of 1, so its axis ends in 0.9825, 1
+    f = random_max_affine(np.random.default_rng(61), 2, 5, 3.0, 1.0)
+
+    def must_not_run(*args):
+        raise AssertionError("a grid scan took the one-point path")
+
+    monkeypatch.setattr(_kernels, "ball_activity_2d", must_not_run)
+    monkeypatch.setattr(convex_analysis, "_cell_actives_2d", must_not_run)
+    assert integral_diam_estimate(f, 0.12, 2.0, 1.0).estimate == 2.7082385723990035
+    rep = covering_number_sigma(f, 0.13, 0.6 * f.lip, 1.0)
+    assert rep.count == 2
+    assert rep.centers.tolist() == [[-0.4475, -0.87], [-0.2849999999999999, 0.16999999999999993]]
+
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(_kernels, "ball_activity_2d",
+                        lambda *args: calls.append(args) or _broadcast_ball_activity_2d(*args))
+    diam_subdiff_ball(f, np.array([0.1, -0.2]), 0.12)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

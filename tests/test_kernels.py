@@ -4,8 +4,10 @@
 instances, against the HiGHS LP on general integer instances, and bit for
 bit against its earlier form, which stored every sink's predecessor during
 the search.
-``ball_activity_2d`` and the 2D ball scans built on it are checked against
-exact max-affine cells, clipped from a box by halfplanes.
+``ball_activity_2d`` and the one-point ball scans built on it are checked
+against exact max-affine cells, clipped from a box by halfplanes; the 2D grid
+scans from row sections of the cells' eta-offsets are checked bit for bit
+against them.
 """
 
 import hashlib
@@ -19,7 +21,8 @@ from scipy.optimize import linear_sum_assignment
 from otpush import random_max_affine
 from otpush._kernels import ball_activity_2d, ssp_flow
 from otpush.convex_analysis import (_TIE_TOL, MaxAffineFunction, _ball_diams,
-                                    _cell_actives_2d)
+                                    _cell_actives_2d, _disc_grid, _grid_ball_diams,
+                                    _scan_axis)
 from otpush.discrete_ot import MASS_SCALE, _scaled_units, _solve_highs
 
 # ---------------------------------------------------------------------------
@@ -523,6 +526,54 @@ def test_cell_actives_match_cell_distance_oracle(piece, eta, seed):
         if (np.abs(dist - eta) <= 1e-9).any():
             continue
         assert (active[:, t] == (dist <= eta)).all(), (t, dist)
+
+
+@st.composite
+def _lattice_max_affine(draw):
+    """1-6 pieces with integer slopes in [-2, 2]^2 (so +-e_1, +-e_2 and equal
+    slopes come up often) and quarter-step intercepts in [-1, 1]."""
+    k = draw(st.integers(1, 6))
+    coord = st.integers(-2, 2)
+    slopes = draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k))
+    intercepts = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    return np.array(slopes, dtype=float), np.array(intercepts, dtype=float) / 4.0
+
+
+@st.composite
+def _random_pieces(draw):
+    f = random_max_affine(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                          2, draw(st.integers(1, 6)), 3.0, 1.0)
+    return f.slopes, f.intercepts
+
+
+def _grid_axis(kind, n, frac):
+    """The integral's midpoint axis over [-1, 1] with n rows, or the
+    covering's axis whose step 2 / (n + frac) stops short of 1, so that 1 is
+    appended; with the disc radius^2 each scan uses."""
+    if kind == "midpoint":
+        return -1.0 + (2.0 / n) * (np.arange(n) + 0.5), 1.0
+    return _scan_axis(1.0, 2.0 / (n + frac)), 1.0 + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(piece=st.one_of(_degenerate_max_affine(), _lattice_max_affine(), _random_pieces()),
+       eta=st.floats(0.02, 0.5), kind=st.sampled_from(["midpoint", "scan"]),
+       n=st.integers(16, 160), frac=st.floats(0.05, 0.95))
+# piece 0's cell is x_1 >= -5e-13 and row 8 of the axis is x_1 = -15/32: the
+# row lies exactly eta from the cell, tangent to the set within eta of it
+@example(piece=(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)),
+         eta=0.4687499999995, kind="midpoint", n=32, frac=0.5)
+# the same with x_2: column 8 lies exactly eta from the cell, at the ends of
+# the row sections
+@example(piece=(np.array([[0.0, 1.0], [0.0, -1.0]]), np.zeros(2)),
+         eta=0.4687499999995, kind="midpoint", n=32, frac=0.5)
+def test_row_section_scan_matches_ball_diams_bitwise(piece, eta, kind, n, frac):
+    f = MaxAffineFunction(*piece)
+    axis, r2 = _grid_axis(kind, n, frac)
+    new = _grid_ball_diams(f, axis, r2, eta)
+    old = _ball_diams(f, _disc_grid(axis, r2), eta)
+    assert new.shape == old.shape
+    assert (new.view(np.int64) == old.view(np.int64)).all()
 
 
 def test_ball_activity_dispatch():
