@@ -1,4 +1,4 @@
-"""The two hot NumPy kernels.
+"""The NumPy kernels.
 
 * ``ssp_flow`` — successive-shortest-path min-cost flow on a dense bipartite
   transportation instance with integer supplies/demands and float costs.
@@ -7,15 +7,12 @@
   rule (first source in pop order), so a plan and its duals are a function
   of the instance alone.  Each pop costs a handful of NumPy calls on rows of
   one clamped reduced-cost matrix built per augmentation.
-* ``ball_activity_2d`` — for a max-affine function and a batch of query
-  points, bracket the set of affine pieces active somewhere in the closed
-  ball of radius ``eta`` around each point, between the pieces active at
-  the center and a pairwise-slack upper set (squared slope-diameter
-  brackets plus an ambiguity flag).  It serves ``convex_analysis``'s
-  one-point queries (``diam_subdiff_ball``), which resolve the ambiguous
-  points exactly from the pieces' cells; the grid scans mark exact cell
-  offsets instead.  Both take diameters from the same ``pair_dist2``
-  values through ``active_diam2``.
+* ``pair_dist2`` and ``active_diam2`` — the slope diameters of every 2D
+  ball query in ``convex_analysis``, which decides activity from exact cells.
+* ``ball_activity_2d`` — a bracket of the pieces active in a ball that no
+  otpush code calls.  It is kept only because ``perfbench/spans.py``
+  patches it and ``tests/test_perfbench_contract.py`` calls it, and goes
+  with the benchmark change that drops its metrics.
 """
 
 from __future__ import annotations
@@ -219,13 +216,8 @@ def ball_activity_2d(slopes, intercepts, points, eta, tol):
     center + eta * |a_i - a_j|.  Lower set L: pieces within tol of the max
     at the center itself, which are active in every ball around it.
     Returns squared diameters of both slope sets and a flag marking points
-    where the brackets disagree beyond tol; the caller resolves those from
-    exact cell geometry.
-
-    Works on one piece's row at a time: NumPy reductions along a short last
-    axis are slow, while max, comparisons and the pairwise differences are
-    exact, so the brackets equal those of a whole-matrix formulation bit
-    for bit.
+    where the brackets disagree beyond tol.  Nothing in otpush calls it; it
+    stays only for the benchmark's patch list (see the module docstring).
     """
     slopes = np.asarray(slopes, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)

@@ -116,10 +116,6 @@ def _build_config(args) -> tuple[SweepConfig, str | None]:
     example_id = doc.pop("id", None)
     fields = {"scenario": _SCENARIO_OF[args.command]}
     fields.update(doc)
-    if "eps" in fields:
-        fields["eps"] = tuple(float(e) for e in fields["eps"])
-    if "targets" in fields:
-        fields["targets"] = tuple(str(t) for t in fields["targets"])
     eps = _eps_from_flags(args)
     if eps is not None:
         fields["eps"] = eps
@@ -160,10 +156,7 @@ def main(argv=None) -> int:
     except BoundViolationError as e:
         print(f"bound violation:\n{e}", file=sys.stderr)
         return 2
-    except _UsageError as e:
-        print(f"otpush: error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError) as e:  # _UsageError is a ValueError
         print(f"otpush: error: {e}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,13 @@ of the affine pieces (slopes active on an interval are a contiguous run of
 envelope slopes).  In 2D piece i is active somewhere in B(x, eta) exactly
 when its max-affine cell {z : f_i(z) >= f_j(z) - tol for all j} lies within
 eta of x: x meets the cell's inequalities or lies within eta of the cell
-clipped from a box holding every ball (``_cell_active``).  The grid scans
-of the covering and the integral mark each row's section of every cell's
-eta-offset directly and run that predicate only on a few columns around the
-section ends and on the rows nearly tangent to the offset.  A one-point
-query first brackets the active set between the pieces active at the
-center and a pairwise-slack upper set (``_kernels.ball_activity_2d``);
-where the two diameters agree they are exact, and otherwise the predicate
-decides.
+clipped from a box holding every ball (``_cell_active``).  That predicate is
+the one rule for every 2D query.  A one-point query runs it on every piece
+(``_cell_actives_2d``); the grid scans of the covering and the integral mark
+each row's section of every cell's eta-offset directly and run it only on a
+few columns around the section ends and on the rows nearly tangent to the
+offset.  Products of points with slopes go through ``_batch_product``, so a
+point gets the same bits alone as inside a batch.
 """
 
 from __future__ import annotations
@@ -58,6 +57,15 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 _ALPHA_TOL = 1e-9
+
+
+def _batch_product(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """pts @ m with each row's bits those of the same row in any batch: a
+    1-row product takes BLAS's matrix-vector path, which rounds differently,
+    so one row is computed on two and sliced."""
+    if len(pts) == 1:
+        return (np.repeat(pts, 2, axis=0) @ m)[:1]
+    return pts @ m
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +101,7 @@ class MaxAffineFunction:
 
     def piece_values(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = pts @ self.slopes.T
+        vals = _batch_product(pts, self.slopes.T)
         vals += self.intercepts
         return vals
 
@@ -322,7 +330,7 @@ def _cell_active(A: np.ndarray, B: np.ndarray, i: int, poly: np.ndarray,
     """Whether piece i's cell comes within eta of each center: the center
     meets the cell's inequalities (in the arithmetic that clips the cell), or
     its squared distance to the clipped cell ``poly`` is at most eta^2."""
-    g = centers @ (A[i] - A).T
+    g = _batch_product(centers, (A[i] - A).T)
     g += B[i] - B + _TIE_TOL
     active = np.ones(len(centers), dtype=bool)
     for j in range(len(B)):
@@ -356,22 +364,13 @@ def _cell_actives_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> n
     return active
 
 
-def _ball_diams_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
-    _, hi2, amb = _kernels.ball_activity_2d(
-        f.slopes, f.intercepts, centers, eta, _TIE_TOL)
-    diam = np.sqrt(hi2)
-    if amb.any():
-        active = _cell_actives_2d(f, centers[amb], eta)
-        diam[amb] = np.sqrt(_kernels.active_diam2(active, _kernels.pair_dist2(f.slopes)))
-    return diam
-
-
 def _ball_diams(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if f.dim == 1:
         return _ball_diams_1d(f, centers[:, 0], eta)
     if f.dim == 2:
-        return _ball_diams_2d(f, centers, eta)
+        active = _cell_actives_2d(f, centers, eta)
+        return np.sqrt(_kernels.active_diam2(active, _kernels.pair_dist2(f.slopes)))
     raise NotImplementedError("ball scans are implemented for d in {1, 2}")
 
 
@@ -504,7 +503,8 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
     """Exact diameter of the slopes active in B(x, eta) at every point of
     ``_disc_grid(axis, r2)`` in its order, for a 2D f.  It gives the bits of
     ``_ball_diams`` on those points, except where a point lies exactly eta
-    from a cell, to the last bit, and the bracket kernel rounds the other way.
+    from a cell, to the last bit: both clip each cell from a box that
+    depends on the query, and there the clipped vertices' rounding decides.
 
     Piece i is active in B(x, eta) iff x lies within eta of its cell, and
     each grid row (fixed axis[r], varying axis[c]) meets that convex set in
@@ -564,10 +564,7 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
         cols = _ranges(c_from, c_to)
         r = np.repeat(r, c_to - c_from)
         centers = np.stack([axis[r], axis[cols]], axis=1)
-        idx = start[r] + cols - first[r]
-        # a one-row product takes BLAS's matrix-vector path, with other bits
-        batch = centers if len(centers) > 1 else np.repeat(centers, 2, axis=0)
-        active[i, idx] = _cell_active(A, B, i, poly, batch, eta)[:len(idx)]
+        active[i, start[r] + cols - first[r]] = _cell_active(A, B, i, poly, centers, eta)
     return np.sqrt(_kernels.active_diam2(active, _kernels.pair_dist2(A)))
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -128,7 +129,8 @@ class SweepConfig:
     epsilon must lie in (0, 1/2).  ``grid`` of 0 means the scenario default
     resolution.  For the rate and stability scenarios the exponents must
     satisfy q > p - 1 and r > 1 (the hypotheses of the inequality being
-    exercised).
+    exercised).  Types are checked: integers and real exponents (no bools),
+    lists for ``eps`` and ``targets`` (not strings), a path or None for ``out``.
     """
 
     scenario: str = "rate"
@@ -147,8 +149,22 @@ class SweepConfig:
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"expected one of {_SCENARIOS}")
+        for name in ("grid", "seed", "count_1d", "count_2d", "p", "q", "r"):
+            v = getattr(self, name)
+            kind = numbers.Real if name in ("p", "q", "r") else numbers.Integral
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise TypeError(f"{name} must be {kind.__name__.lower()}, got {v!r}")
+        for name, kind, what in (("eps", numbers.Real, "numbers"),
+                                 ("targets", (str, os.PathLike), "file names")):
+            items = getattr(self, name)
+            if not (isinstance(items, (list, tuple, np.ndarray)) and all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in items)):
+                raise TypeError(f"{name} must be a list of {what}, got {items!r}")
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+            raise TypeError(f"out must be a directory name, got {self.out!r}")
         eps = tuple(float(e) for e in self.eps)
         object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "targets", tuple(self.targets))
         for e in eps:
             if not 0.0 < e < 0.5:
                 raise ValueError(f"epsilon {e} outside (0, 1/2)")
@@ -164,7 +180,7 @@ class SweepConfig:
         if self.grid < 0:
             raise ValueError("grid resolution must be nonnegative")
         if self.count_1d < 1 or self.count_2d < 0:
-            raise ValueError("instance counts must be positive")
+            raise ValueError("need count_1d >= 1 and count_2d >= 0")
 
     def eps_grid(self, default: tuple[float, ...] = _EPS_DEFAULT) -> tuple[float, ...]:
         return tuple(sorted(self.eps)) if self.eps else tuple(sorted(default))
@@ -807,12 +823,13 @@ def random_max_affine(rng: np.random.Generator, d: int, k: int,
     s = R / (2.0 * lip_max)
     anchor = -0.5 * s * (slopes ** 2).sum(axis=1)
     width = 0.25 * s * lip_max ** 2
+    products = scan @ slopes.T
     for attempt in range(400):
         intercepts = anchor + rng.uniform(-width, width, k)
         if attempt == 399:
             intercepts = anchor
-        winners = np.argmax(scan @ slopes.T + intercepts[None, :], axis=1)
-        if np.unique(winners).size == k:
+        winners = np.argmax(products + intercepts, axis=1)
+        if np.bincount(winners, minlength=k).all():
             return MaxAffineFunction(slopes, intercepts)
         if attempt % 60 == 59:
             width *= 0.5

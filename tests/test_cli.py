@@ -92,6 +92,26 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert cli.main(["demo", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("rate-fit", {"eps": 0.1}),
+    ("rate-fit", {"eps": [0.1, "0.2"]}),
+    ("rate-fit", {"q": "3"}),
+    ("rate-fit", {"grid": 2.5}),
+    ("stability-audit", {"seed": "x"}),
+    ("stability-audit", {"count_1d": True}),
+    ("figure1", {"targets": "ab"}),
+    ("rate-fit", {"out": 5}),
+])
+def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, command, doc):
+    # each was a traceback, a silent coercion or, for the string, the two
+    # target files "a" and "b"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(cfg_path)]) == 1
+    (name,) = doc
+    assert f"otpush: error: {name} must be " in capsys.readouterr().err
+
+
 def test_failing_report_exits_two(monkeypatch, capsys):
     def fake_demo(cfg):
         return ExperimentReport(scenario="demo", columns=("a",),

@@ -18,8 +18,10 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, lipschitz_extension,
                                     subdifferential, verify_lemma_diam_l1)
-from otpush.convex_analysis import _cell_polygon, _disc_grid, _scan_axis
+from otpush.convex_analysis import (_box, _cell_active, _cell_polygon, _disc_grid,
+                                    _scan_axis)
 from otpush.experiments import random_max_affine
+from otpush.pcost_maps import convex_to_phi, diam_partial_c
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -49,6 +51,27 @@ def test_gradient_takes_the_first_maximal_piece():
     first = np.argmax(pts @ f.slopes.T + f.intercepts, axis=1)
     assert first.tolist() == [0, 0, 1, 0, 0, 0, 3]
     assert f.gradient(pts).tobytes() == f.slopes[first].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6), rows=st.integers(2, 400))
+def test_one_point_gets_the_bits_of_its_batch_row(seed, k, rows):
+    # alone, a 1-row product takes BLAS's matrix-vector path, whose bits
+    # differ from the batch row's in most draws
+    rng = np.random.default_rng(seed)
+    f = random_max_affine(rng, 2, k, 3.0, 1.0)
+    pts = rng.uniform(-1.0, 1.0, (rows, 2))
+    t = int(rng.integers(rows))
+    x = pts[t]
+    assert _bits(f.piece_values(x)) == _bits(f.piece_values(pts)[t:t + 1])
+    assert _bits(f(x)) == _bits(f(pts)[t])
+    assert _bits(f.gradient(x)) == _bits(f.gradient(pts)[t:t + 1])
+    eta = float(rng.uniform(0.02, 0.5))
+    A, B = f.slopes, f.intercepts
+    for i in range(k):
+        poly = _cell_polygon(A, B, i, _box(np.full(2, -2.0), np.full(2, 2.0)))
+        alone = _cell_active(A, B, i, poly, x[None, :], eta)
+        assert alone.tolist() == _cell_active(A, B, i, poly, pts, eta)[t:t + 1].tolist()
 
 
 def test_max_affine_from_supports():
@@ -757,31 +780,6 @@ def _where_active_diam2(active, pair_d2):
     return out
 
 
-def _broadcast_ball_activity_2d(slopes, intercepts, points, eta, tol):
-    slopes = np.asarray(slopes, dtype=np.float64)
-    intercepts = np.asarray(intercepts, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    eta = float(eta)
-    tol = float(tol)
-    k = slopes.shape[0]
-    pair_d2 = _kernels.pair_dist2(slopes)
-    pair_gap = eta * np.sqrt(pair_d2)
-    vals = np.ascontiguousarray((points @ slopes.T + intercepts).T)
-    in_upper = np.ones(vals.shape, dtype=bool)
-    for a in range(k):
-        for b in range(a + 1, k):
-            diff = vals[a] - vals[b]
-            in_upper[a] &= (diff + pair_gap[a, b]) >= -tol
-            in_upper[b] &= (pair_gap[b, a] - diff) >= -tol
-    best = vals[0].copy()
-    for a in range(1, k):
-        np.maximum(best, vals[a], out=best)
-    in_lower = vals >= best - tol
-    diam2_hi = _kernels.active_diam2(in_upper, pair_d2)
-    diam2_lo = _kernels.active_diam2(in_lower, pair_d2)
-    return diam2_lo, diam2_hi, (np.sqrt(diam2_hi) - np.sqrt(diam2_lo)) > tol
-
-
 def _all_axis_cell_actives_2d(f, centers, eta):
     A, B = f.slopes, f.intercepts
     lo = centers.min(axis=0) - 2.0 * eta
@@ -808,11 +806,10 @@ def _all_axis_cell_actives_2d(f, centers, eta):
 
 def _old_scan_code(monkeypatch):
     """Put back the meshgrid point sets, the broadcast intercept adds of
-    ``piece_values`` and ``ball_activity_2d``, the ``.all(axis=1)`` cell
-    membership, ``np.roll`` clipping and ``np.where`` diameters."""
+    ``piece_values``, the ``.all(axis=1)`` cell membership, ``np.roll``
+    clipping and ``np.where`` diameters."""
     monkeypatch.setattr(convex_analysis, "_disc_grid", _meshgrid_disc)
     monkeypatch.setattr(MaxAffineFunction, "piece_values", _broadcast_piece_values)
-    monkeypatch.setattr(_kernels, "ball_activity_2d", _broadcast_ball_activity_2d)
     monkeypatch.setattr(convex_analysis, "_cell_actives_2d", _all_axis_cell_actives_2d)
     monkeypatch.setattr(convex_analysis, "_cell_polygon", _rolled_cell_polygon)
     monkeypatch.setattr(_kernels, "active_diam2", _where_active_diam2)
@@ -890,7 +887,7 @@ def test_grid_scans_run_without_the_bracket_kernel(monkeypatch):
     f = random_max_affine(np.random.default_rng(61), 2, 5, 3.0, 1.0)
 
     def must_not_run(*args):
-        raise AssertionError("a grid scan took the one-point path")
+        raise AssertionError("a patched-out path ran")
 
     monkeypatch.setattr(_kernels, "ball_activity_2d", must_not_run)
     monkeypatch.setattr(convex_analysis, "_cell_actives_2d", must_not_run)
@@ -899,12 +896,21 @@ def test_grid_scans_run_without_the_bracket_kernel(monkeypatch):
     assert rep.count == 2
     assert rep.centers.tolist() == [[-0.4475, -0.87], [-0.2849999999999999, 0.16999999999999993]]
 
+    # one-point queries decide on the cell predicate alone: the values the
+    # bracket kernel and its fallback gave, which decided every point but
+    # (0.5, 0.5); (diam, lemma rhs, diam_partial_c) per point
     monkeypatch.undo()
-    calls = []
-    monkeypatch.setattr(_kernels, "ball_activity_2d",
-                        lambda *args: calls.append(args) or _broadcast_ball_activity_2d(*args))
-    diam_subdiff_ball(f, np.array([0.1, -0.2]), 0.12)
-    assert len(calls) == 1
+    monkeypatch.setattr(_kernels, "ball_activity_2d", must_not_run)
+    pot = convex_to_phi(f, 1.0)
+    for x, eta, diam, rhs, bound in [
+            ((0.1, -0.2), 0.12, 0.670053843311532, 276.25800092234203, 25.281722985969022),
+            ((-0.4, 0.3), 0.05, 1.2094295472198582, 375.85608664319045, 40.30174551103546),
+            ((0.5, 0.5), 0.2, 0.0, 314.12826319190856, 6.4),
+            ((0.0, 0.0), 0.3, 2.876589765244267, 323.82977787794715, 101.65087248781654)]:
+        x = np.array(x)
+        assert diam_subdiff_ball(f, x, eta) == diam
+        assert verify_lemma_diam_l1(f, x, eta) == (diam, rhs)
+        assert diam_partial_c(pot, x, eta) == (diam / 2.0, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@
 instances, against the HiGHS LP on general integer instances, and bit for
 bit against its earlier form, which stored every sink's predecessor during
 the search.
-``ball_activity_2d`` and the one-point ball scans built on it are checked
-against exact max-affine cells, clipped from a box by halfplanes; the 2D grid
-scans from row sections of the cells' eta-offsets are checked bit for bit
-against them.
+The ball queries that run the exact cell predicate on every piece
+(``_ball_diams``), and the brackets of ``ball_activity_2d`` (kept for the
+benchmark's patch list), are checked against exact max-affine cells, clipped
+from a box by halfplanes; the 2D grid scans from row sections of the cells'
+eta-offsets are checked bit for bit against ``_ball_diams``.
 """
 
 import hashlib

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otpush.convex_analysis import MaxAffineFunction
+from otpush.convex_analysis import MaxAffineFunction, diam_subdiff_ball
 from otpush.discrete_ot import c_transform
 from otpush.geometry_measures import DiscreteMeasure, Domain
 from otpush.pcost_maps import (BoundaryEscapeError, CConcavePotential,
@@ -235,6 +235,27 @@ def test_diam_partial_c_random_below_bound():
         eta = rng.uniform(0.05, 0.5) * R
         exact, bound = diam_partial_c(phi, np.array([x0]), eta)
         assert 0 <= exact <= bound * (1 + 1e-12)
+
+
+def test_diam_partial_c_2d_p2_against_sampled_atoms():
+    # p = 2: the image of B(x, eta) is the set of atoms active somewhere in
+    # it, and the partner's slopes are twice the atoms
+    rng = np.random.default_rng(43)
+    for trial in range(10):
+        k = int(rng.integers(2, 7))
+        phi = CConcavePotential(rng.uniform(-0.8, 0.8, (k, 2)),
+                                rng.uniform(-0.05, 0.05, k), 2.0, 1.0)
+        x = rng.uniform(-0.6, 0.6, 2)
+        eta = float(rng.uniform(0.05, 0.3))
+        exact, bound = diam_partial_c(phi, x, eta)
+        assert exact == diam_subdiff_ball(phi_to_convex(phi), x, eta) / 2.0
+        ax = np.linspace(-eta, eta, 201)
+        disc = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+        pts = x + disc[(disc ** 2).sum(1) <= eta * eta]
+        atoms = phi.atoms[np.unique(np.argmin(phi.piece_values(pts), axis=1))]
+        sampled = max(float(np.linalg.norm(a - b)) for a in atoms for b in atoms)
+        assert sampled <= exact * (1.0 + 1e-12)
+        assert exact <= bound
 
 
 def test_diam_partial_c_2d_p3_not_implemented():

@@ -2,7 +2,10 @@
 
 The traced benchmark run rebinds every target in ``perfbench/spans.py``'s
 ``PATCHES`` and reads the kernels' arguments and results; the child's
-environment block reads ``otpush._kernels.NUMBA_ACTIVE``.  The bottleneck
+environment block reads ``otpush._kernels.NUMBA_ACTIVE``.  Some targets are
+kept only for this list: no otpush code calls ``_kernels.ball_activity_2d``
+any more, so the check below calls it directly, and it goes together with
+the benchmark change that drops its metrics.  The bottleneck
 probe count is the number of matching and max-flow spans recorded under a
 bottleneck span, so ``bottleneck_solve`` must keep calling them by the
 patched names.  A rename or a deletion in ``src/otpush`` that breaks any of
