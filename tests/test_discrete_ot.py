@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse.csgraph import dijkstra, maximum_bipartite_matching, shortest_path
+from scipy.sparse.csgraph import (dijkstra, maximum_bipartite_matching, maximum_flow,
+                                  shortest_path)
 
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
@@ -498,16 +499,74 @@ def test_dijkstra_matches_csgraph_and_its_tie_rule():
         assert np.array_equal(root[tree], root[pred[tree]])
 
 
-def test_matching_equals_csgraph_column_matching():
+def _check_flow(n, tail, head, cap, source, sink, value, flow):
+    """Capacity and conservation of the edge flows, and a cut of capacity
+    ``value`` between the nodes the residual graph reaches from ``source``
+    and the rest: the flow is maximum whatever the capacities' size."""
+    assert len(flow) == len(cap)
+    assert all(0 <= f <= c for f, c in zip(flow, cap))
+    net = [0] * n
+    for a, b, f in zip(tail, head, flow):
+        net[a] -= f
+        net[b] += f
+    assert net[source] == -value and net[sink] == value
+    assert not any(net[k] for k in range(n) if k not in (source, sink))
+    reached, queue = {source}, [source]
+    for a in queue:
+        for t, h, c, f in zip(tail, head, cap, flow):
+            for x, y, r in ((t, h, c - f), (h, t, f)):
+                if x == a and r and y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+    assert sink not in reached
+    assert value == sum(c for t, h, c in zip(tail, head, cap)
+                        if t in reached and h not in reached)
+
+
+def test_maximum_flow_matches_csgraph():
     rng = np.random.default_rng(223)
-    for trial in range(600):
-        n = int(rng.integers(1, 41))
-        m = n if trial % 3 == 0 else int(rng.integers(1, 41))
-        adj = rng.random((n, m)) < rng.uniform(0.01, 0.7)
-        adj[rng.random(n) < 0.1] = False
-        adj[:, rng.random(m) < 0.1] = False
-        ref = maximum_bipartite_matching(sp.csr_array(adj), perm_type="column")
-        assert np.array_equal(discrete_ot.maximum_bipartite_matching(adj), ref), trial
+    for trial in range(400):
+        n = int(rng.integers(2, 25))
+        if trial % 4 == 0:
+            # a unit bipartite network: its flow is a maximum matching
+            r = int(rng.integers(1, n))
+            adj = rng.random((r, n - r)) < rng.uniform(0.05, 0.7)
+            ii, jj = np.nonzero(adj)
+            source, sink = n, n + 1
+            tail = [source] * r + ii.tolist() + list(range(r, n))
+            head = list(range(r)) + (r + jj).tolist() + [sink] * (n - r)
+            n += 2
+            cap = [1] * len(tail)
+        else:
+            e = int(rng.integers(0, 4 * n))
+            tail, head = rng.integers(0, n, (2, e))
+            keep = tail != head
+            tail, head = tail[keep].tolist(), head[keep].tolist()
+            # csgraph sums parallel edges in int32: keep every sum below 2**31
+            top = int(rng.choice([2, 10, 2 ** 31 // (4 * n)]))
+            cap = rng.integers(0, top, len(tail)).tolist()
+            source, sink = (int(k) for k in rng.choice(n, 2, replace=False))
+        value, flow = discrete_ot.maximum_flow(n, tail, head, cap, source, sink)
+        _check_flow(n, tail, head, cap, source, sink, value, flow)
+        graph = sp.csr_array((np.array(cap, dtype=np.int32), (tail, head)),
+                             shape=(n, n))
+        assert value == maximum_flow(graph, source, sink).flow_value, trial
+        if trial % 4 == 0:
+            match = maximum_bipartite_matching(sp.csr_array(adj), perm_type="column")
+            assert value == (match >= 0).sum(), trial
+
+
+def test_maximum_flow_takes_capacities_past_int64():
+    # Python ints: the flow is exact where int64 (or int32) capacities
+    # would overflow
+    rng = np.random.default_rng(227)
+    for trial in range(40):
+        n = int(rng.integers(2, 15))
+        e = int(rng.integers(1, 4 * n))
+        tail, head = rng.integers(0, n, (2, e)).tolist()
+        cap = [int(c) * 10 ** 12 + int(c) for c in rng.integers(0, 10 ** 8, e)]
+        value, flow = discrete_ot.maximum_flow(n, tail, head, cap, 0, n - 1)
+        _check_flow(n, tail, head, cap, 0, n - 1, value, flow)
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +669,22 @@ def _bounds_feasible(admitted, mu, nu):
 
 def _full_range_bottleneck(mu, nu):
     """The bottleneck level by binary search over every distinct squared
-    distance, each threshold checked on its own graph by matching or by
-    ``_bounds_feasible``; with the perfect matching at that level in the
-    uniform square case, else None."""
+    distance between the atoms of positive weight, each threshold checked
+    on its own graph by csgraph's matching in the uniform square case and
+    by ``_bounds_feasible`` otherwise."""
+    mu, nu = mu.drop_zero_weights()[0], nu.drop_zero_weights()[0]
     d2 = cost_matrix(mu.points, nu.points, 2)
     n, m = d2.shape
     uniform = (n == m and np.abs(mu.weights - 1.0 / n).max() <= 1e-12
                and np.abs(nu.weights - 1.0 / n).max() <= 1e-12)
 
-    def admitted(level):
-        return d2 <= level * (1 + 1e-12)
-
     def feasible(level):
+        admitted = d2 <= level * (1 + 1e-12)
         if uniform:
-            match = maximum_bipartite_matching(sp.csr_matrix(admitted(level)),
+            match = maximum_bipartite_matching(sp.csr_matrix(admitted),
                                                perm_type="column")
             return bool((match >= 0).all())
-        return _bounds_feasible(admitted(level), mu, nu)
+        return _bounds_feasible(admitted, mu, nu)
 
     levels = np.unique(d2)
     lo, hi = 0, len(levels) - 1
@@ -636,21 +694,29 @@ def _full_range_bottleneck(mu, nu):
             hi = mid
         else:
             lo = mid + 1
-    match = None
-    if uniform:
-        match = maximum_bipartite_matching(sp.csr_matrix(admitted(levels[hi])),
-                                           perm_type="column")
-    return levels[hi], match
+    return levels[hi]
 
 
 def _check_against_full_range(mu, nu):
-    level, match = _full_range_bottleneck(mu, nu)
+    """The level of ``bottleneck_solve`` bit for bit, and a plan between
+    the original measures on edges admitted at that level; between uniform
+    measures of one size the plan is the identity of their positive-weight
+    atoms when the level is the identity's own longest edge."""
+    level = _full_range_bottleneck(mu, nu)
     coupling, value = bottleneck_solve(mu, nu)
     assert value.hex() == float(np.sqrt(level)).hex()
-    if match is not None:
-        assert np.array_equal(coupling.i, np.arange(len(mu)))
-        assert np.array_equal(coupling.j, match)
-    assert coupling.max_distance() <= value * (1 + 1e-12)
+    assert coupling.source is mu and coupling.target is nu
+    coupling.check_marginals()
+    d2 = cost_matrix(mu.points, nu.points, 2)
+    assert (d2[coupling.i, coupling.j] <= level * (1 + 1e-12)).all()
+    keep_s, keep_t = np.flatnonzero(mu.weights > 0), np.flatnonzero(nu.weights > 0)
+    n = len(keep_s)
+    if (n == len(keep_t) and np.abs(mu.weights[keep_s] - 1.0 / n).max() <= 1e-12
+            and np.abs(nu.weights[keep_t] - 1.0 / n).max() <= 1e-12
+            and level == d2[keep_s, keep_t].max()):
+        assert np.array_equal(coupling.i, keep_s)
+        assert np.array_equal(coupling.j, keep_t)
+        assert np.array_equal(coupling.mass, np.full(n, 1.0 / n))
 
 
 def _uniform(points, dom):
@@ -719,17 +785,49 @@ def test_bottleneck_bracket_matches_full_range_search_unequal_weights():
         n, m = (int(k) for k in rng.integers(2, 9, size=2))
         mu, nu = _random_pair(rng, n, m, d=1 + trial % 2)
         _check_against_full_range(mu, nu)
-    # uniform weights on unequal support sizes also take the flow path
+    # uniform weights on unequal support sizes: the bracket top is d2.max()
     dom = Domain.ball(np.zeros(2), 2.0)
     _check_against_full_range(_uniform(rng.uniform(-1, 1, (4, 2)), dom),
                               _uniform(rng.uniform(-1, 1, (6, 2)), dom))
-    # lattice points: many tied distances, and ties in the 0/1 plan solve
+    # lattice points: many tied distances
     for trial in range(12):
         n, m = (int(k) for k in rng.integers(2, 9, size=2))
         mu, nu = _random_pair(rng, n, m, d=1 + trial % 2)
         _check_against_full_range(
             DiscreteMeasure(np.round(3 * mu.points) / 3, mu.weights, mu.domain),
             DiscreteMeasure(np.round(3 * nu.points) / 3, nu.weights, nu.domain))
+
+
+@pytest.mark.usefixtures("no_highs")
+def test_bottleneck_degenerate_inputs_match_full_range_search():
+    rng = np.random.default_rng(79)
+    dom = Domain.ball(np.zeros(2), 2.0)
+    # zero-weight atoms, interleaved with the weighted ones
+    for zeros in ((2, 0), (0, 3), (2, 3)):
+        for n, m in ((5, 7), (6, 6), (1, 4)):
+            _check_against_full_range(*_with_zero_weights(rng, n, m, 2, *zeros))
+    # uniform atoms of one count padded with zero-weight atoms: the plan is
+    # the identity of the weighted atoms whenever the search ends at its top
+    for trial in range(6):
+        X, Y = rng.uniform(-0.7, 0.7, (2, 8, 2))
+        w = np.r_[np.full(5, 0.2), np.zeros(3)]
+        w_s, w_t = w[rng.permutation(8)], w[rng.permutation(8)]
+        if trial % 2:  # weighted atoms of Y next to those of X, in order
+            Y[w_t > 0] = X[w_s > 0] + rng.uniform(-0.01, 0.01, (5, 2))
+        _check_against_full_range(DiscreteMeasure(X, w_s, dom),
+                                  DiscreteMeasure(Y, w_t, dom))
+    # Dirac marginals
+    for n, m in ((1, 1), (1, 5), (4, 1)):
+        mu, nu = _random_pair(rng, n, m, d=2)
+        _check_against_full_range(mu, nu)
+    # duplicate atoms, with uniform and with general weights
+    for trial in range(6):
+        X, Y = rng.uniform(-0.7, 0.7, (2, 3, 2))
+        X, Y = X[rng.integers(0, 3, 6)], Y[rng.integers(0, 3, 6)]
+        _check_against_full_range(_uniform(X, dom), _uniform(Y, dom))
+        mu, nu = _random_pair(rng, 6, 6, d=2)
+        _check_against_full_range(DiscreteMeasure(X, mu.weights, dom),
+                                  DiscreteMeasure(Y, nu.weights, dom))
 
 
 @pytest.mark.usefixtures("no_highs")
@@ -789,20 +887,17 @@ def test_bottleneck_zero_between_two_splits_of_one_count_measure(count):
 
 
 def test_bottleneck_raises_on_plan_with_forbidden_edge(monkeypatch):
-    # a plan solve that ships mass on forbidden edges is reported, not
-    # repaired by another engine
+    # a flow that finds no plan is reported, not repaired by another
+    # engine: with zero flow every probe fails, and so does the flow at the
+    # top level, where every edge between atoms is admitted
     mu = _m1([0.0, 1.0], [1 / 3, 2 / 3])
     nu = _m1([0.0, 1.0, 1.5], [1 / 3, 1 / 3, 1 / 3])
     assert bottleneck_solve(mu, nu)[1] == 0.5
-    real = discrete_ot._ssp_units
-    # on inverted 0/1 costs every probe fails, and the plan at the top
-    # level, where every edge between atoms is admitted, puts the spare
-    # units of the thirds on the forbidden edges of the dummy row and column
-    monkeypatch.setattr(discrete_ot, "_ssp_units",
-                        lambda cost, supply, demand: real(1.0 - cost, supply, demand))
+    monkeypatch.setattr(discrete_ot, "maximum_flow",
+                        lambda n, tail, head, cap, source, sink: (0, [0] * len(cap)))
     with pytest.raises(SolverError) as exc:
         bottleneck_solve(mu, nu)
-    for part in ("2x3", "level 1.5", "sits on forbidden edges"):
+    for part in ("2x3", "level 1.5", "admits every edge"):
         assert part in str(exc.value), (part, str(exc.value))
 
 

@@ -5,10 +5,11 @@ The traced benchmark run rebinds every target in ``perfbench/spans.py``'s
 environment block reads ``otpush._kernels.NUMBA_ACTIVE``.  Some targets are
 kept only for this list: no otpush code calls ``_kernels.ball_activity_2d``
 any more, so the check below calls it directly, and it goes together with
-the benchmark change that drops its metrics.  The bottleneck
-probe count is the number of matching and max-flow spans recorded under a
-bottleneck span, so ``bottleneck_solve`` must keep calling them by the
-patched names.  A rename or a deletion in ``src/otpush`` that breaks any of
+the benchmark change that drops its metrics.  So is
+``maximum_bipartite_matching``, which ``discrete_ot`` resolves from SciPy
+on access.  The bottleneck probe count is the number of matching and
+max-flow spans recorded under a bottleneck span, so ``bottleneck_solve``
+must keep calling ``maximum_flow`` by the patched name.  A rename or a deletion in ``src/otpush`` that breaks any of
 this would otherwise show only when the benchmark runs.  So would a change
 to the bits of the ``scan`` workload's values, which
 ``test_scan_values_match_reference_digests`` checks for a few seeds.
@@ -73,7 +74,7 @@ _PATCH_ALL = textwrap.dedent("""
     rec.wrap(spans.ROOT, audit_like)()
     names = [(s["name"], rec.spans[s["parent"]]["name"])
              for s in rec.spans if s["parent"] is not None]
-    assert ("discrete_ot.matching", "discrete_ot.bottleneck") in names, names
+    assert ("discrete_ot.max_flow", "discrete_ot.bottleneck") in names, names
     layer = spans.layer_metrics(rec.spans)
     assert layer["discrete_ot.bottleneck.calls"] == 1, layer
     assert layer["discrete_ot.bottleneck.probes"] >= 1, layer
