@@ -12,6 +12,7 @@ reports failure), 1 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,8 +26,7 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
 _SCENARIO_OF = {"example": "example", "rate-fit": "rate",
                 "stability-audit": "stability", "singularity": "singularity",
                 "figure1": "figure1", "demo": "demo"}
-_CONFIG_KEYS = {"eps", "p", "q", "r", "grid", "seed", "out",
-                "count_1d", "count_2d", "targets", "id"}
+_CONFIG_KEYS = ({f.name for f in dataclasses.fields(SweepConfig)} - {"scenario"}) | {"id"}
 
 
 class _UsageError(ValueError):

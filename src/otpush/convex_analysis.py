@@ -142,6 +142,8 @@ class MaxAffineFunction:
 
     # internal: cached upper envelope for 1D queries --------------------
     def _envelope(self):
+        """(slopes, intercepts, breakpoints) of the upper envelope: pieces
+        by slope, the largest intercept per slope, through ``_envelope_1d``."""
         if self.dim != 1:
             raise ValueError("envelope is a 1D structure")
         cached = self.__dict__.get("_env")
@@ -153,20 +155,26 @@ class MaxAffineFunction:
         keep = np.ones(len(s), dtype=bool)
         keep[1:] = s[1:] > s[:-1]  # equal slopes: first (largest b) wins
         s, b = s[keep], b[keep]
-        env_s, env_b, bp = [], [], []
-        for a_i, b_i in zip(s, b):
-            while env_s:
-                x = (env_b[-1] - b_i) / (a_i - env_s[-1])
-                if bp and x <= bp[-1]:
-                    env_s.pop(), env_b.pop(), bp.pop()
-                    continue
-                env_s.append(a_i), env_b.append(b_i), bp.append(x)
-                break
-            else:
-                env_s.append(a_i), env_b.append(b_i)
-        env = (np.array(env_s), np.array(env_b), np.array(bp))
+        lead, cuts = _envelope_1d(len(s), lambda i, j: (b[i] - b[j]) / (s[j] - s[i]))
+        env = (s[lead], b[lead], np.array(cuts))
         object.__setattr__(self, "_env", env)
         return env
+
+
+def _envelope_1d(n: int, crossing) -> tuple[list[int], list[float]]:
+    """Leading pieces, left to right, of n pieces on the line, and the cuts
+    between them; piece j > i leads piece i right of ``crossing(i, j)``.  A
+    monotone stack: a piece overtaken at or left of its own cut is popped."""
+    lead, cuts = [0], []
+    for j in range(1, n):
+        x = crossing(lead[-1], j)
+        while cuts and x <= cuts[-1]:
+            lead.pop()
+            cuts.pop()
+            x = crossing(lead[-1], j)
+        lead.append(j)
+        cuts.append(x)
+    return lead, cuts
 
 
 def breakpoints_1d(f: MaxAffineFunction) -> np.ndarray:

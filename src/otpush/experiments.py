@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_analysis import (MaxAffineFunction, covering_number_sigma,
+from .convex_analysis import (MaxAffineFunction, _disc_grid, covering_number_sigma,
                               integral_diam_estimate, kink_ladder,
                               verify_lemma_diam_l1)
 from .discrete_ot import bottleneck_solve, wasserstein
@@ -264,90 +264,18 @@ def _json_default(o):
 # exact 1D pushforward through a Laguerre-form potential
 # ---------------------------------------------------------------------------
 
-def _piece_crossing(pot: CConcavePotential, i: int, j: int) -> float:
-    """Abscissa where piece j overtakes piece i (atom_i < atom_j).
-
-    Left of the crossing piece i has the smaller value, right of it piece j.
-    Exact for quadratic cost; bisection to float precision otherwise (the
-    piece difference is strictly increasing, so the root is unique).
-    """
-    a = float(pot.atoms[i, 0])
-    b = float(pot.atoms[j, 0])
-    pa = float(pot.offsets[i])
-    pb = float(pot.offsets[j])
-    if not b > a:
-        raise ValueError("crossing needs strictly increasing atoms")
-    if pot.p == 2.0:
-        return (b * b - a * a + pa - pb) / (2.0 * (b - a))
-
-    def g(x: float) -> float:
-        return (abs(x - a) ** pot.p - pa) - (abs(x - b) ** pot.p - pb)
-
-    lo, hi = a - 1.0, b + 1.0
-    span = hi - lo
-    for _ in range(80):
-        if g(lo) < 0.0:
-            break
-        lo -= span
-        span *= 2.0
-    span = hi - lo
-    for _ in range(80):
-        if g(hi) > 0.0:
-            break
-        hi += span
-        span *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _laguerre_cells_1d(pot: CConcavePotential) -> tuple[list[int], list[float]]:
-    """Lower envelope of the potential's pieces on the line.
-
-    Returns (active piece indices left to right, cut abscissae between
-    consecutive active pieces).  Atoms must be strictly increasing.
-    """
-    a = pot.atoms[:, 0]
-    if pot.dim != 1:
-        raise ValueError("Laguerre cells on the line need a 1D potential")
-    if not (np.diff(a) > 0.0).all():
-        raise ValueError("atoms must be strictly increasing")
-    active = [0]
-    cuts: list[float] = []
-    for j in range(1, a.size):
-        x = _piece_crossing(pot, active[-1], j)
-        while cuts and x <= cuts[-1]:
-            active.pop()
-            cuts.pop()
-            if not active:
-                break
-            x = _piece_crossing(pot, active[-1], j)
-        if active:
-            active.append(j)
-            cuts.append(float(x))
-        else:
-            active = [j]
-            cuts = []
-    return active, cuts
-
-
 def pushforward_measure1d(pot: CConcavePotential, m: Measure1D) -> DiscreteMeasure:
     """Exact pushforward of a 1D mixed measure through the transport map.
 
-    Interval mass is split across Laguerre cells by exact overlap integrals;
-    an atom sitting exactly on a cell boundary (a singular point of the map)
-    is sent to the right cell -- one fixed measurable selection of the
-    optimal map.
+    Interval mass is split across the potential's Laguerre cells
+    (``CConcavePotential._cells_1d``, cached on the potential, so the
+    pushforwards of a source and its perturbation share one computation) by
+    exact overlap integrals; an atom sitting exactly on a cell boundary (a
+    singular point of the map) is sent to the right cell -- one fixed
+    measurable selection of the optimal map.
     """
-    active, cuts = _laguerre_cells_1d(pot)
-    carr = np.asarray(cuts, dtype=float)
-    bounds = np.concatenate([[-np.inf], carr, [np.inf]])
+    active, cuts = pot._cells_1d()
+    bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
     masses = np.zeros(len(active))
     for lo, hi, mass in m.intervals:
         den = mass / (hi - lo)
@@ -355,9 +283,9 @@ def pushforward_measure1d(pot: CConcavePotential, m: Measure1D) -> DiscreteMeasu
         right = np.minimum(hi, bounds[1:])
         masses += den * np.maximum(right - left, 0.0)
     for x, mass in m.atoms:
-        idx = int(np.searchsorted(carr, x, side="right"))
+        idx = int(np.searchsorted(cuts, x, side="right"))
         masses[idx] += mass
-    pts = pot.atoms[np.asarray(active, dtype=int)]
+    pts = pot.atoms[active]
     keep = masses > 0.0
     return DiscreteMeasure(pts[keep], masses[keep],
                            Domain.ball(np.zeros(1), pot.R))
@@ -804,10 +732,7 @@ def random_max_affine(rng: np.random.Generator, d: int, k: int,
     if d == 1:
         scan = np.linspace(-R, R, 4097)[:, None]
     elif d == 2:
-        ax = np.linspace(-R, R, 169)
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        scan = np.column_stack([gx.ravel(), gy.ravel()])
-        scan = scan[np.linalg.norm(scan, axis=1) <= R]
+        scan = _disc_grid(np.linspace(-R, R, 169), R * R)
     else:
         raise NotImplementedError("random max-affine scans cover d in {1, 2}")
     gap = 0.6 * lip_max / k
@@ -1073,7 +998,7 @@ def run_demo(cfg: SweepConfig) -> ExperimentReport:
         rho_d = discretize(rho, grid)
         # pin one source atom exactly on a cell boundary so the singular
         # selection is actually exercised
-        cuts = [c for c in _laguerre_cells_1d(pot)[1] if abs(c) < 1.0]
+        cuts = [c for c in pot._cells_1d()[1] if abs(c) < 1.0]
         pts, wts = rho_d.points, rho_d.weights
         if cuts:
             pts = np.vstack([pts, [[cuts[0]]]])

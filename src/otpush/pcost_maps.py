@@ -5,10 +5,14 @@ transport map, and the convex partner function.
 A c-concave potential is stored as phi(x) = min_j xi_p(x - y_j) - psi_j,
 which is the cbar-transform of the finitely supported function psi and is
 therefore exactly c-concave (fixed point of the double transform).  Every
-derived quantity factors through this form:
+derived quantity factors through this form, and is decided here once:
 
 * T_phi(x) = x - (grad xi_p)^{-1}(grad phi(x)) equals the active atom y_j*
   exactly, so pushforwards of differentiable points carry no roundoff;
+* x is singular iff its active piece gradients spread by more than 1e-10
+  (``_singular``, also behind ``pushforward.pushforward_tmap``);
+* the 1D Laguerre cells, whose cuts are the kinks of T_phi, are cached on
+  the potential (``_cells_1d``, via ``convex_analysis._envelope_1d``);
 * the convex partner  C x^2/2 - phi  (C = p(p-1) R^{p-2}) is an exact
   max-affine function for p = 2 and a sampled convex oracle otherwise;
 * the c-superdifferential image of a ball and its diameter bound
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_analysis import MaxAffineFunction, diam_subdiff_ball
+from .convex_analysis import MaxAffineFunction, _envelope_1d, diam_subdiff_ball
 from .discrete_ot import cost_matrix
 
 __all__ = [
@@ -41,7 +45,7 @@ __all__ = [
     "diam_partial_c",
 ]
 
-_DIFF_TOL = 1e-10
+_SING_TOL = 1e-10   # active-gradient spread above which a point is singular
 
 
 class SingularPointError(RuntimeError):
@@ -50,6 +54,18 @@ class SingularPointError(RuntimeError):
 
 class BoundaryEscapeError(RuntimeError):
     """The transported point left the closed domain ball."""
+
+
+def _singular(grads: np.ndarray) -> bool:
+    """Whether the active piece gradients spread by more than _SING_TOL."""
+    return bool(np.linalg.norm(grads - grads[0], axis=1).max() > _SING_TOL)
+
+
+def _check_escape(targets: np.ndarray, R: float):
+    """BoundaryEscapeError unless every image row lies within R + 1e-8."""
+    worst = np.linalg.norm(targets, axis=1).max()
+    if worst > R + 1e-8:
+        raise BoundaryEscapeError(f"image point at radius {worst} escapes the ball of radius {R}")
 
 
 @dataclass(frozen=True)
@@ -183,12 +199,9 @@ class CConcavePotential:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad phi at a differentiable point; SingularPointError otherwise."""
-        idx = self.active_atoms(x)
-        grads = self.piece_gradients(x, idx)
-        if len(idx) > 1:
-            spread = np.linalg.norm(grads - grads[0], axis=1).max()
-            if spread >= _DIFF_TOL:
-                raise SingularPointError(f"gradient spread {spread} at {x}")
+        grads = self.piece_gradients(x, self.active_atoms(x))
+        if _singular(grads):
+            raise SingularPointError(f"gradient undefined at {x}")
         return grads[0]
 
     def is_differentiable(self, x: np.ndarray) -> bool:
@@ -206,6 +219,21 @@ class CConcavePotential:
         idx = self.active_atoms(np.atleast_1d(x))
         slopes = self.piece_gradients(np.atleast_1d(x), idx)[:, 0]
         return float(slopes.max()), float(slopes.min())
+
+    def _cells_1d(self) -> tuple[np.ndarray, np.ndarray]:
+        """Laguerre cells on the line, cached: the pieces that are the min
+        somewhere, left to right, and the cuts between them."""
+        cached = self.__dict__.get("_cells")
+        if cached is not None:
+            return cached
+        if self.dim != 1:
+            raise ValueError("Laguerre cells on the line need a 1D potential")
+        if not (np.diff(self.atoms[:, 0]) > 0.0).all():
+            raise ValueError("atoms must be strictly increasing")
+        lead, cuts = _envelope_1d(len(self.atoms), lambda i, j: _piece_crossing(self, i, j))
+        cells = (np.array(lead), np.array(cuts, dtype=float))
+        object.__setattr__(self, "_cells", cells)
+        return cells
 
     def max_active_distance(self, n: int = 4097) -> float:
         """Largest |x - y_active(x)| over a grid on the domain ball.
@@ -249,6 +277,47 @@ class CConcavePotential:
         viol = (fm - 0.5 * (fa + fb)).max()
         if viol > 1e-9 * (1.0 + np.abs(fm).max()):
             raise AssertionError(f"midpoint convexity violated by {viol}")
+
+
+def _piece_crossing(pot: CConcavePotential, i: int, j: int) -> float:
+    """Abscissa where piece j overtakes piece i (atom_i < atom_j).
+
+    Left of the crossing piece i has the smaller value, right of it piece j.
+    Exact for quadratic cost; bisection to float precision otherwise (the
+    piece difference is strictly increasing, so the root is unique).
+    """
+    a = float(pot.atoms[i, 0])
+    b = float(pot.atoms[j, 0])
+    pa = float(pot.offsets[i])
+    pb = float(pot.offsets[j])
+    if pot.p == 2.0:
+        return (b * b - a * a + pa - pb) / (2.0 * (b - a))
+
+    def g(x: float) -> float:
+        return (abs(x - a) ** pot.p - pa) - (abs(x - b) ** pot.p - pb)
+
+    lo, hi = a - 1.0, b + 1.0
+    span = hi - lo
+    for _ in range(80):
+        if g(lo) < 0.0:
+            break
+        lo -= span
+        span *= 2.0
+    span = hi - lo
+    for _ in range(80):
+        if g(hi) > 0.0:
+            break
+        hi += span
+        span *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,14 +380,10 @@ def t_phi(potential, x: np.ndarray) -> np.ndarray:
         y = transport_from_gradient(x, potential.gradient(x), potential.p)
     else:
         idx = potential.active_atoms(x)
-        if len(idx) > 1:
-            grads = potential.piece_gradients(x, idx)
-            spread = np.linalg.norm(grads - grads[0], axis=1).max()
-            if spread >= _DIFF_TOL:
-                raise SingularPointError(f"transport map undefined at {x}")
+        if _singular(potential.piece_gradients(x, idx)):
+            raise SingularPointError(f"transport map undefined at {x}")
         y = potential.atoms[idx[0]].copy()
-    if np.linalg.norm(y) > potential.R + 1e-8:
-        raise BoundaryEscapeError(f"image {y} escapes the domain ball")
+    _check_escape(y[None, :], potential.R)
     return y
 
 

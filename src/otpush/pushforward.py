@@ -17,7 +17,7 @@ import numpy as np
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope
 from .discrete_ot import Coupling, _gap_graph, cost_matrix, solve
 from .geometry_measures import DiscreteMeasure, Domain, GridDensity, discretize
-from .pcost_maps import (CConcavePotential, SmoothPotential, BoundaryEscapeError,
+from .pcost_maps import (_SING_TOL, SmoothPotential, _check_escape, _singular,
                          grad_xi_p_inverse)
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "potential_from_discrete_ot",
 ]
 
-_SING_TOL = 1e-10   # subdifferential diameter above which a point is singular
 _ACT_TOL = 1e-12    # relative activity tolerance for piece values
 
 
@@ -184,8 +183,7 @@ def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
         act = np.flatnonzero(mask[i])
         x = src.points[i]
         grads = potential.piece_gradients(x, act)
-        spread = np.linalg.norm(grads - grads[0], axis=1).max()
-        if spread <= _SING_TOL:
+        if not _singular(grads):
             targets[i] = potential.atoms[act[0]]
             continue
         hits += 1
@@ -200,12 +198,6 @@ def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
             targets[i] = x - grad_xi_p_inverse(C * x - g, potential.p)
     _check_escape(targets, R)
     return _bundle(src, targets, hits, image_domain)
-
-
-def _check_escape(targets: np.ndarray, R: float):
-    worst = np.linalg.norm(targets, axis=1).max()
-    if worst > R + 1e-8:
-        raise BoundaryEscapeError(f"image point at radius {worst} escapes the ball of radius {R}")
 
 
 def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
@@ -291,8 +283,6 @@ def _max_margin_duals(C: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray |
         return np.zeros(1)
     gap = _gap_graph(C, assign)
     np.fill_diagonal(gap, np.inf)
-    if not np.isfinite(gap).any():
-        return np.zeros(K)
     scale = 1.0 + np.abs(gap[np.isfinite(gap)]).max()
     big = 4.0 * scale
     W = np.where(np.isfinite(gap), gap, big)

@@ -122,6 +122,32 @@ def test_kink_ladder_structure():
         kink_ladder(2, -1.0, 1.0)
 
 
+def test_envelope_matches_dense_argmax():
+    # integer slopes repeat on purpose: the envelope keeps the largest
+    # intercept per slope, and its pieces must be the first argmax wherever
+    # the top two values are apart
+    rng = np.random.default_rng(23)
+    xs = np.linspace(-3.0, 3.0, 20001)
+    for _ in range(40):
+        k = int(rng.integers(1, 12))
+        f = MaxAffineFunction(rng.integers(-5, 6, (k, 1)).astype(float),
+                              rng.normal(size=k))
+        env_s, env_b, bp = f._envelope()
+        assert len(bp) == len(env_s) - 1
+        assert (np.diff(env_s) > 0).all() and (np.diff(bp) > 0).all()
+        vals = f.piece_values(xs[:, None])
+        top = np.sort(vals, axis=1)
+        clear = top[:, -1] - top[:, -2] > 1e-9 if k > 1 else np.ones(len(xs), bool)
+        run = np.searchsorted(bp, xs)
+        assert np.array_equal(env_s[run][clear],
+                              f.slopes[np.argmax(vals, axis=1), 0][clear])
+        assert np.abs(env_s[run] * xs + env_b[run] - top[:, -1]).max() <= 1e-12
+        # no piece on the envelope is empty: each leads inside its run
+        mids = np.concatenate([bp[:1] - 1.0, 0.5 * (bp[1:] + bp[:-1]), bp[-1:] + 1.0]) \
+            if len(bp) else np.zeros(1)
+        assert np.array_equal(f.gradient(mids[:, None])[:, 0], env_s)
+
+
 # ---------------------------------------------------------------------------
 # subdifferentials
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from scipy.sparse.csgraph import (dijkstra, maximum_bipartite_matching, maximum_
 
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
-                                SolverError, _dijkstra, _gap_graph, _unit_bounds,
-                                _solve_assignment, _solve_highs, bottleneck_solve,
-                                c_transform, cost_matrix, solve, wasserstein)
+                                SolverError, _dijkstra, _gap_graph, _scaled_units,
+                                _unit_bounds, _solve_assignment, _solve_highs,
+                                bottleneck_solve, c_transform, cost_matrix, solve,
+                                wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
 
@@ -93,6 +94,16 @@ def test_zero_weight_points_are_remapped():
     coupling.check_marginals()
     assert len(duals.phi) == 3 and len(duals.phi_c) == 2
     duals.verify(coupling)
+
+
+def test_scaled_units_trim_overshooting_floors():
+    # weights summing to 1 + 1e-12 floor to one unit past the scale, and the
+    # largest entry gives it back
+    w = np.array([0.25, 0.25, 0.5 + 1e-12])
+    assert int(np.floor(w * MASS_SCALE).sum()) == MASS_SCALE + 1
+    units = _scaled_units(w, MASS_SCALE)
+    assert units.tolist() == [MASS_SCALE // 4, MASS_SCALE // 4, MASS_SCALE // 2]
+    assert np.abs(units - w * MASS_SCALE).max() <= 2
 
 
 def test_solver_input_validation():

@@ -46,6 +46,9 @@ def test_domain_value_equality():
     assert Domain.ball(np.zeros(1), 1.0) == Domain.ball(np.zeros(1), 1.0)
     assert Domain.ball(np.zeros(1), 1.0) != Domain.ball(np.zeros(1), 2.0)
     assert Domain.box([0.0], [1.0]) != Domain.ball(np.zeros(1), 1.0)
+    assert Domain.box([0.0, 0.0], [1.0, 2.0]) == Domain.box([0.0, 0.0], [1.0, 2.0])
+    assert Domain.box([0.0, 0.0], [1.0, 2.0]) != Domain.box([0.0, 0.0], [1.0, 3.0])
+    assert Domain.box([0.0, 0.0], [1.0, 2.0]) != Domain.box([-1.0, 0.0], [1.0, 2.0])
 
 
 def test_unit_ball_volume():
@@ -357,6 +360,26 @@ def test_measure_from_json_roundtrips():
 
     with pytest.raises(ValueError):
         measure_from_json({"kind": "nonsense"})
+
+
+def test_measure_from_json_grid_with_cell_masses():
+    doc = {"kind": "grid",
+           "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]},
+           "resolution": [2, 2], "masses": [1, 2, 3, 2]}
+    g = measure_from_json(doc)
+    assert isinstance(g, GridDensity)
+    assert g.cell_masses.tolist() == [[0.125, 0.25], [0.375, 0.25]]
+    assert g.density_bound == 0.375 / 0.5  # cells are 0.5 x 1
+
+
+def test_measure1d_cdf_with_atoms():
+    m = Measure1D.from_pieces(DOM, [(-0.5, 0.5, 0.5)], [(-0.75, 0.25), (0.5, 0.25)])
+    assert m.cdf(-1.0) == 0.0
+    assert m.cdf(-0.75) == 0.25  # right-continuous at an atom
+    assert m.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert m.cdf(np.nextafter(0.5, 0.0)) == pytest.approx(0.75, abs=1e-15)
+    assert m.cdf(0.5) == 1.0  # the interval and the atom at its top end
+    assert m.cdf(1.0) == 1.0
 
 
 def test_measure_from_json_text_document():

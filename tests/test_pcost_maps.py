@@ -149,6 +149,55 @@ def test_smooth_potentials():
 
 
 # ---------------------------------------------------------------------------
+# Laguerre cells on the line
+# ---------------------------------------------------------------------------
+
+def _random_increasing_potential(rng, p):
+    k = int(rng.integers(1, 10))
+    atoms = np.sort(rng.uniform(-1.0, 1.0, k))[:, None]
+    return CConcavePotential(atoms, rng.uniform(-0.3, 0.3, k), p, 1.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_cells_1d_match_dense_argmin(p):
+    # p = 2 crossings are closed-form, p = 3 ones bisected
+    rng = np.random.default_rng(29)
+    xs = np.linspace(-2.0, 2.0, 20001)
+    for _ in range(30):
+        pot = _random_increasing_potential(rng, p)
+        lead, cuts = pot._cells_1d()
+        assert pot._cells_1d() is pot._cells_1d()
+        assert len(cuts) == len(lead) - 1 and (np.diff(cuts) > 0).all()
+        vals = pot.piece_values(xs[:, None])
+        low = np.sort(vals, axis=1)
+        clear = (low[:, 1] - low[:, 0] > 1e-9 if vals.shape[1] > 1
+                 else np.ones(len(xs), bool))
+        cell = lead[np.searchsorted(cuts, xs, side="right")]
+        assert np.array_equal(cell[clear], np.argmin(vals, axis=1)[clear])
+        # no cell is empty: each piece is the min inside its own cell
+        mids = (np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[1:] + cuts[:-1]), cuts[-1:] + 1.0])
+                if len(cuts) else np.zeros(1))
+        assert np.array_equal(np.argmin(pot.piece_values(mids[:, None]), axis=1), lead)
+
+
+def test_cells_1d_are_the_partner_envelope_at_p2():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        pot = _random_increasing_potential(rng, 2.0)
+        lead, cuts = pot._cells_1d()
+        env_s, _, bp = phi_to_convex(pot)._envelope()
+        assert np.array_equal(env_s / 2.0, pot.atoms[lead, 0])
+        assert np.allclose(cuts, bp, rtol=1e-13, atol=1e-14)
+
+
+def test_cells_1d_validation():
+    with pytest.raises(ValueError, match="1D potential"):
+        CConcavePotential(np.zeros((2, 2)), np.zeros(2), 2.0, 1.0)._cells_1d()
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _sign_potential(2.0)._cells_1d()
+
+
+# ---------------------------------------------------------------------------
 # convex partner
 # ---------------------------------------------------------------------------
 

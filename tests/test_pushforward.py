@@ -7,7 +7,8 @@ from otpush.convex_analysis import MaxAffineFunction
 from otpush.discrete_ot import wasserstein
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
-from otpush.pcost_maps import CConcavePotential, SmoothPotential
+from otpush.pcost_maps import (CConcavePotential, SingularPointError,
+                               SmoothPotential, t_phi)
 from otpush.pushforward import (SelectionPolicy, lot_interpolant,
                                 potential_from_discrete_ot,
                                 pushforward_convex, pushforward_tmap)
@@ -109,6 +110,72 @@ def test_tmap_atom_pinch_weights():
     assert got[1.0] == pytest.approx((1 + eps) / 2, abs=1e-12)
     res2 = pushforward_tmap(phi2, rho_eps, SelectionPolicy.fixed(1))
     assert np.array_equal(res2.image.weights, res.image.weights)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_tmap_singular_iff_not_differentiable_near_kinks(p):
+    rng = np.random.default_rng(43)
+    dom = Domain.ball(np.zeros(1), 1.0)
+    seen = set()
+    for _ in range(20):
+        k = int(rng.integers(2, 7))
+        atoms = np.sort(rng.uniform(-0.8, 0.8, k))[:, None]
+        pot = CConcavePotential(atoms, rng.uniform(-0.05, 0.05, k), p, 1.0)
+        cuts = pot._cells_1d()[1]
+        for c in cuts[np.abs(cuts) < 0.99]:  # the kinks inside the domain
+            for x in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
+                      c - 1e-13, c + 1e-13, c - 1e-11, c + 1e-11, c + 1e-9):
+                x = np.array([x])
+                hits = pushforward_tmap(pot, DiscreteMeasure(x[None, :], np.ones(1), dom),
+                                        SelectionPolicy.fixed(0)).singular_hits
+                assert pot.is_differentiable(x) == (hits == 0)
+                seen.add(hits)
+    assert seen == {0, 1}
+
+
+def test_gradient_spread_of_exactly_the_tolerance_is_regular():
+    # atoms 0 and 5e-11 tie at x = 0 with piece gradients 0 and -1e-10, so
+    # the spread is exactly 1e-10: regular for gradient, t_phi and the
+    # pushforward alike; one ulp further apart is singular for all three
+    x = np.zeros(1)
+    src = DiscreteMeasure(x[None, :], np.ones(1), BOX)
+    for gap, singular in ((5e-11, False), (np.nextafter(5e-11, 1.0), True)):
+        pot = CConcavePotential(np.array([[0.0], [gap]]), np.zeros(2), 2.0, 1.0)
+        assert len(pot.active_atoms(x)) == 2
+        grads = pot.piece_gradients(x, np.arange(2))
+        assert (np.linalg.norm(grads[1] - grads[0]) == 1e-10) is not singular
+        assert pot.is_differentiable(x) is not singular
+        res = pushforward_tmap(pot, src, SelectionPolicy.fixed(0))
+        assert res.singular_hits == int(singular)
+        if singular:
+            with pytest.raises(SingularPointError):
+                t_phi(pot, x)
+        else:
+            assert t_phi(pot, x).tolist() == [0.0]
+            assert res.image.points.tolist() == [[0.0]]
+
+
+def test_duplicate_pieces_and_atoms_tie_but_stay_regular():
+    # a piece or atom given twice ties wherever it is active, with zero
+    # spread: the point is regular and the policy (an index no polytope
+    # here has) is never consulted
+    src = DiscreteMeasure(np.array([[-0.3], [0.2], [0.4]]), np.full(3, 1 / 3), BOX)
+    never = SelectionPolicy.fixed(5)
+    f = MaxAffineFunction(np.array([[-1.0], [1.0], [1.0]]), np.zeros(3))
+    res = pushforward_convex(f, src, never)
+    assert res.singular_hits == 0
+    assert res.image.points.ravel().tolist() == [-1.0, 1.0]
+    assert res.image.weights == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
+    pot = CConcavePotential(np.array([[-0.5], [0.5], [0.5]]), np.zeros(3), 2.0, 1.0)
+    res = pushforward_tmap(pot, src, never)
+    assert res.singular_hits == 0
+    assert res.image.points.ravel().tolist() == [-0.5, 0.5]
+    # blending a duplicated piece gives the bits of blending it once
+    h = MaxAffineFunction(np.array([[0.5]]), np.zeros(1))
+    tied = lot_interpolant(f, h, 0.25, src, never)
+    plain = lot_interpolant(F_ABS, h, 0.25, src, never)
+    assert tied.points.ravel().tolist() == plain.points.ravel().tolist() == [-0.625, 0.875]
+    assert np.array_equal(tied.weights, plain.weights)
 
 
 def test_quadratic_support_gradient_scales_w2_exactly():
