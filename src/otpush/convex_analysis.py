@@ -27,6 +27,12 @@ each row's section of every cell's eta-offset directly and run it only on a
 few columns around the section ends and on the rows nearly tangent to the
 offset.  Products of points with slopes go through ``_batch_product``, so a
 point gets the same bits alone as inside a batch.
+
+One rule decides a single point for every pushforward, map and gradient
+of the package: a piece is active within 1e-12 (1 + |max|) of the row max
+(``_actives``; min forms pass negated values, which is exact), the point is
+singular iff the active gradients have pairwise diameter > 1e-10
+(``_singular``), and a regular point maps through its first arg-max piece.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ __all__ = [
     "breakpoints_1d",
 ]
 
-_TIE_TOL = 1e-12
+_TIE_TOL = 1e-12    # piece-value ties: absolute in ball scans, relative in _actives
+_SING_TOL = 1e-10   # pairwise diameter of active gradients above which x is singular
 _ALPHA_TOL = 1e-9
 
 
@@ -212,8 +219,8 @@ class SubdiffPolytope:
     def diam(self) -> float:
         return _pairwise_diam(self.vertices)
 
-    def is_singleton(self, tol: float = 1e-10) -> bool:
-        return self.diam() < tol
+    def is_singleton(self) -> bool:
+        return not _singular(self.vertices)
 
     def extreme_vertex(self, direction: np.ndarray) -> np.ndarray:
         """Vertex maximizing <direction, v>; lexicographic tie-break."""
@@ -271,6 +278,20 @@ def _pairwise_diam(vectors: np.ndarray) -> float:
     if v.shape[0] <= 1:
         return 0.0
     return float(np.sqrt(_kernels.pair_dist2(v).max()))
+
+
+def _actives(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the pieces within _TIE_TOL (1 + |best|) of each row's max,
+    and each row's first argmax: the one activity test."""
+    best = vals.max(axis=1)
+    tol = _TIE_TOL * (1.0 + np.abs(best))
+    return vals >= (best - tol)[:, None], np.argmax(vals, axis=1)
+
+
+def _singular(grads: np.ndarray) -> bool:
+    """Whether active gradients have pairwise diameter > _SING_TOL: the one
+    singular-point test."""
+    return _pairwise_diam(grads) > _SING_TOL
 
 
 _VERTEX_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -388,29 +388,33 @@ def _atom_pinch_rows(cfg: SweepConfig, eps_grid: tuple[float, ...]) -> np.ndarra
     return np.asarray(rows)
 
 
-def _example_14(cfg: SweepConfig) -> ExperimentReport:
-    rows = _atom_pinch_rows(cfg, cfg.eps_grid())
-    slope, stderr = fit_loglog(rows[:, 1], rows[:, 2])
-    expo = holder_exponent(cfg.q, cfg.r)
-    failures = []
-    if (rows[:, 2] > rows[:, 3]).any():
-        failures.append("rate-form bound violated")
-    if (rows[:, 2] > rows[:, 5]).any():
-        failures.append("sup-form bound violated")
+def _atom_pinch_report(cfg: SweepConfig, scenario: str, rows: np.ndarray,
+                       fit: tuple[float, float], metadata: dict) -> ExperimentReport:
+    """Report on atom-pinch rows and their fitted (slope, stderr), failing
+    on any row over the rate-form or the sup-form bound."""
+    failures = [f"{form}-form bound violated" for form, col in (("rate", 3), ("sup", 5))
+                if (rows[:, 2] > rows[:, col]).any()]
     return ExperimentReport(
-        scenario="example-1.4",
+        scenario=scenario,
         columns=("eps", "w_in", "w_out", "bound", "w_inf", "bound_inf"),
         rows=rows,
         constants={"p": cfg.p, "q": cfg.q, "r": cfg.r,
                    "c": stability_constant(1, cfg.p, cfg.q, 1.0, 1.0),
-                   "target_exponent": expo},
-        metadata={"family": "uniform density with an eps block pinched to "
-                            "a midpoint atom; the map is sign(x)"},
+                   "target_exponent": holder_exponent(cfg.q, cfg.r)},
+        metadata=metadata,
         passed=not failures,
         failures=tuple(failures),
-        slope=slope,
-        slope_stderr=stderr,
+        slope=fit[0],
+        slope_stderr=fit[1],
     )
+
+
+def _example_14(cfg: SweepConfig) -> ExperimentReport:
+    rows = _atom_pinch_rows(cfg, cfg.eps_grid())
+    return _atom_pinch_report(
+        cfg, "example-1.4", rows, fit_loglog(rows[:, 1], rows[:, 2]),
+        {"family": "uniform density with an eps block pinched to "
+                   "a midpoint atom; the map is sign(x)"})
 
 
 def run_example(example_id: str, cfg: SweepConfig | None = None) -> ExperimentReport:
@@ -452,28 +456,12 @@ def fit_holder_rate(cfg: SweepConfig) -> ExperimentReport:
     excluded = int((~keep).sum())
     if keep.sum() < 2:
         raise ValueError("too few sweep points below the asymptotic cutoff")
-    slope, stderr = fit_loglog(w_in[keep], w_out[keep])
-    expo = holder_exponent(cfg.q, cfg.r)
-    failures = []
-    if (rows[:, 2] > rows[:, 3]).any():
-        failures.append("rate-form bound violated")
-    if (rows[:, 2] > rows[:, 5]).any():
-        failures.append("sup-form bound violated")
-    return ExperimentReport(
-        scenario="rate",
-        columns=("eps", "w_in", "w_out", "bound", "w_inf", "bound_inf"),
-        rows=rows,
-        constants={"p": cfg.p, "q": cfg.q, "r": cfg.r,
-                   "c": stability_constant(1, cfg.p, cfg.q, 1.0, 1.0),
-                   "target_exponent": expo},
-        metadata={"excluded_points": excluded,
-                  "exclusion_rule": "drop rows with w_in > 0.1 (= R/10)",
-                  "slope_abs_error": abs(slope - expo)},
-        passed=not failures,
-        failures=tuple(failures),
-        slope=slope,
-        slope_stderr=stderr,
-    )
+    fit = fit_loglog(w_in[keep], w_out[keep])
+    return _atom_pinch_report(
+        cfg, "rate", rows, fit,
+        {"excluded_points": excluded,
+         "exclusion_rule": "drop rows with w_in > 0.1 (= R/10)",
+         "slope_abs_error": abs(fit[0] - holder_exponent(cfg.q, cfg.r))})
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +548,11 @@ def _collapse_perturbation(rng: np.random.Generator, rho: Measure1D,
     return Measure1D.from_pieces(dom, sorted(new_iv), atoms), w
 
 
-def _check_finite(dump: dict, *values: float) -> None:
-    for v in values:
-        if math.isnan(v):
-            raise RuntimeError("NaN in audit instance:\n"
-                               + json.dumps(dump, sort_keys=True,
-                                            default=_json_default))
-
-
 def _audit_check(w_out: float, bound_r: float, bound_inf: float,
                  dump: dict) -> None:
-    _check_finite(dump, w_out, bound_r, bound_inf)
+    if any(math.isnan(v) for v in (w_out, bound_r, bound_inf)):
+        raise RuntimeError("NaN in audit instance:\n"
+                           + json.dumps(dump, sort_keys=True, default=_json_default))
     if w_out > bound_r:
         raise BoundViolationError(
             f"rate-form stability bound violated: {w_out!r} > {bound_r!r}", dump)

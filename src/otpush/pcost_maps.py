@@ -9,8 +9,9 @@ derived quantity factors through this form, and is decided here once:
 
 * T_phi(x) = x - (grad xi_p)^{-1}(grad phi(x)) equals the active atom y_j*
   exactly, so pushforwards of differentiable points carry no roundoff;
-* x is singular iff its active piece gradients spread by more than 1e-10
-  (``_singular``, also behind ``pushforward.pushforward_tmap``);
+* activity, singularity (active piece gradients of pairwise diameter
+  > 1e-10) and the regular image (the first argmin atom) follow the one
+  rule of ``convex_analysis`` (``_actives`` on negated values, ``_singular``);
 * the 1D Laguerre cells, whose cuts are the kinks of T_phi, are cached on
   the potential (``_cells_1d``, via ``convex_analysis._envelope_1d``);
 * the convex partner  C x^2/2 - phi  (C = p(p-1) R^{p-2}) is an exact
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_analysis import MaxAffineFunction, _envelope_1d, diam_subdiff_ball
+from .convex_analysis import (MaxAffineFunction, _actives, _envelope_1d, _singular,
+                              diam_subdiff_ball)
 from .discrete_ot import cost_matrix
 
 __all__ = [
@@ -45,8 +47,6 @@ __all__ = [
     "diam_partial_c",
 ]
 
-_SING_TOL = 1e-10   # active-gradient spread above which a point is singular
-
 
 class SingularPointError(RuntimeError):
     """The potential is not differentiable at the queried point."""
@@ -54,11 +54,6 @@ class SingularPointError(RuntimeError):
 
 class BoundaryEscapeError(RuntimeError):
     """The transported point left the closed domain ball."""
-
-
-def _singular(grads: np.ndarray) -> bool:
-    """Whether the active piece gradients spread by more than _SING_TOL."""
-    return bool(np.linalg.norm(grads - grads[0], axis=1).max() > _SING_TOL)
 
 
 def _check_escape(targets: np.ndarray, R: float):
@@ -187,29 +182,31 @@ class CConcavePotential:
     def __call__(self, points: np.ndarray):
         return self.value(points)
 
-    def active_atoms(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Indices of atoms attaining the min at x within tol (scaled)."""
-        vals = self.piece_values(x)[0]
-        m = vals.min()
-        return np.flatnonzero(vals <= m + tol * (1.0 + abs(m)))
+    def active_atoms(self, x: np.ndarray) -> np.ndarray:
+        """Indices of atoms attaining the min at x (``_actives`` on the
+        negated piece values: negation is exact)."""
+        return np.flatnonzero(_actives(-self.piece_values(x))[0][0])
+
+    def _regular_atom(self, x: np.ndarray) -> int | None:
+        """The first argmin atom at x, or None where x is singular."""
+        mask, first = _actives(-self.piece_values(x))
+        singular = _singular(self.piece_gradients(x, np.flatnonzero(mask[0])))
+        return None if singular else int(first[0])
 
     def piece_gradients(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return grad_xi_p(x[None, :] - self.atoms[idx], self.p)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad phi at a differentiable point; SingularPointError otherwise."""
-        grads = self.piece_gradients(x, self.active_atoms(x))
-        if _singular(grads):
+        """grad phi at a differentiable point, that of its first argmin
+        piece; SingularPointError otherwise."""
+        j = self._regular_atom(x)
+        if j is None:
             raise SingularPointError(f"gradient undefined at {x}")
-        return grads[0]
+        return self.piece_gradients(x, [j])[0]
 
     def is_differentiable(self, x: np.ndarray) -> bool:
-        try:
-            self.gradient(x)
-            return True
-        except SingularPointError:
-            return False
+        return self._regular_atom(x) is not None
 
     def one_sided_derivatives(self, x: float) -> tuple[float, float]:
         """1D left/right derivatives (min of smooth pieces: left = max of
@@ -370,19 +367,20 @@ class SmoothPotential:
 def t_phi(potential, x: np.ndarray) -> np.ndarray:
     """Optimal transport map T_phi(x) = x - (grad xi_p)^{-1}(grad phi(x)).
 
-    For the min form the formula collapses exactly to the active atom, which
-    is what is returned; a SingularPointError signals that a subgradient
-    selection policy is required instead, and a BoundaryEscapeError flags an
-    image outside the closed domain ball by more than 1e-8.
+    For the min form the formula collapses exactly to the active atom (the
+    first argmin atom), which is what is returned; a SingularPointError
+    signals that a subgradient selection policy is required instead, and a
+    BoundaryEscapeError flags an image outside the closed domain ball by
+    more than 1e-8.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(potential, SmoothPotential):
         y = transport_from_gradient(x, potential.gradient(x), potential.p)
     else:
-        idx = potential.active_atoms(x)
-        if _singular(potential.piece_gradients(x, idx)):
+        j = potential._regular_atom(x)
+        if j is None:
             raise SingularPointError(f"transport map undefined at {x}")
-        y = potential.atoms[idx[0]].copy()
+        y = potential.atoms[j].copy()
     _check_escape(y[None, :], potential.R)
     return y
 

@@ -4,6 +4,12 @@ swappable subgradient-selection policies at singular points; linearized OT
 interpolation between two max-affine potentials; and the Brenier-envelope
 construction of a potential from a discrete OT solve.
 
+Points are decided by the one rule of ``convex_analysis`` (``_actives``,
+``_singular``): a regular point maps through its first arg-max piece, and
+only singular points reach the policy, in ``_select_singular``.  The
+pushforwards differ only in the polytope the policy sees and in how a pick
+becomes an image.
+
 Every result carries the coupling it came from, so the image is exactly the
 second marginal of a plan supported in the relevant (c-)subdifferential.
 """
@@ -14,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_analysis import MaxAffineFunction, SubdiffPolytope
+from .convex_analysis import MaxAffineFunction, SubdiffPolytope, _actives, _singular
 from .discrete_ot import Coupling, _gap_graph, cost_matrix, solve
 from .geometry_measures import DiscreteMeasure, Domain, GridDensity, discretize
-from .pcost_maps import (_SING_TOL, SmoothPotential, _check_escape, _singular,
-                         grad_xi_p_inverse)
+from .pcost_maps import SmoothPotential, _check_escape, grad_xi_p_inverse
 
 __all__ = [
     "SelectionPolicy",
@@ -28,8 +33,6 @@ __all__ = [
     "lot_interpolant",
     "potential_from_discrete_ot",
 ]
-
-_ACT_TOL = 1e-12    # relative activity tolerance for piece values
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,26 @@ def _as_discrete(rho) -> DiscreteMeasure:
     raise TypeError(f"expected DiscreteMeasure or GridDensity, got {type(rho).__name__}")
 
 
-def _actives(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the pieces within _ACT_TOL (1 + |best|) of each row's max,
-    and each row's first argmax."""
-    best = vals.max(axis=1)
-    tol = _ACT_TOL * (1.0 + np.abs(best))
-    return vals >= (best - tol)[:, None], np.argmax(vals, axis=1)
+def _select_singular(policy: SelectionPolicy | None, targets: np.ndarray,
+                     rows: np.ndarray, factors, polytope, image=None) -> int:
+    """Count the singular rows among ``rows`` and send them through the
+    policy (default min-norm); other rows keep their image in ``targets``.
+
+    Row i is singular iff one of its active-gradient arrays ``factors(i)``
+    is.  The policy picks g from the hull of ``V = polytope(i, grads)``, and
+    the image becomes ``image(i, V, g)``, or g itself when ``image`` is None.
+    """
+    policy = policy or SelectionPolicy.min_norm()
+    hits = 0
+    for i in rows:
+        grads = factors(i)
+        if not any(_singular(g) for g in grads):
+            continue
+        hits += 1
+        V = polytope(i, grads)
+        g = policy.select(SubdiffPolytope(V), i)
+        targets[i] = g if image is None else image(i, V, g)
+    return hits
 
 
 def _bundle(src: DiscreteMeasure, targets: np.ndarray, hits: int,
@@ -132,40 +149,33 @@ def pushforward_convex(f: MaxAffineFunction, rho, policy: SelectionPolicy | None
                        ) -> PushforwardResult:
     """Pushforward of rho through the subdifferential of a max-affine f.
 
-    Differentiable atoms map to their unique gradient (the active slope row,
-    bitwise); atoms where the subdifferential has diameter > 1e-10 are
-    resolved by the policy and counted in ``singular_hits``.  Grid densities
-    are discretized at cell centers first.
+    Regular atoms, tied ones included, map to the slope of their first
+    arg-max piece, bitwise; atoms where the active slopes have pairwise
+    diameter > 1e-10 are resolved by the policy from their hull and counted
+    in ``singular_hits``.  Grid densities are discretized at cell centers
+    first.
     """
-    policy = policy or SelectionPolicy.min_norm()
     src = _as_discrete(rho)
     if f.dim != src.dim:
         raise ValueError("dimension mismatch between potential and measure")
     mask, first = _actives(f.piece_values(src.points))
     targets = f.slopes[first].copy()
-    hits = 0
-    for i in np.flatnonzero(mask.sum(axis=1) > 1):
-        poly = SubdiffPolytope(f.slopes[mask[i]])
-        if poly.diam() > _SING_TOL:
-            hits += 1
-            targets[i] = policy.select(poly, i)
-        else:
-            targets[i] = poly.vertices[0]
-    image_domain = Domain.ball(np.zeros(src.dim), max(f.lip, 1e-300))
-    return _bundle(src, targets, hits, image_domain)
+    hits = _select_singular(policy, targets, np.flatnonzero(mask.sum(axis=1) > 1),
+                            lambda i: [f.slopes[mask[i]]], lambda i, grads: grads[0])
+    return _bundle(src, targets, hits, Domain.ball(np.zeros(src.dim), max(f.lip, 1e-300)))
 
 
 def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
                      ) -> PushforwardResult:
     """Pushforward of rho through the p-cost transport map of a potential.
 
-    At differentiable points the image is the potential's active atom
-    (exact).  At singular points the policy picks g in the partner
-    subdifferential and the image is x - (grad xi_p)^{-1}(C x - g); when g
-    is a polytope vertex this is snapped back to the matching atom so that
-    vertex selections stay exact.
+    At regular points, tied ones included, the image is the first argmin
+    atom (exact).  At singular points the policy picks g in the partner
+    subdifferential, the hull of C x minus the active piece gradients, and
+    the image is x - (grad xi_p)^{-1}(C x - g); when g is a polytope vertex
+    this is snapped back to the matching atom so that vertex selections
+    stay exact.
     """
-    policy = policy or SelectionPolicy.min_norm()
     src = _as_discrete(rho)
     R = potential.R
     image_domain = Domain.ball(np.zeros(src.dim), R)
@@ -177,25 +187,19 @@ def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
     # pieces near the min: negation is exact, so this is the max-side test
     mask, first = _actives(-potential.piece_values(src.points))
     targets = potential.atoms[first].copy()
-    C = potential.cost.concavity
-    hits = 0
-    for i in np.flatnonzero(mask.sum(axis=1) > 1):
-        act = np.flatnonzero(mask[i])
-        x = src.points[i]
-        grads = potential.piece_gradients(x, act)
-        if not _singular(grads):
-            targets[i] = potential.atoms[act[0]]
-            continue
-        hits += 1
-        vertices = C * x[None, :] - grads
-        poly = SubdiffPolytope(vertices)
-        g = policy.select(poly, i)
+    x, C = src.points, potential.cost.concavity
+
+    def image(i, vertices, g):
         match = np.linalg.norm(vertices - g[None, :], axis=1)
         j = int(np.argmin(match))
         if match[j] <= 1e-12 * (1.0 + np.linalg.norm(g)):
-            targets[i] = potential.atoms[act[j]]
-        else:
-            targets[i] = x - grad_xi_p_inverse(C * x - g, potential.p)
+            return potential.atoms[np.flatnonzero(mask[i])[j]]
+        return x[i] - grad_xi_p_inverse(C * x[i] - g, potential.p)
+
+    hits = _select_singular(
+        policy, targets, np.flatnonzero(mask.sum(axis=1) > 1),
+        lambda i: [potential.piece_gradients(x[i], np.flatnonzero(mask[i]))],
+        lambda i, grads: C * x[i][None, :] - grads[0], image)
     _check_escape(targets, R)
     return _bundle(src, targets, hits, image_domain)
 
@@ -209,34 +213,26 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
     factor-wise as the Minkowski combination (1-t) dphi0(x) + t dphi1(x)
     (recorded as the construction, not asserted to equal the blend's true
     subdifferential when active sets differ).  Points where both factors are
-    differentiable map to (1-t) g0 + t g1, bitwise equal to g0 when the two
-    gradients coincide, so identical potentials give t-independent output.
+    regular, tied ones included, map to (1-t) g0 + t g1 with g0, g1 the
+    slopes of the first arg-max pieces, bitwise equal to g0 when the two
+    coincide, so identical potentials give t-independent output.  Where
+    either factor is singular the policy picks from the combination.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("interpolation parameter t must lie in [0, 1]")
-    if t == 0.0:
-        return pushforward_convex(phi0, rho, policy).image
-    if t == 1.0:
-        return pushforward_convex(phi1, rho, policy).image
-    policy = policy or SelectionPolicy.min_norm()
+    if t in (0.0, 1.0):
+        return pushforward_convex(phi1 if t else phi0, rho, policy).image
     src = _as_discrete(rho)
-    actives = [_actives(f.piece_values(src.points)) for f in (phi0, phi1)]
-    g0 = phi0.slopes[actives[0][1]]
-    g1 = phi1.slopes[actives[1][1]]
-    same = np.all(g0 == g1, axis=1)
-    targets = np.where(same[:, None], g0, (1.0 - t) * g0 + t * g1)
-    multi = (actives[0][0].sum(1) > 1) | (actives[1][0].sum(1) > 1)
-    for i in np.flatnonzero(multi):
-        polys = []
-        for (mask, _), f in zip(actives, (phi0, phi1)):
-            polys.append(SubdiffPolytope(f.slopes[mask[i]]))
-        if max(p.diam() for p in polys) <= _SING_TOL:
-            if not same[i]:
-                targets[i] = (1.0 - t) * polys[0].vertices[0] + t * polys[1].vertices[0]
-            continue
-        v0, v1 = polys[0].vertices, polys[1].vertices
-        mink = ((1.0 - t) * v0[:, None, :] + t * v1[None, :, :]).reshape(-1, src.dim)
-        targets[i] = policy.select(SubdiffPolytope(mink), i)
+    (m0, first0), (m1, first1) = (_actives(f.piece_values(src.points)) for f in (phi0, phi1))
+    g0, g1 = phi0.slopes[first0], phi1.slopes[first1]
+    targets = np.where(np.all(g0 == g1, axis=1)[:, None], g0, (1.0 - t) * g0 + t * g1)
+
+    def minkowski(i, grads):
+        v0, v1 = (SubdiffPolytope(g).vertices for g in grads)
+        return ((1.0 - t) * v0[:, None, :] + t * v1[None, :, :]).reshape(-1, src.dim)
+
+    _select_singular(policy, targets, np.flatnonzero((m0.sum(1) > 1) | (m1.sum(1) > 1)),
+                     lambda i: [phi0.slopes[m0[i]], phi1.slopes[m1[i]]], minkowski)
     radius = max((1.0 - t) * phi0.lip + t * phi1.lip, 1e-300)
     return _bundle(src, targets, 0, Domain.ball(np.zeros(src.dim), radius)).image
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from otpush.convex_analysis import MaxAffineFunction
+from otpush.convex_analysis import MaxAffineFunction, SubdiffPolytope
 from otpush.discrete_ot import wasserstein
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
 from otpush.pcost_maps import (CConcavePotential, SingularPointError,
-                               SmoothPotential, t_phi)
+                               SmoothPotential, phi_to_convex, t_phi)
 from otpush.pushforward import (SelectionPolicy, lot_interpolant,
                                 potential_from_discrete_ot,
                                 pushforward_convex, pushforward_tmap)
@@ -155,6 +155,25 @@ def test_gradient_spread_of_exactly_the_tolerance_is_regular():
             assert res.image.points.tolist() == [[0.0]]
 
 
+def test_singular_is_the_pairwise_diameter_of_the_active_gradients():
+    # atoms 0 and +-3e-11 tie at x = 0 with piece gradients 0 and -+6e-11:
+    # every gradient is within 1e-10 of the first, yet two are 1.2e-10
+    # apart, so x is singular for every caller, the exact partner included
+    x = np.zeros(1)
+    src = DiscreteMeasure(x[None, :], np.ones(1), BOX)
+    pot = CConcavePotential(np.array([[0.0], [3e-11], [-3e-11]]), np.zeros(3), 2.0, 1.0)
+    assert len(pot.active_atoms(x)) == 3
+    assert pushforward_tmap(pot, src).singular_hits == 1
+    assert not pot.is_differentiable(x)
+    with pytest.raises(SingularPointError):
+        t_phi(pot, x)
+    assert pushforward_convex(phi_to_convex(pot), src).singular_hits == 1
+    # a diameter of exactly the tolerance is a singleton, as it is regular
+    edge = SubdiffPolytope(np.array([[0.0], [1e-10]]))
+    assert edge.diam() == 1e-10 and edge.is_singleton()
+    assert not SubdiffPolytope(np.array([[0.0], [np.nextafter(1e-10, 1.0)]])).is_singleton()
+
+
 def test_duplicate_pieces_and_atoms_tie_but_stay_regular():
     # a piece or atom given twice ties wherever it is active, with zero
     # spread: the point is regular and the policy (an index no polytope
@@ -176,6 +195,25 @@ def test_duplicate_pieces_and_atoms_tie_but_stay_regular():
     plain = lot_interpolant(F_ABS, h, 0.25, src, never)
     assert tied.points.ravel().tolist() == plain.points.ravel().tolist() == [-0.625, 0.875]
     assert np.array_equal(tied.weights, plain.weights)
+    # near-duplicates: unequal atoms 2e-11 apart (gradients 4e-11 apart) tie
+    # at x = 0.2, where the second is the strict argmin; every caller maps x
+    # through that first argmin piece, bit for bit
+    x = np.array([0.2])
+    one = DiscreteMeasure(x[None, :], np.ones(1), BOX)
+    pot = CConcavePotential(np.array([[0.5], [0.5 + 2e-11]]), np.array([0.0, 1.25e-11]),
+                            2.0, 1.0)
+    assert pot.active_atoms(x).tolist() == [0, 1]
+    assert np.argmin(pot.piece_values(x)[0]) == 1 and pot.atoms[0, 0] != pot.atoms[1, 0]
+    res = pushforward_tmap(pot, one, never)
+    assert res.singular_hits == 0 and res.image.points.tolist() == [pot.atoms[1].tolist()]
+    assert t_phi(pot, x).tolist() == pot.atoms[1].tolist()
+    assert pot.gradient(x).tolist() == pot.piece_gradients(x, [1])[0].tolist()
+    g = phi_to_convex(pot)
+    assert np.argmax(g.piece_values(x)[0]) == 1 and g.slopes[0, 0] != g.slopes[1, 0]
+    res = pushforward_convex(g, one, never)
+    assert res.singular_hits == 0 and res.image.points.tolist() == [g.slopes[1].tolist()]
+    blend = lot_interpolant(g, h, 0.25, one, never)
+    assert blend.points.tolist() == [(0.75 * g.slopes[1] + 0.25 * h.slopes[0]).tolist()]
 
 
 def test_quadratic_support_gradient_scales_w2_exactly():
