@@ -35,10 +35,8 @@ from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                 Measure1D, discretize, measure_from_json,
                                 quantile, unit_ball_volume, wasserstein_1d)
 from .pcost_maps import (BoundaryEscapeError, CConcavePotential, PCost,
-                         SingularPointError, SmoothPotential,
                          convex_to_phi, diam_partial_c, grad_xi_p,
-                         grad_xi_p_inverse, phi_to_convex, t_phi,
-                         transport_from_gradient)
+                         grad_xi_p_inverse, phi_to_convex)
 from .pushforward import (PushforwardResult, SelectionPolicy, lot_interpolant,
                           potential_from_discrete_ot, pushforward_convex,
                           pushforward_tmap)
@@ -49,8 +47,8 @@ __all__ = [
     "BoundViolationError", "BoundaryEscapeError", "CConcavePotential",
     "Coupling", "DiscreteMeasure", "Domain", "DualPotentials",
     "ExperimentReport", "GridDensity", "MaxAffineFunction", "Measure1D",
-    "PCost", "PushforwardResult", "SelectionPolicy", "SingularPointError",
-    "SmoothPotential", "SubdiffPolytope", "SweepConfig",
+    "PCost", "PushforwardResult", "SelectionPolicy", "SubdiffPolytope",
+    "SweepConfig",
     "audit_stability_bound", "bottleneck_solve", "convex_to_phi",
     "cost_matrix", "covering_number_sigma", "diam_partial_c",
     "diam_subdiff_ball", "discretize", "fit_holder_rate", "fit_loglog",
@@ -60,6 +58,5 @@ __all__ = [
     "pushforward_convex", "pushforward_measure1d", "pushforward_tmap",
     "quantile", "random_max_affine", "run_demo", "run_example", "run_figure1",
     "run_singularity_suite", "solve", "stability_constant", "subdifferential",
-    "t_phi", "transport_from_gradient", "unit_ball_volume", "wasserstein",
-    "wasserstein_1d", "verify_lemma_diam_l1",
+    "unit_ball_volume", "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
 ]

@@ -3,15 +3,15 @@
 The central object is :class:`MaxAffineFunction` f(x) = max_i <a_i, x> + b_i.
 On top of it this module provides
 
-* exact subdifferentials (:func:`subdifferential`) and exact diameters of
-  subdifferential images of balls (:func:`diam_subdiff_ball`),
+* subdifferentials on the one activity rule (:func:`subdifferential`) and
+  exact diameters of subdifferential images of balls
+  (:func:`diam_subdiff_ball`),
 * the near-singularity set scan and its greedy covering
   (:func:`covering_number_sigma`), audited against the count bound
   48 d^2 (R+4eta)^{d-1} Lip / (alpha eta^{d-1}),
 * the integral diameter estimate with its bound
   48 d^2 beta_d 2^{3d+q-1} (q/(q-1)) (R+4eta)^{d-1} Lip^q eta,
 * the L1-gradient diameter inequality check (:func:`verify_lemma_diam_l1`),
-* Lipschitz extension by the envelope of sampled supports,
 * :func:`kink_ladder`, the worst-case function whose N evenly spaced kinks
   each carry a subdifferential jump of exactly 2L/N.
 
@@ -56,7 +56,6 @@ __all__ = [
     "IntegralDiamEstimate",
     "integral_diam_estimate",
     "verify_lemma_diam_l1",
-    "lipschitz_extension",
     "kink_ladder",
     "breakpoints_1d",
 ]
@@ -122,30 +121,6 @@ class MaxAffineFunction:
         """Slope of the first argmax piece per point."""
         idx = np.argmax(self.piece_values(points), axis=1)
         return self.slopes[idx]
-
-    @staticmethod
-    def from_supports(points: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> "MaxAffineFunction":
-        """Envelope of supporting planes value + <slope, . - point>."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g = np.atleast_2d(np.asarray(slopes, dtype=float))
-        v = np.asarray(values, dtype=float)
-        return MaxAffineFunction(g, v - (g * pts).sum(axis=1))
-
-    def deduplicated(self) -> "MaxAffineFunction":
-        rows = np.column_stack([self.slopes, self.intercepts])
-        rows = np.unique(rows, axis=0)
-        return MaxAffineFunction(rows[:, :-1], rows[:, -1])
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(f"a_{c + 1}" for c in range(self.dim)) + ",b\n")
-            for a, b in zip(self.slopes, self.intercepts):
-                fh.write(",".join(repr(float(x)) for x in a) + f",{float(b)!r}\n")
-
-    @staticmethod
-    def from_csv(path) -> "MaxAffineFunction":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return MaxAffineFunction(rows[:, :-1], rows[:, -1])
 
     # internal: cached upper envelope for 1D queries --------------------
     def _envelope(self):
@@ -266,9 +241,6 @@ class SubdiffPolytope:
                 return p.copy(), 0.0
         return q.copy(), float(dist)
 
-    def contains(self, point: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.project(point)[1] <= tol
-
     def min_norm_point(self) -> np.ndarray:
         return self.project(np.zeros(self.dim))[0]
 
@@ -305,13 +277,9 @@ def _vertex_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _VERTEX_PAIRS[k]
 
 
-def subdifferential(f: MaxAffineFunction, x: np.ndarray, tau: float = 0.0) -> SubdiffPolytope:
-    """Hull of slopes of pieces within tau of the max at x (tau=0: exact)."""
-    if tau < 0:
-        raise ValueError("activity tolerance must be >= 0")
-    vals = f.piece_values(x)[0]
-    active = vals >= vals.max() - tau
-    return SubdiffPolytope(f.slopes[active])
+def subdifferential(f: MaxAffineFunction, x: np.ndarray) -> SubdiffPolytope:
+    """Hull of the slopes of the pieces active at x (``_actives``)."""
+    return SubdiffPolytope(f.slopes[_actives(f.piece_values(x))[0][0]])
 
 
 # ---------------------------------------------------------------------------
@@ -729,28 +697,6 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
         raise NotImplementedError("implemented for d in {1, 2}")
     rhs = 12.0 / (beta * eta ** f.dim) * integral
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz extension
-# ---------------------------------------------------------------------------
-
-def lipschitz_extension(f, sample_points: np.ndarray | None = None) -> MaxAffineFunction:
-    """Global envelope sup over samples of f(x0) + <g(x0), . - x0>.
-
-    A MaxAffineFunction is already the envelope of its own pieces and is
-    returned unchanged.  Any other convex oracle must expose ``value(points)``
-    and ``any_subgradient(points)``; supports are sampled at
-    ``sample_points``.
-    """
-    if isinstance(f, MaxAffineFunction):
-        return f
-    if sample_points is None:
-        raise ValueError("sample points required for non-polyhedral oracles")
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    values = np.asarray(f.value(pts), dtype=float)
-    slopes = np.atleast_2d(np.asarray(f.any_subgradient(pts), dtype=float))
-    return MaxAffineFunction.from_supports(pts, values, slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "solve",
     "wasserstein",
     "bottleneck_solve",
-    "c_transform",
 ]
 
 MASS_SCALE = 10 ** 12
@@ -697,20 +696,3 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
         mass = units / MASS_SCALE
     return Coupling(keep_s[i], keep_t[j], mass, mu, nu), distance
 
-
-# ---------------------------------------------------------------------------
-# c-transform
-# ---------------------------------------------------------------------------
-
-def c_transform(phi_values: np.ndarray, source: DiscreteMeasure,
-                target, p: float) -> np.ndarray:
-    """phi^c(y) = min over source points of ||x_i - y||^p - phi(x_i).
-
-    ``target`` is a DiscreteMeasure or a raw (m, d) point array.
-    """
-    phi_values = np.asarray(phi_values, dtype=float)
-    if not np.isfinite(phi_values).all():
-        raise ValueError("potential values must be finite")
-    pts = target.points if isinstance(target, DiscreteMeasure) else np.atleast_2d(np.asarray(target, dtype=float))
-    cost = cost_matrix(source.points, pts, p)
-    return (cost - phi_values[:, None]).min(axis=0)

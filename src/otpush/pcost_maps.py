@@ -1,6 +1,6 @@
 """p-cost machinery: xi_p(z) = |z|^p gradients with a Holder-certified
-inverse, c-concave potentials in Laguerre (min) form, the induced optimal
-transport map, and the convex partner function.
+inverse, c-concave potentials in Laguerre (min) form, their convex partner
+at p = 2, and the c-superdifferential image bound.
 
 A c-concave potential is stored as phi(x) = min_j xi_p(x - y_j) - psi_j,
 which is the cbar-transform of the finitely supported function psi and is
@@ -8,14 +8,15 @@ therefore exactly c-concave (fixed point of the double transform).  Every
 derived quantity factors through this form, and is decided here once:
 
 * T_phi(x) = x - (grad xi_p)^{-1}(grad phi(x)) equals the active atom y_j*
-  exactly, so pushforwards of differentiable points carry no roundoff;
+  exactly, so ``pushforward.pushforward_tmap`` maps differentiable points
+  with no roundoff;
 * activity, singularity (active piece gradients of pairwise diameter
   > 1e-10) and the regular image (the first argmin atom) follow the one
   rule of ``convex_analysis`` (``_actives`` on negated values, ``_singular``);
 * the 1D Laguerre cells, whose cuts are the kinks of T_phi, are cached on
   the potential (``_cells_1d``, via ``convex_analysis._envelope_1d``);
-* the convex partner  C x^2/2 - phi  (C = p(p-1) R^{p-2}) is an exact
-  max-affine function for p = 2 and a sampled convex oracle otherwise;
+* the convex partner  |x|^2 - phi  at p = 2 is an exact max-affine
+  function (``phi_to_convex``, inverted by ``convex_to_phi``);
 * the c-superdifferential image of a ball and its diameter bound
   8 p (1 + R^{(p-2)/(p-1)}) (eta^{1/(p-1)} + diam(dphi(ball))^{1/(p-1)})
   come from the endpoint correspondence y = x - (grad xi_p)^{-1}(C x - g).
@@ -27,29 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_analysis import (MaxAffineFunction, _actives, _envelope_1d, _singular,
-                              diam_subdiff_ball)
+from .convex_analysis import MaxAffineFunction, _actives, _envelope_1d, diam_subdiff_ball
 from .discrete_ot import cost_matrix
 
 __all__ = [
     "PCost",
     "CConcavePotential",
-    "SmoothPotential",
-    "SingularPointError",
     "BoundaryEscapeError",
     "grad_xi_p",
     "grad_xi_p_inverse",
-    "transport_from_gradient",
-    "t_phi",
     "phi_to_convex",
     "convex_to_phi",
-    "ConvexPartnerOracle",
     "diam_partial_c",
 ]
-
-
-class SingularPointError(RuntimeError):
-    """The potential is not differentiable at the queried point."""
 
 
 class BoundaryEscapeError(RuntimeError):
@@ -124,11 +115,6 @@ def grad_xi_p_inverse(z: np.ndarray, p: float) -> np.ndarray:
     return out[0] if single else out
 
 
-def transport_from_gradient(x: np.ndarray, g: np.ndarray, p: float) -> np.ndarray:
-    """x - (grad xi_p)^{-1}(g): the transport formula from a gradient value."""
-    return np.asarray(x, dtype=float) - grad_xi_p_inverse(g, p)
-
-
 # ---------------------------------------------------------------------------
 # c-concave potentials in min form
 # ---------------------------------------------------------------------------
@@ -138,7 +124,7 @@ class CConcavePotential:
     """phi(x) = min_j |x - y_j|^p - psi_j on the ball B(0, R).
 
     As a cbar-transform of a finitely supported function, phi satisfies
-    phi = (phi^c)^cbar by construction (the flag ``c_concave`` records it).
+    phi = (phi^c)^cbar by construction.
     """
 
     atoms: np.ndarray
@@ -156,10 +142,6 @@ class CConcavePotential:
         PCost(self.p, self.R)  # validates p, R
         object.__setattr__(self, "atoms", y)
         object.__setattr__(self, "offsets", psi)
-
-    @property
-    def c_concave(self) -> bool:
-        return True
 
     @property
     def cost(self) -> PCost:
@@ -187,26 +169,9 @@ class CConcavePotential:
         negated piece values: negation is exact)."""
         return np.flatnonzero(_actives(-self.piece_values(x))[0][0])
 
-    def _regular_atom(self, x: np.ndarray) -> int | None:
-        """The first argmin atom at x, or None where x is singular."""
-        mask, first = _actives(-self.piece_values(x))
-        singular = _singular(self.piece_gradients(x, np.flatnonzero(mask[0])))
-        return None if singular else int(first[0])
-
     def piece_gradients(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return grad_xi_p(x[None, :] - self.atoms[idx], self.p)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad phi at a differentiable point, that of its first argmin
-        piece; SingularPointError otherwise."""
-        j = self._regular_atom(x)
-        if j is None:
-            raise SingularPointError(f"gradient undefined at {x}")
-        return self.piece_gradients(x, [j])[0]
-
-    def is_differentiable(self, x: np.ndarray) -> bool:
-        return self._regular_atom(x) is not None
 
     def one_sided_derivatives(self, x: float) -> tuple[float, float]:
         """1D left/right derivatives (min of smooth pieces: left = max of
@@ -250,32 +215,6 @@ class CConcavePotential:
         idx = np.argmin(self.piece_values(pts), axis=1)
         return float(np.linalg.norm(pts - self.atoms[idx], axis=1).max())
 
-    def sampled_invariant_check(self, n: int = 4096, seed: int = 0):
-        """Sampled Lipschitz (<= p R^{p-1}) and midpoint-convexity of the
-        partner C|x|^2/2 - phi; raises AssertionError on violation."""
-        rng = np.random.default_rng(seed)
-        d = self.dim
-        pts = rng.uniform(-self.R, self.R, (n, d))
-        pts = pts[np.linalg.norm(pts, axis=1) <= self.R]
-        a, b = pts[: len(pts) // 2], pts[len(pts) // 2: 2 * (len(pts) // 2)]
-        va, vb = self.value(a), self.value(b)
-        gap = np.linalg.norm(a - b, axis=1)
-        ok = gap > 1e-12
-        lip = self.cost.lip
-        worst = (np.abs(va - vb)[ok] / gap[ok]).max()
-        if worst > lip * (1 + 1e-9):
-            raise AssertionError(f"sampled Lipschitz ratio {worst} exceeds {lip}")
-        C = self.cost.concavity
-        mid = 0.5 * (a + b)
-        conv = (C / 2.0) * (pts ** 2).sum(1)
-        fa = (C / 2.0) * (a ** 2).sum(1) - va
-        fb = (C / 2.0) * (b ** 2).sum(1) - vb
-        fm = (C / 2.0) * (mid ** 2).sum(1) - self.value(mid)
-        viol = (fm - 0.5 * (fa + fb)).max()
-        if viol > 1e-9 * (1.0 + np.abs(fm).max()):
-            raise AssertionError(f"midpoint convexity violated by {viol}")
-
-
 def _piece_crossing(pot: CConcavePotential, i: int, j: int) -> float:
     """Abscissa where piece j overtakes piece i (atom_i < atom_j).
 
@@ -317,121 +256,18 @@ def _piece_crossing(pot: CConcavePotential, i: int, j: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothPotential:
-    """Closed-form everywhere-differentiable potential (value and gradient
-    callables), for potentials outside the min-form family such as phi = 0
-    or linear phi."""
-
-    value_fn: object
-    grad_fn: object
-    p: float
-    R: float
-
-    @property
-    def c_concave(self) -> bool:
-        return True
-
-    @property
-    def cost(self) -> PCost:
-        return PCost(self.p, self.R)
-
-    def value(self, points: np.ndarray):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim <= 1
-        vals = np.asarray(self.value_fn(np.atleast_2d(points)), dtype=float)
-        return float(vals[0]) if single else vals
-
-    def __call__(self, points: np.ndarray):
-        return self.value(points)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.asarray(self.grad_fn(x[None, :]), dtype=float)[0]
-
-    def is_differentiable(self, x: np.ndarray) -> bool:
-        return True
-
-    @staticmethod
-    def zero(p: float, R: float, dim: int) -> "SmoothPotential":
-        return SmoothPotential(lambda pts: np.zeros(len(pts)),
-                               lambda pts: np.zeros_like(pts), p, R)
-
-    @staticmethod
-    def linear(a: np.ndarray, p: float, R: float) -> "SmoothPotential":
-        a = np.asarray(a, dtype=float)
-        return SmoothPotential(lambda pts: pts @ a,
-                               lambda pts: np.broadcast_to(a, pts.shape).copy(), p, R)
-
-
-def t_phi(potential, x: np.ndarray) -> np.ndarray:
-    """Optimal transport map T_phi(x) = x - (grad xi_p)^{-1}(grad phi(x)).
-
-    For the min form the formula collapses exactly to the active atom (the
-    first argmin atom), which is what is returned; a SingularPointError
-    signals that a subgradient selection policy is required instead, and a
-    BoundaryEscapeError flags an image outside the closed domain ball by
-    more than 1e-8.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(potential, SmoothPotential):
-        y = transport_from_gradient(x, potential.gradient(x), potential.p)
-    else:
-        j = potential._regular_atom(x)
-        if j is None:
-            raise SingularPointError(f"transport map undefined at {x}")
-        y = potential.atoms[j].copy()
-    _check_escape(y[None, :], potential.R)
-    return y
-
-
 # ---------------------------------------------------------------------------
 # convex partner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ConvexPartnerOracle:
-    """phi_conv(x) = C |x|^2 / 2 - phi(x) for p > 2 (non-polyhedral).
-
-    Exposes ``value`` and ``any_subgradient`` (both batched) so it can be
-    sampled into a max-affine envelope by ``lipschitz_extension``.
-    """
-
-    potential: CConcavePotential
-
-    @property
-    def concavity(self) -> float:
-        return self.potential.cost.concavity
-
-    @property
-    def lipschitz_bound(self) -> float:
-        c = self.potential.cost
-        return c.p ** 2 * c.R ** (c.p - 1.0)
-
-    def value(self, points: np.ndarray):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (self.concavity / 2.0) * (pts ** 2).sum(1) - self.potential.value(pts)
-
-    def any_subgradient(self, points: np.ndarray) -> np.ndarray:
-        """C x - (gradient of one active piece): a valid subgradient even at
-        kinks, since active smooth pieces of a max support it from below."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.argmin(self.potential.piece_values(pts), axis=1)
-        piece_grad = grad_xi_p(pts - self.potential.atoms[idx], self.potential.p)
-        return self.concavity * pts - piece_grad
-
-
-def phi_to_convex(potential: CConcavePotential):
-    """Convex partner of a c-concave potential.
-
-    p = 2: the exact max-affine function max_j 2<y_j, x> + (psi_j - |y_j|^2).
-    p > 2: a ConvexPartnerOracle exposing value/any_subgradient.
-    """
-    if potential.p == 2:
-        slopes = 2.0 * potential.atoms
-        intercepts = potential.offsets - (potential.atoms ** 2).sum(1)
-        return MaxAffineFunction(slopes, intercepts)
-    return ConvexPartnerOracle(potential)
+def phi_to_convex(potential: CConcavePotential) -> MaxAffineFunction:
+    """Convex partner |x|^2 - phi of a quadratic-cost potential: the exact
+    max-affine function max_j 2<y_j, x> + (psi_j - |y_j|^2)."""
+    if potential.p != 2:
+        raise ValueError("the convex partner is exact for p = 2 only")
+    slopes = 2.0 * potential.atoms
+    intercepts = potential.offsets - (potential.atoms ** 2).sum(1)
+    return MaxAffineFunction(slopes, intercepts)
 
 
 def convex_to_phi(f: MaxAffineFunction, R: float, p: float = 2.0) -> CConcavePotential:

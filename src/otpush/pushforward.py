@@ -23,7 +23,7 @@ import numpy as np
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope, _actives, _singular
 from .discrete_ot import Coupling, _gap_graph, cost_matrix, solve
 from .geometry_measures import DiscreteMeasure, Domain, GridDensity, discretize
-from .pcost_maps import SmoothPotential, _check_escape, grad_xi_p_inverse
+from .pcost_maps import CConcavePotential, _check_escape, grad_xi_p_inverse
 
 __all__ = [
     "SelectionPolicy",
@@ -40,24 +40,16 @@ class SelectionPolicy:
     """Rule choosing one subgradient from a subdifferential polytope.
 
     Kinds: ``min-norm`` (default; unique, stable), ``max-first`` (extreme
-    vertex in the first coordinate direction, lexicographic tie-break),
-    ``fixed`` (vertex by index into the polytope's sorted vertex list), and
-    ``user`` (one caller-supplied vector per input point, validated to lie
-    in the polytope hull within 1e-8).
+    vertex in the first coordinate direction, lexicographic tie-break) and
+    ``fixed`` (vertex by index into the polytope's sorted vertex list).
     """
 
     kind: str = "min-norm"
     index: int = 0
-    vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("min-norm", "max-first", "fixed", "user"):
+        if self.kind not in ("min-norm", "max-first", "fixed"):
             raise ValueError(f"unknown selection policy kind {self.kind!r}")
-        if self.kind == "user":
-            if self.vectors is None:
-                raise ValueError("user policy needs one vector per input point")
-            object.__setattr__(self, "vectors",
-                               np.atleast_2d(np.asarray(self.vectors, dtype=float)))
 
     @staticmethod
     def min_norm() -> "SelectionPolicy":
@@ -71,27 +63,18 @@ class SelectionPolicy:
     def fixed(index: int) -> "SelectionPolicy":
         return SelectionPolicy("fixed", index=index)
 
-    @staticmethod
-    def user(vectors: np.ndarray) -> "SelectionPolicy":
-        return SelectionPolicy("user", vectors=vectors)
-
-    def select(self, polytope: SubdiffPolytope, point_index: int) -> np.ndarray:
+    def select(self, polytope: SubdiffPolytope) -> np.ndarray:
         if self.kind == "min-norm":
             return polytope.min_norm_point()
         if self.kind == "max-first":
             e1 = np.zeros(polytope.vertices.shape[1])
             e1[0] = 1.0
             return polytope.extreme_vertex(e1)
-        if self.kind == "fixed":
-            if not 0 <= self.index < len(polytope.vertices):
-                raise IndexError(
-                    f"fixed policy index {self.index} outside polytope with "
-                    f"{len(polytope.vertices)} vertices")
-            return polytope.vertices[self.index]
-        v = self.vectors[point_index]
-        if not polytope.contains(v, tol=1e-8):
-            raise ValueError(f"policy vector {v} lies outside the subdifferential")
-        return v
+        if not 0 <= self.index < len(polytope.vertices):
+            raise IndexError(
+                f"fixed policy index {self.index} outside polytope with "
+                f"{len(polytope.vertices)} vertices")
+        return polytope.vertices[self.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +112,7 @@ def _select_singular(policy: SelectionPolicy | None, targets: np.ndarray,
             continue
         hits += 1
         V = polytope(i, grads)
-        g = policy.select(SubdiffPolytope(V), i)
+        g = policy.select(SubdiffPolytope(V))
         targets[i] = g if image is None else image(i, V, g)
     return hits
 
@@ -165,7 +148,7 @@ def pushforward_convex(f: MaxAffineFunction, rho, policy: SelectionPolicy | None
     return _bundle(src, targets, hits, Domain.ball(np.zeros(src.dim), max(f.lip, 1e-300)))
 
 
-def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
+def pushforward_tmap(potential: CConcavePotential, rho, policy: SelectionPolicy | None = None
                      ) -> PushforwardResult:
     """Pushforward of rho through the p-cost transport map of a potential.
 
@@ -179,11 +162,6 @@ def pushforward_tmap(potential, rho, policy: SelectionPolicy | None = None
     src = _as_discrete(rho)
     R = potential.R
     image_domain = Domain.ball(np.zeros(src.dim), R)
-    if isinstance(potential, SmoothPotential):
-        grads = np.asarray(potential.grad_fn(src.points), dtype=float)
-        targets = src.points - grad_xi_p_inverse(grads, potential.p)
-        _check_escape(targets, R)
-        return _bundle(src, targets, 0, image_domain)
     # pieces near the min: negation is exact, so this is the max-side test
     mask, first = _actives(-potential.piece_values(src.points))
     targets = potential.atoms[first].copy()

@@ -16,12 +16,14 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     breakpoints_1d, count_bound,
                                     covering_number_sigma, diam_subdiff_ball,
                                     integral_bound, integral_diam_estimate,
-                                    kink_ladder, lipschitz_extension,
-                                    subdifferential, verify_lemma_diam_l1)
+                                    kink_ladder, subdifferential,
+                                    verify_lemma_diam_l1)
 from otpush.convex_analysis import (_box, _cell_active, _cell_polygon, _disc_grid,
                                     _scan_axis)
 from otpush.experiments import random_max_affine
+from otpush.geometry_measures import DiscreteMeasure, Domain
 from otpush.pcost_maps import convex_to_phi, diam_partial_c
+from otpush.pushforward import pushforward_convex
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -72,36 +74,6 @@ def test_one_point_gets_the_bits_of_its_batch_row(seed, k, rows):
         poly = _cell_polygon(A, B, i, _box(np.full(2, -2.0), np.full(2, 2.0)))
         alone = _cell_active(A, B, i, poly, x[None, :], eta)
         assert alone.tolist() == _cell_active(A, B, i, poly, pts, eta)[t:t + 1].tolist()
-
-
-def test_max_affine_from_supports():
-    # supports of x^2/2 at +-1: slopes +-1, values 1/2
-    f = MaxAffineFunction.from_supports(np.array([[-1.0], [1.0]]),
-                                        np.array([0.5, 0.5]),
-                                        np.array([[-1.0], [1.0]]))
-    assert f(np.array([[0.0]]))[0] == pytest.approx(-0.5, abs=1e-15)
-    assert f(np.array([[2.0]]))[0] == pytest.approx(1.5, abs=1e-15)
-
-
-def test_max_affine_csv_roundtrip(tmp_path):
-    f = kink_ladder(3, 2.0, 1.0)
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    g = MaxAffineFunction.from_csv(path)
-    assert np.array_equal(f.slopes, g.slopes)
-    assert np.array_equal(f.intercepts, g.intercepts)
-    path2 = tmp_path / "f2.csv"
-    f.to_csv(path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_max_affine_deduplicated():
-    f = MaxAffineFunction(np.array([[1.0], [1.0], [-1.0]]),
-                          np.array([0.0, 0.0, 0.0]))
-    g = f.deduplicated()
-    assert g.n_pieces == 2
-    xs = np.linspace(-1, 1, 9)[:, None]
-    assert np.allclose(f(xs), g(xs))
 
 
 def test_max_affine_validation():
@@ -170,6 +142,19 @@ def test_subdifferential_ladder_kinks():
                            [slopes[k], slopes[k + 1]])
 
 
+def test_subdifferential_near_tie_agrees_with_pushforward():
+    # f = max(-x, x + 1e-13): at x = 0 the pieces are 1e-13 apart, inside
+    # the activity tolerance, and their slopes 2 apart, so x is singular
+    # for the subdifferential and for the pushforward alike
+    f = MaxAffineFunction(np.array([[-1.0], [1.0]]), np.array([0.0, 1e-13]))
+    x = np.zeros(1)
+    sd = subdifferential(f, x)
+    assert np.array_equal(np.sort(sd.vertices.ravel()), [-1.0, 1.0])
+    dirac = DiscreteMeasure(x[None, :], np.ones(1), Domain.box([-1.0], [1.0]))
+    assert pushforward_convex(f, dirac).singular_hits == 1
+    assert not sd.is_singleton()
+
+
 def test_subgradient_monotonicity():
     rng = np.random.default_rng(5)
     f2 = MaxAffineFunction(rng.normal(size=(6, 2)), rng.normal(size=6))
@@ -186,8 +171,6 @@ def test_subdiff_polytope_operations():
     assert poly.diam() == pytest.approx(math.sqrt(5.0), abs=1e-12)
     assert not poly.is_singleton()
     assert np.allclose(poly.extreme_vertex(np.array([0.0, 1.0])), [0.0, 2.0])
-    assert poly.contains(np.array([0.0, 0.5]))
-    assert not poly.contains(np.array([2.0, 2.0]))
     proj, dist = poly.project(np.array([0.0, -1.0]))
     assert np.allclose(proj, [0.0, 0.0], atol=1e-9)
     assert dist == pytest.approx(1.0, abs=1e-9)
@@ -937,35 +920,3 @@ def test_grid_scans_run_without_the_bracket_kernel(monkeypatch):
         assert diam_subdiff_ball(f, x, eta) == diam
         assert verify_lemma_diam_l1(f, x, eta) == (diam, rhs)
         assert diam_partial_c(pot, x, eta) == (diam / 2.0, bound)
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz extension
-# ---------------------------------------------------------------------------
-
-class _QuadraticOracle:
-    """Convex oracle x -> ||x||^2 / 2 with exact subgradients."""
-
-    def value(self, pts):
-        return 0.5 * (np.asarray(pts) ** 2).sum(axis=1)
-
-    def any_subgradient(self, pts):
-        return np.asarray(pts, dtype=float)
-
-
-def test_extension_of_max_affine_is_itself():
-    f = kink_ladder(3, 1.0, 1.0)
-    assert lipschitz_extension(f) is f
-
-
-def test_extension_of_smooth_oracle():
-    oracle = _QuadraticOracle()
-    samples = np.linspace(-1, 1, 41)[:, None]
-    ext = lipschitz_extension(oracle, samples)
-    # supporting hyperplanes: exact at samples, minorant everywhere
-    assert np.allclose(ext(samples), oracle.value(samples), atol=1e-9)
-    dense = np.linspace(-1, 1, 2001)[:, None]
-    assert (ext(dense) <= oracle.value(dense) + 1e-12).all()
-    assert np.abs(ext(dense) - oracle.value(dense)).max() <= 1e-3
-    with pytest.raises(ValueError):
-        lipschitz_extension(oracle)

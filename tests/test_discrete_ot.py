@@ -15,7 +15,7 @@ from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
                                 SolverError, _dijkstra, _gap_graph, _scaled_units,
                                 _unit_bounds, _solve_assignment, _solve_highs,
-                                bottleneck_solve, c_transform, cost_matrix, solve,
+                                bottleneck_solve, cost_matrix, solve,
                                 wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
@@ -916,30 +916,13 @@ def test_bottleneck_raises_on_plan_with_forbidden_edge(monkeypatch):
 # c-transform
 # ---------------------------------------------------------------------------
 
-def test_c_transform_zero_potential_is_min_cost():
-    mu = _m1([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-    ys = np.array([[-0.6], [0.4]])
-    out = c_transform(np.zeros(3), mu, ys, p=2.0)
-    expect = np.min(cost_matrix(mu.points, ys, 2.0), axis=0)
-    assert np.allclose(out, expect, atol=1e-15)
-
-
-def test_c_transform_single_source():
-    mu = _m1([0.5], [1.0])
-    ys = np.array([[-1.0], [0.0], [2.0]])
-    out = c_transform(np.array([0.3]), mu, ys, p=3.0)
-    expect = np.abs(ys.ravel() - 0.5) ** 3 - 0.3
-    assert np.allclose(out, expect, atol=1e-15)
-    with pytest.raises(ValueError):
-        c_transform(np.array([np.inf]), mu, ys, p=2.0)
-
-
 def test_double_transform_fixed_point_on_support():
     rng = np.random.default_rng(61)
     mu, nu = _random_pair(rng, 7, 7, d=2)
     _, _, duals = solve(mu, nu, 2.0)
-    phi_c = c_transform(duals.phi, mu, nu, p=2.0)
-    phi_cc = c_transform(phi_c, nu, mu.points, p=2.0)
+    C = cost_matrix(mu.points, nu.points, 2.0)
+    phi_c = (C - duals.phi[:, None]).min(axis=0)
+    phi_cc = (C - phi_c[None, :]).min(axis=1)
     # optimal potentials are fixed points of the double transform on the
     # support of the source measure
     assert np.allclose(phi_cc, duals.phi, atol=1e-9)

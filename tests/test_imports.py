@@ -145,3 +145,19 @@ def test_scipy_optimize_loads_only_for_highs():
 
 def test_ssp_failure_raises_without_highs():
     _run_fresh(_SSP_FAILURE_SCRIPT)
+
+
+def test_every_export_resolves():
+    # ``otpush.__all__`` and each module's ``__all__`` name only what exists
+    import importlib
+    import pkgutil
+
+    import otpush
+
+    modules = [otpush] + [importlib.import_module(f"otpush.{info.name}")
+                          for info in pkgutil.iter_modules(otpush.__path__)]
+    exported = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert len(exported) > len(otpush.__all__)
+    missing = [(mod, name) for mod, name in exported
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing, missing

@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from otpush.convex_analysis import MaxAffineFunction, diam_subdiff_ball
-from otpush.discrete_ot import c_transform
+from otpush.discrete_ot import cost_matrix
 from otpush.geometry_measures import DiscreteMeasure, Domain
-from otpush.pcost_maps import (BoundaryEscapeError, CConcavePotential,
-                               ConvexPartnerOracle, PCost, SingularPointError,
-                               SmoothPotential, convex_to_phi, diam_partial_c,
-                               grad_xi_p, grad_xi_p_inverse, phi_to_convex,
-                               t_phi, transport_from_gradient)
+from otpush.pcost_maps import (BoundaryEscapeError, CConcavePotential, PCost,
+                               convex_to_phi, diam_partial_c, grad_xi_p,
+                               grad_xi_p_inverse, phi_to_convex)
+from otpush.pushforward import pushforward_tmap
 
 
 def _sign_potential(p):
     """Potential whose value is (1 - |x|)^p on [-1, 1]; its map is sign(x)."""
     return CConcavePotential(np.array([[1.0], [-1.0]]), np.zeros(2), p, 1.0)
+
+
+def _push_dirac(phi, x):
+    """pushforward_tmap of the Dirac mass at x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dirac = DiscreteMeasure(x[None, :], np.ones(1), Domain.ball(np.zeros(len(x)), phi.R))
+    return pushforward_tmap(phi, dirac)
 
 
 def _random_valid_potential_1d(rng, p, R, m):
@@ -88,26 +94,15 @@ def test_hessian_spectral_bounds():
 # transport formula
 # ---------------------------------------------------------------------------
 
-def test_transport_from_gradient_identity_and_linear():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(3)
-    assert np.allclose(transport_from_gradient(x, np.zeros(3), 2.0), x)
-    a = rng.standard_normal(3)
-    assert np.allclose(transport_from_gradient(x, a, 2.0), x - a / 2,
-                       atol=1e-15)
-
-
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_sign_map(p):
     phi = _sign_potential(p)
     for x in (0.3, -0.7, 0.999, -0.001):
-        assert t_phi(phi, np.array([x]))[0] == np.sign(x)
+        res = _push_dirac(phi, x)
+        assert res.singular_hits == 0 and res.image.points.tolist() == [[np.sign(x)]]
     grid = np.linspace(-1, 1, 201)[:, None]
     assert np.abs(phi.value(grid) - (1 - np.abs(grid[:, 0])) ** p).max() < 1e-14
-    with pytest.raises(SingularPointError):
-        t_phi(phi, np.array([0.0]))
-    assert not phi.is_differentiable(np.array([0.0]))
-    assert phi.is_differentiable(np.array([0.5]))
+    assert _push_dirac(phi, 0.0).singular_hits == 1
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
@@ -118,34 +113,21 @@ def test_map_agrees_with_gradient_formula(p):
     pts = rng.uniform(-0.9, 0.9, (300, 2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 1][:120]
     for x in pts:
-        try:
-            T = t_phi(phi, x)
-        except SingularPointError:
+        res = _push_dirac(phi, x)
+        if res.singular_hits:
             continue
-        Tf = transport_from_gradient(x, phi.gradient(x), p)
-        assert np.linalg.norm(T - Tf) <= 1e-10 * (1 + np.linalg.norm(x))
+        # T(x) = x - (grad xi_p)^{-1}(grad phi(x)), grad phi(x) that of the
+        # minimizing piece
+        y = phi.atoms[np.argmin(phi.piece_values(x)[0])]
+        Tf = x - grad_xi_p_inverse(grad_xi_p(x - y, p), p)
+        assert np.linalg.norm(res.image.points[0] - Tf) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
 def test_boundary_escape_detection():
     # an atom outside the domain ball is an escaping image
     phi = CConcavePotential(np.array([[1.5], [-0.5]]), np.zeros(2), 2.0, 1.0)
     with pytest.raises(BoundaryEscapeError):
-        t_phi(phi, np.array([0.9]))
-    # so is a large linear drift applied near the boundary
-    lin = SmoothPotential.linear(np.array([-4.0, 0.0]), 2.0, 1.0)
-    with pytest.raises(BoundaryEscapeError):
-        t_phi(lin, np.array([0.9, 0.0]))
-
-
-def test_smooth_potentials():
-    rng = np.random.default_rng(19)
-    xs = rng.uniform(-0.5, 0.5, (20, 2))
-    zero = SmoothPotential.zero(2.0, 1.0, 2)
-    assert (t_phi(zero, xs[0]) == xs[0]).all()
-    a = np.array([0.4, -0.2])
-    lin = SmoothPotential.linear(a, 2.0, 1.0)
-    for x in xs[:5]:
-        assert np.allclose(t_phi(lin, x), x - a / 2, atol=1e-15)
+        _push_dirac(phi, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +197,8 @@ def test_partner_p2_closed_form():
     assert np.abs(phi_back.value(grid) - phi2.value(grid)).max() < 1e-15
     with pytest.raises(ValueError):
         convex_to_phi(f, 1.0, p=3.0)
+    with pytest.raises(ValueError):
+        phi_to_convex(_sign_potential(3.0))
 
 
 def test_partner_p2_gradient_consistency():
@@ -223,35 +207,9 @@ def test_partner_p2_gradient_consistency():
     f = phi_to_convex(phi2)
     rng = np.random.default_rng(23)
     for x in rng.uniform(-0.7, 0.7, (50, 1)):
-        try:
-            T = t_phi(phi2, x)
-        except SingularPointError:
-            continue
-        assert np.allclose(T, f.gradient(x[None, :])[0] / 2, atol=1e-14)
-
-
-def test_partner_oracle_p3_subgradients():
-    rng = np.random.default_rng(29)
-    while True:
-        phi = CConcavePotential(rng.uniform(-0.6, 0.6, (5, 2)),
-                                rng.uniform(-0.02, 0.02, 5), 3.0, 1.0)
-        if phi.max_active_distance() <= 1.0:
-            break
-    orc = phi_to_convex(phi)
-    assert isinstance(orc, ConvexPartnerOracle)
-    assert orc.lipschitz_bound == pytest.approx(9.0, abs=1e-15)
-    pts = rng.uniform(-0.7, 0.7, (400, 2))
-    pts = pts[np.linalg.norm(pts, axis=1) <= 1]
-    V = orc.value(pts)
-    G = orc.any_subgradient(pts)
-    lhs = V[None, :]
-    rhs = V[:, None] + ((pts[None, :, :] - pts[:, None, :]) * G[:, None, :]).sum(-1)
-    assert (lhs - rhs).min() > -1e-10
-
-
-def test_sampled_invariant_check():
-    _sign_potential(2.0).sampled_invariant_check()
-    _sign_potential(3.0).sampled_invariant_check()
+        res = _push_dirac(phi2, x)
+        assert res.singular_hits == 0
+        assert np.allclose(res.image.points[0], f.gradient(x[None, :])[0] / 2, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +233,10 @@ def test_diam_partial_c_p3_exact_path():
 
 def test_diam_partial_c_random_below_bound():
     rng = np.random.default_rng(31)
-    for trial in range(40):
+    for _ in range(40):
         p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
         R = rng.uniform(0.5, 2.0)
         phi = _random_valid_potential_1d(rng, p, R, int(rng.integers(2, 7)))
-        phi.sampled_invariant_check(seed=trial)
         x0 = rng.uniform(-R * 0.8, R * 0.8)
         eta = rng.uniform(0.05, 0.5) * R
         exact, bound = diam_partial_c(phi, np.array([x0]), eta)
@@ -327,9 +284,9 @@ def test_map_lands_on_c_superdifferential(p):
     xs = np.linspace(-1, 1, 20_001)[:, None]
     src = DiscreteMeasure(xs, np.full(len(xs), 1 / len(xs)), dom)
     tgt = DiscreteMeasure(phi.atoms, np.full(len(phi.atoms), 1 / 3), dom)
-    phic = c_transform(phi.value(xs), src, tgt, p)
+    phic = (cost_matrix(src.points, tgt.points, p) - phi.value(xs)[:, None]).min(axis=0)
     for x0 in (-0.8, -0.3, 0.2, 0.55, 0.9):
-        T = t_phi(phi, np.array([x0]))
+        T = _push_dirac(phi, x0).image.points[0]
         j = int(np.argmin(np.linalg.norm(phi.atoms - T[None, :], axis=1)))
         assert np.allclose(phi.atoms[j], T)
         slack = phi.value(np.array([[x0]])) + phic[j] - abs(x0 - T[0]) ** p
