@@ -23,10 +23,7 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
                           audit_stability_bound, fit_holder_rate, run_demo,
                           run_example, run_figure1, run_singularity_suite)
 
-_SCENARIO_OF = {"example": "example", "rate-fit": "rate",
-                "stability-audit": "stability", "singularity": "singularity",
-                "figure1": "figure1", "demo": "demo"}
-_CONFIG_KEYS = ({f.name for f in dataclasses.fields(SweepConfig)} - {"scenario"}) | {"id"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)} | {"id"}
 
 
 class _UsageError(ValueError):
@@ -78,9 +75,10 @@ def build_parser() -> _Parser:
             sub.add_argument("--count-1d", type=int)
             sub.add_argument("--count-2d", type=int)
         if name == "figure1":
-            sub.add_argument("--target", action="append", metavar="FILE",
-                             help="measure JSON for a figure target "
-                                  "(give exactly twice)")
+            sub.add_argument("--target", action="append", dest="targets", metavar="FILE",
+                             help="measure JSON for a figure target (give exactly "
+                                  "twice); only its points and domain are used: "
+                                  "its weights become near-uniform cell counts")
     return parser
 
 
@@ -112,38 +110,31 @@ def _eps_from_flags(args) -> tuple[float, ...] | None:
 
 
 def _build_config(args) -> tuple[SweepConfig, str | None]:
-    doc = _load_config(args.config) if args.config else {}
-    example_id = doc.pop("id", None)
-    fields = {"scenario": _SCENARIO_OF[args.command]}
-    fields.update(doc)
-    eps = _eps_from_flags(args)
-    if eps is not None:
-        fields["eps"] = eps
-    for name in ("p", "q", "r", "grid", "seed", "out", "count_1d", "count_2d"):
+    fields = _load_config(args.config) if args.config else {}
+    for name in _CONFIG_KEYS:  # each flag's dest is its config key
         v = getattr(args, name, None)
         if v is not None:
             fields[name] = v
-    targets = getattr(args, "target", None)
-    if targets:
-        fields["targets"] = tuple(targets)
-    if getattr(args, "id", None) is not None:
-        example_id = args.id
+    eps = _eps_from_flags(args)
+    if eps is not None:
+        fields["eps"] = eps
+    example_id = fields.pop("id", None)
     try:
         return SweepConfig(**fields), example_id
     except (TypeError, ValueError) as e:
         raise _UsageError(str(e))
 
 
-def _run_scenario(cfg: SweepConfig, example_id: str | None) -> ExperimentReport:
-    if cfg.scenario == "example":
+def _run_scenario(command: str, cfg: SweepConfig, example_id: str | None) -> ExperimentReport:
+    if command == "example":
         return run_example(example_id or "1.3", cfg)
-    if cfg.scenario == "rate":
+    if command == "rate-fit":
         return fit_holder_rate(cfg)
-    if cfg.scenario == "stability":
+    if command == "stability-audit":
         return audit_stability_bound(cfg)
-    if cfg.scenario == "singularity":
+    if command == "singularity":
         return run_singularity_suite(cfg)
-    if cfg.scenario == "figure1":
+    if command == "figure1":
         return run_figure1(cfg)
     return run_demo(cfg)
 
@@ -152,7 +143,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, example_id = _build_config(args)
-        report = _run_scenario(cfg, example_id)
+        report = _run_scenario(args.command, cfg, example_id)
     except BoundViolationError as e:
         print(f"bound violation:\n{e}", file=sys.stderr)
         return 2

@@ -98,10 +98,6 @@ class MaxAffineFunction:
         return self.slopes.shape[1]
 
     @property
-    def n_pieces(self) -> int:
-        return self.slopes.shape[0]
-
-    @property
     def lip(self) -> float:
         return float(np.linalg.norm(self.slopes, axis=1).max())
 
@@ -116,11 +112,6 @@ class MaxAffineFunction:
         single = points.ndim <= 1
         vals = self.piece_values(points).max(axis=1)
         return float(vals[0]) if single else vals
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Slope of the first argmax piece per point."""
-        idx = np.argmax(self.piece_values(points), axis=1)
-        return self.slopes[idx]
 
     # internal: cached upper envelope for 1D queries --------------------
     def _envelope(self):
@@ -401,15 +392,6 @@ class SingularSetReport:
         if self.alpha <= 2.0 * self.lip and self.count > self.bound:
             raise AssertionError(
                 f"covering count {self.count} exceeds the bound {self.bound}")
-
-    def to_csv(self, path):
-        d = self.centers.shape[1] if self.centers.size else 1
-        with open(path, "w") as fh:
-            fh.write(",".join(f"x_{c + 1}" for c in range(d)) + "\n")
-            for row in self.centers:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-            fh.write(f"# count={self.count},bound={self.bound!r},eta={self.eta!r},"
-                     f"alpha={self.alpha!r},R={self.R!r}\n")
 
 
 def _disc_mask(axis: np.ndarray, r2: float) -> np.ndarray:

@@ -136,10 +136,10 @@ class Coupling:
         np.add.at(b, self.j, self.mass)
         return a, b
 
-    def check_marginals(self, tol: float = 1e-10):
+    def check_marginals(self):
         a, b = self.marginals()
         err = max(np.abs(a - self.source.weights).max(), np.abs(b - self.target.weights).max())
-        if err > tol:
+        if err > 1e-10:
             raise AssertionError(f"coupling marginal error {err}")
 
     def costs(self, p: float) -> np.ndarray:
@@ -153,13 +153,6 @@ class Coupling:
     def max_distance(self) -> float:
         d2 = self.costs(2.0)[self.mass > 0]
         return float(np.sqrt(d2.max())) if d2.size else 0.0
-
-    def to_csv(self, path, p: float = 2.0):
-        costs = self.costs(p)
-        with open(path, "w") as fh:
-            fh.write("i,j,mass,cost\n")
-            for i, j, m, c in zip(self.i, self.j, self.mass, costs):
-                fh.write(f"{i},{j},{m!r},{c!r}\n")
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,6 @@ from .pcost_maps import CConcavePotential
 from .pushforward import (SelectionPolicy, lot_interpolant,
                           potential_from_discrete_ot, pushforward_tmap)
 
-_SCENARIOS = ("example", "rate", "stability", "singularity", "figure1", "demo")
-_EXAMPLE_IDS = ("1.2", "1.3", "1.4")
-
 
 # ---------------------------------------------------------------------------
 # constants and fits
@@ -125,15 +122,16 @@ _EPS_DEFAULT = tuple(float(e) for e in np.logspace(-3.0, -1.0, 7))
 class SweepConfig:
     """Configuration shared by every scenario driver.
 
-    ``eps`` left empty means "use the scenario default grid"; any provided
-    epsilon must lie in (0, 1/2).  ``grid`` of 0 means the scenario default
-    resolution.  For the rate and stability scenarios the exponents must
-    satisfy q > p - 1 and r > 1 (the hypotheses of the inequality being
-    exercised).  Types are checked: integers and real exponents (no bools),
-    lists for ``eps`` and ``targets`` (not strings), a path or None for ``out``.
+    The scenario is the driver the config is passed to; the config does not
+    name it.  ``eps`` left empty means "use the scenario default grid"; any
+    provided epsilon must lie in (0, 1/2).  ``grid`` of 0 means the scenario
+    default resolution.  The exponents p, q and r must be finite, with
+    p >= 2; ``fit_holder_rate`` and ``audit_stability_bound`` further need
+    q > p - 1 and r > 1 (the hypotheses of the inequality they exercise).
+    Types are checked: integers and real exponents (no bools), lists for
+    ``eps`` and ``targets`` (not strings), a path or None for ``out``.
     """
 
-    scenario: str = "rate"
     eps: tuple[float, ...] = ()
     p: float = 2.0
     q: float = 2.0
@@ -146,14 +144,13 @@ class SweepConfig:
     targets: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; "
-                             f"expected one of {_SCENARIOS}")
         for name in ("grid", "seed", "count_1d", "count_2d", "p", "q", "r"):
             v = getattr(self, name)
             kind = numbers.Real if name in ("p", "q", "r") else numbers.Integral
             if isinstance(v, bool) or not isinstance(v, kind):
                 raise TypeError(f"{name} must be {kind.__name__.lower()}, got {v!r}")
+            if kind is numbers.Real and not math.isfinite(v):
+                raise ValueError(f"exponent {name} must be finite, got {v!r}")
         for name, kind, what in (("eps", numbers.Real, "numbers"),
                                  ("targets", (str, os.PathLike), "file names")):
             items = getattr(self, name)
@@ -170,13 +167,6 @@ class SweepConfig:
                 raise ValueError(f"epsilon {e} outside (0, 1/2)")
         if self.p < 2.0:
             raise ValueError("cost exponent p must be >= 2")
-        if self.scenario in ("rate", "stability"):
-            if not self.q > self.p - 1.0:
-                raise ValueError(
-                    f"scenario {self.scenario!r} needs q > p - 1, "
-                    f"got q={self.q}, p={self.p}")
-            if not self.r > 1.0:
-                raise ValueError(f"scenario {self.scenario!r} needs r > 1, got r={self.r}")
         if self.grid < 0:
             raise ValueError("grid resolution must be nonnegative")
         if self.count_1d < 1 or self.count_2d < 0:
@@ -184,6 +174,15 @@ class SweepConfig:
 
     def eps_grid(self, default: tuple[float, ...] = _EPS_DEFAULT) -> tuple[float, ...]:
         return tuple(sorted(self.eps)) if self.eps else tuple(sorted(default))
+
+
+def _check_inequality_exponents(cfg: SweepConfig, scenario: str) -> None:
+    """The stability inequality's hypotheses q > p - 1 and r > 1."""
+    if not cfg.q > cfg.p - 1.0:
+        raise ValueError(f"scenario {scenario!r} needs q > p - 1, "
+                         f"got q={cfg.q}, p={cfg.p}")
+    if not cfg.r > 1.0:
+        raise ValueError(f"scenario {scenario!r} needs r > 1, got r={cfg.r}")
 
 
 def _fmt(v) -> str:
@@ -207,7 +206,6 @@ class ExperimentReport:
     rows: np.ndarray
     constants: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    passed: bool = True
     failures: tuple[str, ...] = ()
     slope: float | None = None
     slope_stderr: float | None = None
@@ -221,6 +219,10 @@ class ExperimentReport:
         object.__setattr__(self, "failures", tuple(self.failures))
         if self.slope is not None and math.isnan(self.slope):
             raise ValueError("NaN slope")
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_csv(self, path) -> None:
         lines = [f"# scenario={self.scenario}"]
@@ -316,7 +318,6 @@ def _example_12(cfg: SweepConfig) -> ExperimentReport:
         metadata={"bound_note": "source is a Dirac (no density bound); "
                                 "the stability bound is vacuous here",
                   "selections": "fixed(+1) vs fixed(-1) at the singular point"},
-        passed=bool(w_out == 2.0),
         failures=() if w_out == 2.0 else (f"two-selection gap {w_out!r} != 2.0",),
     )
 
@@ -361,7 +362,6 @@ def _example_13(cfg: SweepConfig) -> ExperimentReport:
                   "density_bound": "1/eps per row (uniform block of width eps)",
                   "note": "output gap stays at sqrt(2) while the input "
                           "distance vanishes"},
-        passed=not failures,
         failures=tuple(failures),
     )
 
@@ -402,7 +402,6 @@ def _atom_pinch_report(cfg: SweepConfig, scenario: str, rows: np.ndarray,
                    "c": stability_constant(1, cfg.p, cfg.q, 1.0, 1.0),
                    "target_exponent": holder_exponent(cfg.q, cfg.r)},
         metadata=metadata,
-        passed=not failures,
         failures=tuple(failures),
         slope=fit[0],
         slope_stderr=fit[1],
@@ -419,14 +418,11 @@ def _example_14(cfg: SweepConfig) -> ExperimentReport:
 
 def run_example(example_id: str, cfg: SweepConfig | None = None) -> ExperimentReport:
     """Run one closed-form example family ("1.2", "1.3" or "1.4")."""
-    if example_id not in _EXAMPLE_IDS:
-        raise ValueError(f"unknown example id {example_id!r}; "
-                         f"expected one of {_EXAMPLE_IDS}")
-    cfg = cfg or SweepConfig(scenario="example")
-    if cfg.scenario != "example":
-        raise ValueError("run_example needs an 'example' scenario config")
     runner = {"1.2": _example_12, "1.3": _example_13, "1.4": _example_14}
-    return runner[example_id](cfg)
+    if example_id not in runner:
+        raise ValueError(f"unknown example id {example_id!r}; "
+                         f"expected one of {tuple(runner)}")
+    return runner[example_id](cfg or SweepConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +437,7 @@ def fit_holder_rate(cfg: SweepConfig) -> ExperimentReport:
     the fit (the power law is an asymptotic statement; the exclusion count is
     recorded in metadata).  Degenerate grids (duplicate inputs) are an error.
     """
-    if cfg.scenario != "rate":
-        raise ValueError("fit_holder_rate needs a 'rate' scenario config")
+    _check_inequality_exponents(cfg, "rate")
     eps_grid = cfg.eps_grid()
     if len(eps_grid) < 5:
         raise ValueError("rate fit needs at least five epsilon points")
@@ -643,8 +638,7 @@ def audit_stability_bound(cfg: SweepConfig) -> ExperimentReport:
     violation raises BoundViolationError with a full instance dump; NaN is a
     hard error.
     """
-    if cfg.scenario != "stability":
-        raise ValueError("audit_stability_bound needs a 'stability' scenario config")
+    _check_inequality_exponents(cfg, "stability")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for i in range(cfg.count_1d):
@@ -676,7 +670,6 @@ def audit_stability_bound(cfg: SweepConfig) -> ExperimentReport:
                            "3=grid-jitter 4=atom-pinch family",
                   "count_1d": cfg.count_1d, "count_2d": cfg.count_2d,
                   "grid_2d": cfg.grid or 24},
-        passed=True,
     )
 
 
@@ -752,8 +745,6 @@ def run_singularity_suite(cfg: SweepConfig) -> ExperimentReport:
     vs bound, 3 covering count vs bound, 4 local diameter vs gradient
     integral.  Any value > bound marks the report failed.
     """
-    if cfg.scenario != "singularity":
-        raise ValueError("run_singularity_suite needs a 'singularity' scenario config")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     failures = []
@@ -824,7 +815,6 @@ def run_singularity_suite(cfg: SweepConfig) -> ExperimentReport:
         constants={},
         metadata={"kinds": "0=ladder-count 1=abs-ratio 2=integral "
                            "3=covering 4=local-diam"},
-        passed=not failures,
         failures=tuple(failures),
     )
 
@@ -868,7 +858,8 @@ def _load_figure_target(path: str, n_cells: int) -> DiscreteMeasure:
                            m.domain)
 
 
-def _write_svg(path: str, m: DiscreteMeasure, size: int = 480) -> None:
+def _write_svg(path: str, m: DiscreteMeasure) -> None:
+    size = 480
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="#ffffff"/>']
@@ -886,15 +877,16 @@ def run_figure1(cfg: SweepConfig) -> ExperimentReport:
     grid source.
 
     Both targets are coupled exactly to the grid (unit-fraction weights make
-    the plan an assignment), the resulting potentials are blended at
+    the plan an assignment).  A target file given in ``targets`` contributes
+    only its points and domain: its weights are replaced by near-uniform
+    integer counts of the grid cells, as for the built-in clouds, so that
+    the fit stays an exact assignment.  The resulting potentials are blended at
     t in {0, 1/4, 1/2, 3/4, 1}, and each interpolant is written as CSV and
     SVG next to a JSON manifest.  The report records, per t, the distance
     from the t=0 interpolant, the support size and the mass defect; endpoint
     residuals against the raw targets are checked against twice the grid
     cell diagonal.
     """
-    if cfg.scenario != "figure1":
-        raise ValueError("run_figure1 needs a 'figure1' scenario config")
     out_dir = cfg.out or "figure1_out"
     os.makedirs(out_dir, exist_ok=True)
     res = cfg.grid or 70
@@ -955,7 +947,6 @@ def run_figure1(cfg: SweepConfig) -> ExperimentReport:
         metadata={"out_dir": out_dir, "manifest": manifest_path,
                   "endpoint_residual_start": res_start,
                   "endpoint_residual_end": res_end},
-        passed=not failures,
         failures=tuple(failures),
     )
 
@@ -968,8 +959,6 @@ def run_demo(cfg: SweepConfig) -> ExperimentReport:
     """Small stochastic gallery: random valid potentials pushed forward under
     two different singular-point policies.  Qualitative only -- the report
     records the policy gap per instance and always passes."""
-    if cfg.scenario != "demo":
-        raise ValueError("run_demo needs a 'demo' scenario config")
     rng = np.random.default_rng(cfg.seed)
     dom = Domain.ball(np.zeros(1), 1.0)
     grid = cfg.grid or 512
@@ -996,5 +985,4 @@ def run_demo(cfg: SweepConfig) -> ExperimentReport:
         columns=("instance", "atoms", "singular_hits", "policy_gap_w2"),
         rows=np.asarray(rows),
         metadata={"note": "qualitative demo; no quantitative gate"},
-        passed=True,
     )

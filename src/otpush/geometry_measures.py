@@ -60,15 +60,15 @@ class Domain:
         if self.kind == "ball":
             c = np.atleast_1d(np.asarray(self.center, dtype=float))
             object.__setattr__(self, "center", c)
-            if not self.radius or self.radius <= 0:
-                raise ValueError("ball radius must be positive")
+            if self.radius is None or not (0.0 < self.radius < math.inf and np.isfinite(c).all()):
+                raise ValueError("ball needs a finite center and a positive finite radius")
         elif self.kind == "box":
             lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
             hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
-            if lo.shape != hi.shape or not (lo < hi).all():
-                raise ValueError("box requires lo < hi componentwise")
+            if lo.shape != hi.shape or not ((lo < hi) & np.isfinite(lo) & np.isfinite(hi)).all():
+                raise ValueError("box requires finite lo < hi componentwise")
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
@@ -111,11 +111,21 @@ class Domain:
 
     @staticmethod
     def from_dict(spec: dict) -> "Domain":
-        if spec.get("kind") == "ball":
-            return Domain.ball(spec["center"], spec["radius"])
-        if spec.get("kind") == "box":
-            return Domain.box(spec["lo"], spec["hi"])
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if kind == "ball":
+            return Domain.ball(*_fields(spec, "domain", "center", "radius"))
+        if kind == "box":
+            return Domain.box(*_fields(spec, "domain", "lo", "hi"))
         raise ValueError(f"malformed domain literal: {spec!r}")
+
+
+def _fields(doc: dict, what: str, *names: str) -> list:
+    """The values of ``names`` in a JSON literal, or ValueError naming the
+    first missing one."""
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"{what} literal has no {name!r} field")
+    return [doc[name] for name in names]
 
 
 def _check_domains_match(a: "Domain", b: "Domain"):
@@ -144,8 +154,8 @@ class DiscreteMeasure:
             raise ValueError("points and weights length mismatch")
         if np.isnan(pts).any():
             raise ValueError("NaN coordinates")
-        if (w < -_MASS_TOL).any():
-            raise ValueError("negative weights")
+        if not (w >= -_MASS_TOL).all():
+            raise ValueError("negative or NaN weights")
         if abs(w.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"weights sum to {w.sum()}, not 1")
         if not self.domain.contains(pts).all():
@@ -158,9 +168,9 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def drop_zero_weights(self, tol: float = 0.0) -> tuple["DiscreteMeasure", np.ndarray]:
+    def drop_zero_weights(self) -> tuple["DiscreteMeasure", np.ndarray]:
         """Remove zero-weight atoms; returns (measure, original indices kept)."""
-        keep = np.flatnonzero(self.weights > tol)
+        keep = np.flatnonzero(self.weights > 0.0)
         if keep.size == len(self):
             return self, keep
         w = self.weights[keep]
@@ -226,10 +236,12 @@ class GridDensity:
             raise ValueError("resolution must be >= 1 per axis")
         if abs(masses.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"cell masses sum to {masses.sum()}, not 1")
-        if (masses < 0).any():
-            raise ValueError("negative cell mass")
-        if (masses > self.density_bound * self.cell_volume * (1 + 1e-9)).any():
-            raise ValueError("cell mass exceeds density bound * cell volume")
+        if not (masses >= 0).all():
+            raise ValueError("negative or NaN cell mass")
+        if not (math.isfinite(self.density_bound)
+                and (masses <= self.density_bound * self.cell_volume * (1 + 1e-9)).all()):
+            raise ValueError("cell mass exceeds density bound * cell volume, "
+                             "or the bound is not finite")
 
     @property
     def dim(self) -> int:
@@ -288,6 +300,8 @@ class Measure1D:
         at = at[np.argsort(at[:, 0])] if at.size else at
         object.__setattr__(self, "intervals", iv)
         object.__setattr__(self, "atoms", at)
+        if not (np.isfinite(iv).all() and np.isfinite(at).all()):
+            raise ValueError("non-finite interval or atom")
         total = iv[:, 2].sum() + at[:, 1].sum()
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"total mass {total}, not 1")
@@ -538,10 +552,11 @@ def measure_from_json(doc) -> object:
     if kind == "measure1d":
         return Measure1D.from_pieces(domain, doc.get("intervals", ()), doc.get("atoms", ()))
     if kind == "discrete":
-        return DiscreteMeasure(np.asarray(doc["points"], dtype=float),
-                               np.asarray(doc["weights"], dtype=float), domain)
+        points, weights = _fields(doc, "measure", "points", "weights")
+        return DiscreteMeasure(np.asarray(points, dtype=float),
+                               np.asarray(weights, dtype=float), domain)
     if kind == "grid":
-        res = tuple(int(r) for r in doc["resolution"])
+        res = tuple(int(r) for r in _fields(doc, "measure", "resolution")[0])
         masses = doc.get("masses", "uniform")
         if isinstance(masses, str) and masses == "uniform":
             return GridDensity.uniform(domain, res)

@@ -62,10 +62,10 @@ class PCost:
     R: float
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("cost exponent must satisfy p >= 2")
-        if self.R <= 0:
-            raise ValueError("domain radius must be positive")
+        if not 2 <= self.p < np.inf:
+            raise ValueError("cost exponent must be finite and satisfy p >= 2")
+        if not 0 < self.R < np.inf:
+            raise ValueError("domain radius must be positive and finite")
 
     @property
     def lip(self) -> float:

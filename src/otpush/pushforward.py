@@ -215,8 +215,7 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
     return _bundle(src, targets, 0, Domain.ball(np.zeros(src.dim), radius)).image
 
 
-def potential_from_discrete_ot(rho, mu: DiscreteMeasure, p: float = 2.0
-                               ) -> MaxAffineFunction:
+def potential_from_discrete_ot(rho, mu: DiscreteMeasure) -> MaxAffineFunction:
     """Brenier-envelope potential from a quadratic-cost discrete OT solve.
 
     Solves OT(rho, mu) for cost |x-y|^2 and returns the max-affine function
@@ -227,8 +226,6 @@ def potential_from_discrete_ot(rho, mu: DiscreteMeasure, p: float = 2.0
     source to a single target, v is recentered to the max-margin point of
     the face (still exact optimal duals), making every argmax strict.
     """
-    if p != 2:
-        raise ValueError("envelope construction is specific to p = 2")
     src = _as_discrete(rho)
     mu_pos, keep_t = mu.drop_zero_weights()
     coupling, _, duals = solve(src, mu_pos, p=2.0)

@@ -35,7 +35,7 @@ def _report(capfd, number, description, ok, detail=""):
 @pytest.fixture(scope="module")
 def singularity_run():
     start = time.monotonic()
-    rep = run_singularity_suite(SweepConfig(scenario="singularity", seed=0))
+    rep = run_singularity_suite(SweepConfig(seed=0))
     return rep, time.monotonic() - start
 
 
@@ -51,7 +51,7 @@ def test_criterion_01_dirac_split_exact(capfd):
 
 def test_criterion_02_shrinking_block_exact_and_grid(capfd):
     start = time.monotonic()
-    rep = run_example("1.3", SweepConfig(scenario="example", eps=(0.1, 0.01)))
+    rep = run_example("1.3", SweepConfig(eps=(0.1, 0.01)))
     elapsed = time.monotonic() - start
     worst_exact = 0.0
     worst_grid = 0.0
@@ -72,8 +72,8 @@ def test_criterion_02_shrinking_block_exact_and_grid(capfd):
 
 def test_criterion_03_rate_exponents(capfd):
     start = time.monotonic()
-    rep_a = fit_holder_rate(SweepConfig(scenario="rate", q=2.0, r=2.0))
-    rep_b = fit_holder_rate(SweepConfig(scenario="rate", q=2.0, r=3.0))
+    rep_a = fit_holder_rate(SweepConfig(q=2.0, r=2.0))
+    rep_b = fit_holder_rate(SweepConfig(q=2.0, r=3.0))
     elapsed = time.monotonic() - start
     err_a = abs(rep_a.slope - 1.0 / 3.0)
     err_b = abs(rep_b.slope - 3.0 / 8.0)
@@ -160,8 +160,7 @@ def test_criterion_08_stability_bound_audits(capfd):
     combos = [(2.0, 2.0, 2.0), (2.0, 3.0, 2.0), (3.0, 3.0, 2.0)]
     total_rows = 0
     for p, q, r in combos:
-        rep = audit_stability_bound(SweepConfig(
-            scenario="stability", p=p, q=q, r=r, seed=11))
+        rep = audit_stability_bound(SweepConfig(p=p, q=q, r=r, seed=11))
         assert rep.passed
         w_out = rep.rows[:, rep.columns.index("w_out")]
         assert (w_out <= rep.rows[:, rep.columns.index("bound_r")]).all()
@@ -169,7 +168,7 @@ def test_criterion_08_stability_bound_audits(capfd):
         total_rows += len(rep.rows)
     # the exponent pair outside the admissible range is a configuration error
     with pytest.raises(ValueError):
-        SweepConfig(scenario="stability", p=3.0, q=2.0, r=2.0)
+        audit_stability_bound(SweepConfig(p=3.0, q=2.0, r=2.0))
     elapsed = time.monotonic() - start
     ok = total_rows >= 3 * 250 and elapsed < 300.0
     _report(capfd, 8, "transport stability bounds hold on every audit", ok,
@@ -199,8 +198,7 @@ def test_criterion_09_solver_vs_permutation_oracle(capfd):
 
 def test_criterion_10_figure_pipeline(capfd, tmp_path):
     start = time.monotonic()
-    rep = run_figure1(SweepConfig(scenario="figure1", seed=0,
-                                  out=str(tmp_path / "fig")))
+    rep = run_figure1(SweepConfig(seed=0, out=str(tmp_path / "fig")))
     elapsed = time.monotonic() - start
     manifest = json.loads((tmp_path / "fig" / "manifest.json").read_text())
     checks = manifest["checks"]

@@ -2,6 +2,9 @@
 
 import importlib.metadata as md
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,7 +118,7 @@ def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, command, doc):
 def test_failing_report_exits_two(monkeypatch, capsys):
     def fake_demo(cfg):
         return ExperimentReport(scenario="demo", columns=("a",),
-                                rows=np.array([[1.0]]), passed=False,
+                                rows=np.array([[1.0]]),
                                 failures=("synthetic failure",))
     monkeypatch.setattr(cli, "run_demo", fake_demo)
     assert cli.main(["demo"]) == 2
@@ -134,6 +137,47 @@ def test_bound_violation_exits_two(monkeypatch, capsys):
 def test_figure1_requires_zero_or_two_targets(tmp_path, capsys):
     assert cli.main(["figure1", "--target", "only-one.json",
                      "--out", str(tmp_path)]) == 1
+
+
+def test_nan_exponent_is_a_usage_error(capsys):
+    # a NaN p got past ``p < 2`` and failed the Dirac-split check (exit 2)
+    assert cli.main(["example", "--id", "1.2", "--p", "nan"]) == 1
+    assert "otpush: error: exponent p must be finite" in capsys.readouterr().err
+
+
+_BOX = {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+
+
+def _figure1_with_target(tmp_path, target: dict):
+    """Run ``otpush figure1`` in a fresh interpreter, as an installed script
+    is run, with ``target`` as the second target file."""
+    good = {"kind": "discrete", "domain": _BOX, "points": [[0.3, 0.3], [0.7, 0.7]],
+            "weights": [0.5, 0.5]}
+    paths = [tmp_path / "good.json", tmp_path / "bad.json"]
+    for path, doc in zip(paths, (good, target)):
+        path.write_text(json.dumps(doc))  # writes NaN as the bare token NaN
+    argv = ["figure1", "--grid", "16", "--out", str(tmp_path / "out")]
+    for path in paths:
+        argv += ["--target", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "otpush.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("target, message", [
+    ({"kind": "discrete", "domain": _BOX, "points": [[0.2, 0.8], [0.8, 0.2]],
+      "weights": [math.nan, 1.0]}, "NaN weights"),
+    ({"kind": "discrete", "domain": _BOX, "points": [[0.2, 0.8]]},
+     "no 'weights' field"),
+    ({"kind": "discrete", "domain": {"kind": "ball", "center": [0.5, 0.5]},
+      "points": [[0.2, 0.8]], "weights": [1.0]}, "no 'radius' field"),
+], ids=["nan-weight", "no-weights", "ball-without-radius"])
+def test_malformed_figure_target_is_a_usage_error(tmp_path, target, message):
+    # each exited 0 with passed=True (NaN) or died with a KeyError traceback
+    run = _figure1_with_target(tmp_path, target)
+    assert run.returncode == 1
+    assert "otpush: error:" in run.stderr and message in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_figure1_small_run(tmp_path):

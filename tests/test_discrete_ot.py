@@ -934,20 +934,15 @@ def test_double_transform_fixed_point_on_support():
 # coupling container
 # ---------------------------------------------------------------------------
 
-def test_coupling_csv_lexicographic(tmp_path):
+def test_coupling_sorts_pairs_lexicographically():
+    # the entries are sorted by (i, j), and each mass moves with its pair
     mu = _m1([-1.0, 1.0], [0.5, 0.5])
     nu = _m1([-1.0, 1.0], [0.4, 0.6])
     coupling = Coupling(np.array([1, 0, 0]), np.array([1, 1, 0]),
                         np.array([0.5, 0.1, 0.4]), mu, nu)
-    path = tmp_path / "plan.csv"
-    coupling.to_csv(path, p=2.0)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,mass,cost"
-    keys = [tuple(int(tok) for tok in ln.split(",")[:2]) for ln in lines[1:]]
-    assert keys == sorted(keys)
-    path2 = tmp_path / "plan2.csv"
-    coupling.to_csv(path2, p=2.0)
-    assert path.read_bytes() == path2.read_bytes()
+    assert coupling.i.tolist() == [0, 0, 1]
+    assert coupling.j.tolist() == [0, 1, 1]
+    assert coupling.mass.tolist() == [0.4, 0.1, 0.5]
 
 
 def test_coupling_validation():

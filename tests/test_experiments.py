@@ -53,18 +53,21 @@ def test_fit_loglog():
 
 
 def test_sweep_config_validation():
-    SweepConfig(scenario="rate", eps=(0.01, 0.1))
+    SweepConfig(eps=(0.01, 0.1))
     with pytest.raises(ValueError):
-        SweepConfig(scenario="warp")
+        SweepConfig(eps=(0.7,))
     with pytest.raises(ValueError):
-        SweepConfig(scenario="rate", eps=(0.7,))
-    with pytest.raises(ValueError):
-        SweepConfig(scenario="rate", p=1.5)
-    with pytest.raises(ValueError):
-        SweepConfig(scenario="rate", p=3.0, q=2.0)  # q <= p - 1
-    with pytest.raises(ValueError):
-        SweepConfig(scenario="rate", r=1.0)
-    grid = SweepConfig(scenario="rate").eps_grid()
+        SweepConfig(p=1.5)
+    for name in ("p", "q", "r"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SweepConfig(**{name: bad})
+    for bad in ({"p": 3.0, "q": 2.0}, {"r": 1.0}):  # q <= p - 1, r <= 1
+        cfg = SweepConfig(**bad)
+        for driver in (fit_holder_rate, audit_stability_bound):
+            with pytest.raises(ValueError, match="needs"):
+                driver(cfg)
+    grid = SweepConfig().eps_grid()
     assert len(grid) == 7
     assert grid[0] == pytest.approx(1e-3) and grid[-1] == pytest.approx(1e-1)
 
@@ -83,7 +86,7 @@ def test_example_dirac_split():
 
 
 def test_example_shrinking_block():
-    cfg = SweepConfig(scenario="example", eps=(0.1, 0.01), q=2.0, r=2.0)
+    cfg = SweepConfig(eps=(0.1, 0.01), q=2.0, r=2.0)
     rep = run_example("1.3", cfg)
     assert rep.passed
     for row_arr in rep.rows:
@@ -97,7 +100,7 @@ def test_example_shrinking_block():
 
 @pytest.mark.parametrize("q,r", [(2.0, 2.0), (2.0, 3.0), (3.0, 2.0)])
 def test_example_atom_pinch_closed_forms(q, r):
-    cfg = SweepConfig(scenario="example", eps=(0.02, 0.1), q=q, r=r)
+    cfg = SweepConfig(eps=(0.02, 0.1), q=q, r=r)
     rep = run_example("1.4", cfg)
     for row_arr in rep.rows:
         row = dict(zip(rep.columns, row_arr))
@@ -119,25 +122,24 @@ def test_example_unknown_id():
 # ---------------------------------------------------------------------------
 
 def test_rate_fit_recovers_exponents():
-    rep = fit_holder_rate(SweepConfig(scenario="rate", q=2.0, r=2.0))
+    rep = fit_holder_rate(SweepConfig(q=2.0, r=2.0))
     assert abs(rep.slope - 1.0 / 3.0) <= 0.02
-    rep2 = fit_holder_rate(SweepConfig(scenario="rate", q=2.0, r=3.0))
+    rep2 = fit_holder_rate(SweepConfig(q=2.0, r=3.0))
     assert abs(rep2.slope - 3.0 / 8.0) <= 0.03
     assert rep.passed and rep2.passed
 
 
 def test_rate_fit_guards():
     with pytest.raises(ValueError):
-        fit_holder_rate(SweepConfig(scenario="rate", eps=(0.01, 0.02, 0.04)))
+        fit_holder_rate(SweepConfig(eps=(0.01, 0.02, 0.04)))
     with pytest.raises(ValueError):
-        fit_holder_rate(SweepConfig(
-            scenario="rate", eps=(0.01, 0.02, 0.03, 0.04, 0.05)))
+        fit_holder_rate(SweepConfig(eps=(0.01, 0.02, 0.03, 0.04, 0.05)))
 
 
 def test_rate_fit_excludes_out_of_regime_points():
     # r = 50 keeps w_in large at big eps, so wide grids trip the exclusion
     eps = tuple(np.logspace(-3, math.log10(0.3), 8))
-    rep = fit_holder_rate(SweepConfig(scenario="rate", q=2.0, r=50.0, eps=eps))
+    rep = fit_holder_rate(SweepConfig(q=2.0, r=50.0, eps=eps))
     assert rep.metadata["excluded_points"] >= 1
 
 
@@ -146,8 +148,7 @@ def test_rate_fit_excludes_out_of_regime_points():
 # ---------------------------------------------------------------------------
 
 def test_audit_small_run_all_kinds():
-    cfg = SweepConfig(scenario="stability", p=2.0, q=2.0, r=2.0,
-                      count_1d=6, count_2d=2, grid=12, seed=3)
+    cfg = SweepConfig(p=2.0, q=2.0, r=2.0, count_1d=6, count_2d=2, grid=12, seed=3)
     rep = audit_stability_bound(cfg)
     assert rep.passed
     kinds = set(rep.rows[:, rep.columns.index("kind")].astype(int))
@@ -184,7 +185,7 @@ def test_audit_check_raises_on_violation():
 def test_random_max_affine_every_piece_active(d, k):
     rng = np.random.default_rng(100 * d + k)
     f = random_max_affine(rng, d, k, lip_max=1.0, R=1.0)
-    assert f.n_pieces == k
+    assert len(f.slopes) == k
     assert f.lip <= 1.0 + 1e-12
     if d == 1:
         xs = np.linspace(-1, 1, 4097)[:, None]
@@ -286,7 +287,7 @@ def test_report_csv_is_deterministic(tmp_path):
 
 
 def test_demo_scenario_exercises_singular_policies():
-    rep = run_demo(SweepConfig(scenario="demo", seed=5, grid=128))
+    rep = run_demo(SweepConfig(seed=5, grid=128))
     assert rep.passed
     hits = rep.rows[:, rep.columns.index("singular_hits")]
     assert (hits >= 1).all()
@@ -297,7 +298,7 @@ def test_demo_scenario_exercises_singular_policies():
 # ---------------------------------------------------------------------------
 
 def test_singularity_suite_small():
-    cfg = SweepConfig(scenario="singularity", seed=2, count_1d=6, count_2d=2)
+    cfg = SweepConfig(seed=2, count_1d=6, count_2d=2)
     rep = run_singularity_suite(cfg)
     assert rep.passed
     kind_col = rep.columns.index("kind")
@@ -330,8 +331,7 @@ _FIGURE24_DIGEST = "5518b333e59b54311d064050934ea264b7d072cf68ff99c21f0daebb1023
 
 
 def test_figure_pipeline_small(tmp_path):
-    rep = run_figure1(SweepConfig(scenario="figure1", grid=24, seed=0,
-                                  out=str(tmp_path)))
+    rep = run_figure1(SweepConfig(grid=24, seed=0, out=str(tmp_path)))
     assert rep.passed
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest["files"]) == {"0.00", "0.25", "0.50", "0.75", "1.00"}
@@ -350,8 +350,7 @@ _FIGURE16_DIGEST = "b5b5474f6ddf593c09f3937a7cf0621bfef15173a3bfd3f8809be6df5322
 
 
 def test_figure_pipeline_bytes_are_pinned(tmp_path):
-    assert run_figure1(SweepConfig(scenario="figure1", grid=16,
-                                   out=str(tmp_path))).passed
+    assert run_figure1(SweepConfig(grid=16, out=str(tmp_path))).passed
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["manifest.json"] + [
         f"mu_t{t}.{ext}" for t in ("0.00", "0.25", "0.50", "0.75", "1.00")
@@ -371,8 +370,7 @@ def test_figure_pipeline_custom_and_malformed_targets(tmp_path):
     p_other = tmp_path / "b.json"
     p_good.write_text(json.dumps(good))
     p_other.write_text(json.dumps(other))
-    rep = run_figure1(SweepConfig(scenario="figure1", grid=16, seed=1,
-                                  out=str(tmp_path / "custom"),
+    rep = run_figure1(SweepConfig(grid=16, seed=1, out=str(tmp_path / "custom"),
                                   targets=(str(p_good), str(p_other))))
     assert rep.passed
 
@@ -382,6 +380,5 @@ def test_figure_pipeline_custom_and_malformed_targets(tmp_path):
     p_bad = tmp_path / "bad.json"
     p_bad.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match="figure target"):
-        run_figure1(SweepConfig(scenario="figure1", grid=16, seed=1,
-                                out=str(tmp_path / "broken"),
+        run_figure1(SweepConfig(grid=16, seed=1, out=str(tmp_path / "broken"),
                                 targets=(str(p_good), str(p_bad))))

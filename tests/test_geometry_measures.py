@@ -31,6 +31,30 @@ def test_domain_validation():
     assert Domain.box([0.0, 0.0], [1.0, 2.0]).dim == 2
 
 
+BOX1 = Domain.box([0.0], [1.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Domain.ball([0.0], math.nan),
+    lambda: Domain.ball([0.0], math.inf),
+    lambda: Domain.ball([math.nan], 1.0),
+    lambda: Domain.box([-math.inf], [1.0]),
+    lambda: DiscreteMeasure(np.array([[0.2], [0.4]]), np.array([math.nan, 1.0]), BOX1),
+    lambda: GridDensity(BOX1, (2,), np.array([math.nan, 1.0]), 2.0),
+    lambda: GridDensity(BOX1, (2,), np.array([0.5, 0.5]), math.nan),
+    lambda: GridDensity(BOX1, (2,), np.array([0.5, 0.5]), math.inf),
+    lambda: Measure1D.from_pieces(DOM, [(-0.5, 0.5, math.nan)]),
+    lambda: Measure1D.from_pieces(DOM, [], [(math.nan, 1.0)]),
+], ids=["ball-radius-nan", "ball-radius-inf", "ball-center", "box-corner",
+        "discrete-weight", "grid-mass", "grid-bound-nan", "grid-bound-inf",
+        "measure1d-mass", "measure1d-atom"])
+def test_non_finite_inputs_are_rejected(build):
+    # NaN fails every comparison, so each of these got past the mass,
+    # sign and size checks
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_domain_contains_and_interval():
     ball = Domain.ball([0.0], 1.0)
     assert ball.contains(np.array([[0.5], [-1.0]])).all()
@@ -360,6 +384,19 @@ def test_measure_from_json_roundtrips():
 
     with pytest.raises(ValueError):
         measure_from_json({"kind": "nonsense"})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "discrete", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+      "points": [[0.5]]}, "weights"),
+    ({"kind": "discrete", "domain": {"kind": "ball", "center": [0.0]},
+      "points": [[0.5]], "weights": [1.0]}, "radius"),
+    ({"kind": "grid", "domain": {"kind": "box", "lo": [0.0]}, "resolution": [4]}, "hi"),
+    ({"kind": "grid", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]}}, "resolution"),
+])
+def test_measure_from_json_names_a_missing_field(doc, field):
+    with pytest.raises(ValueError, match=f"no '{field}' field"):
+        measure_from_json(doc)
 
 
 def test_measure_from_json_grid_with_cell_masses():
