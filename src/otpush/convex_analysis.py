@@ -26,7 +26,15 @@ the one rule for every 2D query.  A one-point query runs it on every piece
 each row's section of every cell's eta-offset directly and run it only on a
 few columns around the section ends and on the rows nearly tangent to the
 offset.  Products of points with slopes go through ``_batch_product``, so a
-point gets the same bits alone as inside a batch.
+point gets the same bits alone as inside a batch.  The lemma check's 2D
+right-hand side is a midpoint rule that weights each grid point by its
+first arg-max piece; it evaluates piece values on every eighth column of
+each row and fills a span between two samples without evaluating it when
+both pick the same piece by a gap above M = 64 eps (1 + scale), more than
+four times the rounding error of a piece value.  Piece differences are
+affine along a row, so no point of such a span can round to another
+arg-max or a tie, and the other spans are evaluated on their own points:
+the bits are those of the arg-max over every grid point.
 
 One rule decides a single point for every pushforward, map and gradient
 of the package: a piece is active within 1e-12 (1 + |max|) of the row max
@@ -409,6 +417,17 @@ def _disc_grid(axis: np.ndarray, r2: float) -> np.ndarray:
     return np.stack([axis[i], axis[j]], axis=1)
 
 
+def _disc_rows(axis: np.ndarray, r2: float):
+    """(first, stop, start) of each row of ``_disc_mask(axis, r2)``: its
+    first column, one past its last, and the index of its first point in
+    ``_disc_grid`` order (with the point count appended)."""
+    inside = _disc_mask(axis, r2)
+    first = inside.argmax(axis=1)
+    stop = first + inside.sum(axis=1)
+    start = np.concatenate([[0], np.cumsum(stop - first)])
+    return first, stop, start
+
+
 def _scan_axis(R: float, step: float) -> np.ndarray:
     """-R, -R + step, ... up to R, with R appended when the steps stop short."""
     n = int(math.floor(2.0 * R / step + 1e-9))
@@ -498,10 +517,7 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
     """
     A, B = f.slopes, f.intercepts
     n = len(axis)
-    inside = _disc_mask(axis, r2)
-    first = inside.argmax(axis=1)  # each row's first column
-    stop = first + inside.sum(axis=1)  # and one past its last
-    start = np.concatenate([[0], np.cumsum(stop - first)])  # point index of each row's first column
+    first, stop, start = _disc_rows(axis, r2)
     npts = int(start[-1])
     box = _box(np.full(2, axis[0] - 2.0 * eta), np.full(2, axis[-1] + 2.0 * eta))
     active = np.zeros((len(B), npts), dtype=bool)
@@ -646,6 +662,51 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
 # gradient-integral inequality
 # ---------------------------------------------------------------------------
 
+# Column stride of the sampled arg-max in the lemma's right-hand side.
+_LEMMA_STRIDE = 8
+
+
+def _lemma_pieces(f: MaxAffineFunction, x: np.ndarray, eta: float, axis: np.ndarray) -> np.ndarray:
+    """The first arg-max piece of a 2D f at every point of
+    ``_disc_grid(axis, 16 eta^2) + x``, in its order, from piece values on
+    sampled columns (see ``verify_lemma_diam_l1``)."""
+    A, B = f.slopes, f.intercepts
+    first, stop, start = _disc_rows(axis, 16.0 * eta * eta)
+    lens = stop - first
+
+    def first_argmax(rows, offsets):
+        pts = np.stack([axis[rows], axis[first[rows] + offsets]], axis=1)
+        pts += x
+        vals = f.piece_values(pts)
+        return vals, np.argmax(vals, axis=1)
+
+    # samples: column offsets 0, S, 2S, ... and lens - 1 of each row, in
+    # point order, so a row's last sample is next to the next row's first
+    count = np.where(lens > 0, (lens + _LEMMA_STRIDE - 2) // _LEMMA_STRIDE + 1, 0)
+    row = np.repeat(np.arange(len(axis)), count)
+    col = np.minimum(_ranges(np.zeros_like(count), count) * _LEMMA_STRIDE, lens[row] - 1)
+    at = start[row] + col
+    vals, top = first_argmax(row, col)
+    piece = np.repeat(top, np.diff(at, append=start[-1]))  # each sample's piece up to the next
+
+    # the top two values, a column at a time (no second one for one piece)
+    best = np.full(len(top), -np.inf)
+    second = best.copy()
+    for v in vals.T:
+        np.maximum(second, np.minimum(best, v), out=second)
+        np.maximum(best, v, out=best)
+    scale = np.abs(A).sum(axis=1).max() * (np.abs(x).max() + 4.0 * eta) + np.abs(B).max()
+    sure = best - second > 64.0 * np.finfo(float).eps * (1.0 + scale)
+
+    # spans between neighbouring samples that are not certain
+    inner = np.diff(at) - 1  # 0 between rows
+    open_ = (inner > 0) & ~((top[:-1] == top[1:]) & sure[:-1] & sure[1:])
+    rows = np.repeat(row[:-1][open_], inner[open_])
+    idx = _ranges(at[:-1][open_] + 1, at[1:][open_])
+    piece[idx] = first_argmax(rows, idx - start[rows])[1]
+    return piece
+
+
 def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tuple[float, float]:
     """(lhs, rhs) of  diam(active slopes over B(x,eta))
     <= (12 / (beta_d eta^d)) * integral of |grad f| over B(x, 4 eta).
@@ -654,7 +715,27 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     between kinks).  In 2D it is a midpoint rule: the centers of a 256 x 256
     grid of squares over the box around B(x, 4 eta) that lie in the disc,
     each weighted by |a_i| of its first maximal piece i (on a tie the lowest
-    index wins).
+    index wins), summed in row-major point order.
+
+    The pieces come from sampled columns, with the bits of ``np.argmax`` on
+    the piece values of every grid point at once.  Piece values are
+    computed at columns 0, S, 2S, ... of each row of the disc and at its
+    last column (S = ``_LEMMA_STRIDE`` = 8).  Two neighbouring samples of a
+    row that pick the same first arg-max i, each with a top-two gap above
+    M = 64 eps (1 + scale), give i to every column between them; scale =
+    max_i |a_i|_1 (|x|_inf + 4 eta) + max_i |b_i| bounds the terms of every
+    piece value.  Along a row the exact difference f_i - f_j is affine in
+    the column coordinate, and a computed piece value (a two-term dot
+    product plus the intercept) is off by E <= 3u scale, u = eps / 2.  So
+    a computed gap above M at both ends is an exact gap above M - 2E at
+    both ends, and hence between them, and a computed gap above
+    M - 4E > 0 there: the dense ``argmax`` picks i, with no tie.  The
+    points of every other span get ``np.argmax`` of their own piece
+    values, which have the bits of the same rows in any batch
+    (``_batch_product``).  The norms are summed in one array in point
+    order, so the pairwise summation, and the sum, are those of the dense
+    computation.  About 16 % of the grid points are evaluated on the
+    ``scan`` benchmark's calls.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -671,9 +752,8 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     elif f.dim == 2:
         h = 8.0 * eta / 256.0
         axis = h * (np.arange(256) + 0.5) - 4.0 * eta
-        pts = _disc_grid(axis, 16.0 * eta * eta)
-        pts += x
-        norms = np.linalg.norm(f.slopes, axis=1)[np.argmax(f.piece_values(pts), axis=1)]
+        piece = _lemma_pieces(f, x, eta, axis)
+        norms = np.linalg.norm(f.slopes, axis=1)[piece]
         integral = float(norms.sum() * h * h)
     else:
         raise NotImplementedError("implemented for d in {1, 2}")

@@ -113,19 +113,34 @@ class Domain:
     def from_dict(spec: dict) -> "Domain":
         kind = spec.get("kind") if isinstance(spec, dict) else None
         if kind == "ball":
-            return Domain.ball(*_fields(spec, "domain", "center", "radius"))
+            return Domain.ball(_array(spec, "domain", "center", (None,)),
+                               float(_array(spec, "domain", "radius", ())))
         if kind == "box":
-            return Domain.box(*_fields(spec, "domain", "lo", "hi"))
+            return Domain.box(_array(spec, "domain", "lo", (None,)),
+                              _array(spec, "domain", "hi", (None,)))
         raise ValueError(f"malformed domain literal: {spec!r}")
 
 
-def _fields(doc: dict, what: str, *names: str) -> list:
-    """The values of ``names`` in a JSON literal, or ValueError naming the
-    first missing one."""
-    for name in names:
-        if name not in doc:
-            raise ValueError(f"{what} literal has no {name!r} field")
-    return [doc[name] for name in names]
+def _array(doc: dict, what: str, name: str, shape: tuple, integers: bool = False) -> np.ndarray:
+    """Field ``name`` of a JSON literal as an array of JSON numbers (integers
+    if ``integers``) of ``shape``, where None matches any length, or
+    ValueError naming the field when it is missing or not such an array.
+    An empty list is an empty list of rows."""
+    if name not in doc:
+        raise ValueError(f"{what} literal has no {name!r} field")
+    try:
+        arr = np.asarray(doc[name])
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if len(shape) == 2 and arr.shape == (0,):
+        arr = arr.reshape(0, shape[1])
+    if (arr.dtype.kind not in ("iu" if integers else "iuf") or arr.ndim != len(shape)
+            or any(n is not None and n != m for n, m in zip(shape, arr.shape))):
+        want = ("a number" if not shape else
+                f"a list of {'integers' if integers else 'numbers'}" if len(shape) == 1 else
+                f"a list of {shape[1]}-number lists")
+        raise ValueError(f"{what} field {name!r} must be {want}")
+    return arr if integers else arr.astype(float)
 
 
 def _check_domains_match(a: "Domain", b: "Domain"):
@@ -540,7 +555,8 @@ def measure_from_json(doc) -> object:
       domain: {kind: "ball", center, radius} | {kind: "box", lo, hi}
       measure1d fields: intervals [[lo, hi, mass], ...], atoms [[x, mass], ...]
       discrete fields: points [[...], ...], weights [...]
-      grid fields: resolution [...], masses [... row-major ...] or "uniform",
+      grid fields: resolution [...] of integers, masses [... row-major ...]
+                   or "uniform",
                    density_bound (optional, recomputed if absent)
     """
     if isinstance(doc, (str, bytes)):
@@ -550,15 +566,25 @@ def measure_from_json(doc) -> object:
     domain = Domain.from_dict(doc["domain"])
     kind = doc.get("kind")
     if kind == "measure1d":
-        return Measure1D.from_pieces(domain, doc.get("intervals", ()), doc.get("atoms", ()))
+        pieces = [_array(doc, "measure", name, (None, cols)) if name in doc else ()
+                  for name, cols in (("intervals", 3), ("atoms", 2))]
+        return Measure1D.from_pieces(domain, *pieces)
     if kind == "discrete":
-        points, weights = _fields(doc, "measure", "points", "weights")
-        return DiscreteMeasure(np.asarray(points, dtype=float),
-                               np.asarray(weights, dtype=float), domain)
+        return DiscreteMeasure(_array(doc, "measure", "points", (None, domain.dim)),
+                               _array(doc, "measure", "weights", (None,)), domain)
     if kind == "grid":
-        res = tuple(int(r) for r in _fields(doc, "measure", "resolution")[0])
+        res = tuple(int(r) for r in _array(doc, "measure", "resolution", (None,), integers=True))
         masses = doc.get("masses", "uniform")
         if isinstance(masses, str) and masses == "uniform":
+            if len(res) not in (1, domain.dim):
+                raise ValueError(f"measure field 'resolution' must have 1 or {domain.dim} entries")
             return GridDensity.uniform(domain, res)
-        return GridDensity.from_cell_masses(domain, np.asarray(masses, dtype=float).reshape(res))
+        if len(res) != domain.dim:
+            raise ValueError(f"measure field 'resolution' must have {domain.dim} entries "
+                             "when cell masses are given")
+        masses = _array(doc, "measure", "masses", (None,))
+        if len(masses) != math.prod(res):
+            raise ValueError(f"measure field 'masses' must have {math.prod(res)} entries, "
+                             "one per grid cell")
+        return GridDensity.from_cell_masses(domain, masses.reshape(res))
     raise ValueError(f"unknown measure kind {kind!r}")

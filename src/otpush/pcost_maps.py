@@ -161,9 +161,6 @@ class CConcavePotential:
         vals = self.piece_values(points).min(axis=1)
         return float(vals[0]) if single else vals
 
-    def __call__(self, points: np.ndarray):
-        return self.value(points)
-
     def active_atoms(self, x: np.ndarray) -> np.ndarray:
         """Indices of atoms attaining the min at x (``_actives`` on the
         negated piece values: negation is exact)."""

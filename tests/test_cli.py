@@ -171,9 +171,14 @@ def _figure1_with_target(tmp_path, target: dict):
      "no 'weights' field"),
     ({"kind": "discrete", "domain": {"kind": "ball", "center": [0.5, 0.5]},
       "points": [[0.2, 0.8]], "weights": [1.0]}, "no 'radius' field"),
-], ids=["nan-weight", "no-weights", "ball-without-radius"])
+    ({"kind": "discrete", "domain": _BOX, "points": [[0.2, 0.8], [0.8, 0.2]],
+      "weights": {"a": 1}}, "'weights' must be a list of numbers"),
+    ({"kind": "grid", "domain": _BOX, "resolution": 4},
+     "'resolution' must be a list of integers"),
+], ids=["nan-weight", "no-weights", "ball-without-radius", "object-weights", "scalar-resolution"])
 def test_malformed_figure_target_is_a_usage_error(tmp_path, target, message):
-    # each exited 0 with passed=True (NaN) or died with a KeyError traceback
+    # each exited 0 with passed=True (NaN) or died with a KeyError or
+    # TypeError traceback
     run = _figure1_with_target(tmp_path, target)
     assert run.returncode == 1
     assert "otpush: error:" in run.stderr and message in run.stderr

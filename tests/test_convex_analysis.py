@@ -737,16 +737,90 @@ def test_lemma_rhs_against_exact_cell_areas():
     assert exact == pytest.approx(12.0 * 16.0, rel=1e-12)
 
 
-def test_lemma_verdicts_on_scan_instances():
+def _scan_lemma_calls(seed):
+    """(f, x, eta) of the ``scan`` benchmark workload's 50 lemma calls."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    calls = [c[1:] for c in workloads.scan_instances(seed) if c[0] == "verify_lemma_diam_l1"]
+    assert len(calls) == 50
+    return calls
+
+
+def test_lemma_verdicts_on_scan_instances():
     for seed in range(4):
-        calls = [c for c in workloads.scan_instances(seed) if c[0] == "verify_lemma_diam_l1"]
-        assert len(calls) == 50
-        for _, f, x, eta in calls:
+        for f, x, eta in _scan_lemma_calls(seed):
             _check_lemma_rhs(f, x, eta)
+
+
+def _lemma_axis(eta):
+    h = 8.0 * eta / 256.0
+    return h, h * (np.arange(256) + 0.5) - 4.0 * eta
+
+
+def _dense_lemma_rhs(f, x, eta):
+    """``verify_lemma_diam_l1``'s 2D right-hand side from piece values and
+    ``np.argmax`` on every point of its midpoint grid at once."""
+    h, axis = _lemma_axis(eta)
+    pts = convex_analysis._disc_grid(axis, 16.0 * eta * eta)
+    pts += x
+    norms = np.linalg.norm(f.slopes, axis=1)[np.argmax(f.piece_values(pts), axis=1)]
+    return 12.0 / (math.pi * eta ** 2) * float(norms.sum() * h * h)
+
+
+def _lemma_edge_cases():
+    """(f, x, eta) where the sampled arg-max of the lemma's right-hand side
+    must fall back on its dense points: ties and near-ties."""
+    rng = np.random.default_rng(53)
+    f = random_max_affine(rng, 2, 4, 3.0, 1.0)
+    x = np.array([0.1, -0.2])
+    # h = 1/32 and the axis sits at odd multiples of 1/64: with x = 1/64 the
+    # tie line of pieces of norms 1 and 2 holds a whole row (x_0 = 0) or
+    # crosses every row at a grid point (x_1 = 0), a sample in some rows and
+    # between two samples in others
+    row_tie = MaxAffineFunction(np.array([[1.0, 0.0], [-2.0, 0.0]]), np.zeros(2))
+    column_tie = MaxAffineFunction(np.array([[0.0, 1.0], [0.0, -2.0]]), np.zeros(2))
+    # a tie line crossing rows between samples, off the grid
+    slanted = MaxAffineFunction(np.array([[0.37, 1.0], [0.0, -1.0]]), np.array([0.0, 0.01]))
+    dup = MaxAffineFunction(f.slopes[[0, 1, 2, 3, 1]], f.intercepts[[0, 1, 2, 3, 1]])
+    near = MaxAffineFunction(np.array([[0.6, -0.8], [0.6, -0.8 + 1e-13], [-0.5, 0.3]]),
+                             np.array([0.0, 0.0, 0.05]))
+    # at |b| = 1e6 rounding, not slopes 1e-9 apart, picks the arg-max near
+    # their tie line: a zero margin, or none, fails here
+    near_far = MaxAffineFunction(np.array([[0.6, -0.8], [0.6, -0.8 + 1e-9], [-0.5, 0.3]]),
+                                 near.intercepts + 1e6)
+    one = MaxAffineFunction(np.array([[0.6, -0.8]]), np.array([0.1]))
+    far = MaxAffineFunction(f.slopes, f.intercepts + 1e6)
+    return [(row_tie, np.array([1.0 / 64.0, 0.0]), 1.0),
+            (column_tie, np.array([0.0, 1.0 / 64.0]), 1.0),
+            (slanted, x, 0.2), (dup, x, 0.2), (near, x, 0.2), (near_far, x, 0.2),
+            (one, x, 0.2), (far, x, 0.2), (far, np.array([3.0, -1e3]), 0.01)]
+
+
+def test_lemma_rhs_matches_the_dense_oracle_bitwise():
+    cases = [c for seed in range(4) for c in _scan_lemma_calls(seed)] + _lemma_edge_cases()
+    for f, x, eta in cases:
+        want = diam_subdiff_ball(f, x, eta), _dense_lemma_rhs(f, x, eta)
+        assert _bits(*verify_lemma_diam_l1(f, x, eta)) == _bits(*want)
+
+
+def test_lemma_rhs_evaluates_at_most_a_quarter_of_its_grid(monkeypatch):
+    # the dense right-hand side evaluates every grid point in the disc
+    piece_values = MaxAffineFunction.piece_values
+    rows = []
+
+    def counted(self, points):
+        vals = piece_values(self, points)
+        rows.append(len(vals))
+        return vals
+
+    monkeypatch.setattr(MaxAffineFunction, "piece_values", counted)
+    grid = 0
+    for f, x, eta in _scan_lemma_calls(0):
+        verify_lemma_diam_l1(f, x, eta)
+        grid += int(convex_analysis._disc_mask(_lemma_axis(eta)[1], 16.0 * eta * eta).sum())
+    assert sum(rows) <= 0.25 * grid
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +931,7 @@ def _scan_cases(rng):
 def test_lemma_and_covering_match_old_scan_code_bitwise(monkeypatch):
     rng = np.random.default_rng(43)
     cases = list(_scan_cases(rng))
-    # the tie line x_1 = 0 runs through a grid column (h = 1/32, x_1 offset
+    # the tie line x_0 = 0 runs through a grid row (h = 1/32, x_0 offset
     # h/2) between pieces of norms 1 and 2: only the first may win there
     tie = MaxAffineFunction(np.array([[1.0, 0.0], [-2.0, 0.0]]), np.zeros(2))
     cases.append((tie, np.array([1.0 / 64.0, 0.0]), 1.0, 1.0))
@@ -866,18 +940,19 @@ def test_lemma_and_covering_match_old_scan_code_bitwise(monkeypatch):
     dup = MaxAffineFunction(f.slopes[[0, 1, 2, 3, 1]], f.intercepts[[0, 1, 2, 3, 1]])
     cases.append((dup,) + cases[3][1:])
 
-    def run():
+    def run(lemma):
         out = []
         for f, x, eta, alpha in cases:
-            lhs, rhs = verify_lemma_diam_l1(f, x, eta)
+            lhs, rhs = lemma(f, x, eta)
             rep = covering_number_sigma(f, min(eta, 0.15), alpha, 1.0)
             out.append(_bits(lhs, rhs, rep.count, rep.centers,
                              _first_argmax_slopes(f, x[None, :] + rep.centers)))
         return out
 
-    new = run()
+    new = run(verify_lemma_diam_l1)
     _old_scan_code(monkeypatch)
-    assert run() == new
+    # the lemma's right-hand side no longer runs on the full point set
+    assert run(lambda f, x, eta: (diam_subdiff_ball(f, x, eta), _dense_lemma_rhs(f, x, eta))) == new
 
 
 def test_integral_matches_old_scan_code_bitwise(monkeypatch):

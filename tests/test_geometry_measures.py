@@ -399,6 +399,47 @@ def test_measure_from_json_names_a_missing_field(doc, field):
         measure_from_json(doc)
 
 
+_BOX2 = {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "discrete", "domain": _BOX2, "points": [[0.2, 0.8]], "weights": {"a": 1}},
+     "measure field 'weights' must be a list of numbers"),
+    ({"kind": "discrete", "domain": _BOX2, "points": [[0.2, 0.8], [0.5]], "weights": [0.5, 0.5]},
+     "measure field 'points' must be a list of 2-number lists"),
+    ({"kind": "discrete", "domain": _BOX2, "points": [[0.2, 0.8, 0.1]], "weights": [1.0]},
+     "measure field 'points' must be a list of 2-number lists"),
+    ({"kind": "discrete", "domain": _BOX2, "points": "[[0.5, 0.5]]", "weights": [1.0]},
+     "measure field 'points' must be a list of 2-number lists"),
+    ({"kind": "grid", "domain": _BOX2, "resolution": 4},
+     "measure field 'resolution' must be a list of integers"),
+    ({"kind": "grid", "domain": _BOX2, "resolution": [4.5, 4]},
+     "measure field 'resolution' must be a list of integers"),
+    ({"kind": "grid", "domain": _BOX2, "resolution": [4, 4, 4]},
+     "measure field 'resolution' must have 1 or 2 entries"),
+    ({"kind": "grid", "domain": _BOX2, "resolution": [2], "masses": [1, 2, 3, 2]},
+     "measure field 'resolution' must have 2 entries"),
+    ({"kind": "grid", "domain": _BOX2, "resolution": [2, 2], "masses": [1, 2]},
+     "measure field 'masses' must have 4 entries"),
+    ({"kind": "grid", "domain": _BOX2, "resolution": [2, 2], "masses": "even"},
+     "measure field 'masses' must be a list of numbers"),
+    ({"kind": "measure1d", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+      "intervals": [0.0, 1.0, 1.0]}, "measure field 'intervals' must be a list of 3-number lists"),
+    ({"kind": "measure1d", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+      "atoms": {"x": 1.0}}, "measure field 'atoms' must be a list of 2-number lists"),
+    ({"kind": "discrete", "domain": {"kind": "ball", "center": [0.5, 0.5], "radius": [1.0]},
+      "points": [[0.5, 0.5]], "weights": [1.0]}, "domain field 'radius' must be a number"),
+    ({"kind": "discrete", "domain": {"kind": "box", "lo": {"x": 0}, "hi": [1.0, 1.0]},
+      "points": [[0.5, 0.5]], "weights": [1.0]}, "domain field 'lo' must be a list of numbers"),
+])
+def test_measure_from_json_names_a_malformed_field(doc, message):
+    # each was a TypeError (object weights or lo, scalar resolution, list
+    # radius), a NumPy ValueError naming no field, or accepted: resolution
+    # [4.5, 4] as [4, 4], flat intervals as rows of three
+    with pytest.raises(ValueError, match=message):
+        measure_from_json(doc)
+
+
 def test_measure_from_json_grid_with_cell_masses():
     doc = {"kind": "grid",
            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]},
