@@ -7,8 +7,8 @@ On top of it this module provides
   exact diameters of subdifferential images of balls
   (:func:`diam_subdiff_ball`),
 * the near-singularity set scan and its greedy covering
-  (:func:`covering_number_sigma`), audited against the count bound
-  48 d^2 (R+4eta)^{d-1} Lip / (alpha eta^{d-1}),
+  (:func:`covering_number_sigma`), reported with the count bound
+  48 d^2 (R+4eta)^{d-1} Lip / (alpha eta^{d-1}) that the caller audits,
 * the integral diameter estimate with its bound
   48 d^2 beta_d 2^{3d+q-1} (q/(q-1)) (R+4eta)^{d-1} Lip^q eta,
 * the L1-gradient diameter inequality check (:func:`verify_lemma_diam_l1`),
@@ -370,10 +370,16 @@ def _ball_diams(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.nda
     raise NotImplementedError("ball scans are implemented for d in {1, 2}")
 
 
+def _require_positive(**values: float) -> None:
+    """ValueError naming the first of ``values`` that is not finite and > 0."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 def diam_subdiff_ball(f: MaxAffineFunction, x: np.ndarray, eta: float) -> float:
     """Exact diameter of the set of slopes active somewhere in B(x, eta)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _require_positive(eta=eta)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return float(_ball_diams(f, x[None, :], eta)[0])
 
@@ -384,22 +390,16 @@ def diam_subdiff_ball(f: MaxAffineFunction, x: np.ndarray, eta: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SingularSetReport:
-    """Greedy 8-eta covering of the detected near-singularity set."""
+    """Greedy 8-eta covering of the detected near-singularity set and its
+    count bound; the caller compares the two (the singularity suite records
+    a count above the bound as a failure)."""
 
-    eta: float
-    alpha: float
-    R: float
     centers: np.ndarray
-    count: int
     bound: float
-    lip: float
 
-    def __post_init__(self):
-        if math.isnan(self.bound) or (self.centers.size and np.isnan(self.centers).any()):
-            raise ValueError("NaN in singularity report")
-        if self.alpha <= 2.0 * self.lip and self.count > self.bound:
-            raise AssertionError(
-                f"covering count {self.count} exceeds the bound {self.bound}")
+    @property
+    def count(self) -> int:
+        return len(self.centers)
 
 
 def _disc_mask(axis: np.ndarray, r2: float) -> np.ndarray:
@@ -578,13 +578,11 @@ def covering_number_sigma(f: MaxAffineFunction, eta: float, alpha: float, R: flo
     count bound.  In 2D the scan's diameters come from row sections of the
     cells' eta-offsets (``_grid_ball_diams``).
     """
-    if min(eta, alpha, R) <= 0:
-        raise ValueError("eta, alpha, R must be positive")
+    _require_positive(eta=eta, alpha=alpha, R=R)
     d = f.dim
-    lip = f.lip
-    bound = count_bound(d, R, eta, alpha, lip)
-    if alpha > 2.0 * lip:
-        return SingularSetReport(eta, alpha, R, np.empty((0, d)), 0, bound, lip)
+    bound = count_bound(d, R, eta, alpha, f.lip)
+    if alpha > 2.0 * f.lip:
+        return SingularSetReport(np.empty((0, d)), bound)
     axis = _scan_axis(R, eta / 4.0)
     if d == 1:
         pts = axis[:, None]
@@ -605,7 +603,7 @@ def covering_number_sigma(f: MaxAffineFunction, eta: float, alpha: float, R: flo
         dist2 = ((detected - c) ** 2).sum(1)
         uncovered &= dist2 > (8.0 * eta) ** 2 * (1 + 1e-12)
     centers = np.array(centers) if centers else np.empty((0, d))
-    return SingularSetReport(eta, alpha, R, centers, len(centers), bound, lip)
+    return SingularSetReport(centers, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +633,9 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
     diameter from row sections of the cells' eta-offsets
     (``_grid_ball_diams``).
     """
-    if q <= 1:
-        raise ValueError("q must exceed 1")
-    if eta <= 0 or R <= 0:
-        raise ValueError("eta and R must be positive")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must be finite and exceed 1, got {q!r}")
+    _require_positive(eta=eta, R=R)
     bound = integral_bound(f.dim, q, R, eta, f.lip)
     if f.dim == 1:
         bp = breakpoints_1d(f)
@@ -737,8 +734,7 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     computation.  About 16 % of the grid points are evaluated on the
     ``scan`` benchmark's calls.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _require_positive(eta=eta)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lhs = diam_subdiff_ball(f, x, eta)
     beta = unit_ball_volume(f.dim)

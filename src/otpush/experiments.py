@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_analysis import (MaxAffineFunction, _disc_grid, covering_number_sigma,
-                              integral_diam_estimate, kink_ladder,
-                              verify_lemma_diam_l1)
+from .convex_analysis import (MaxAffineFunction, _disc_grid, _require_positive,
+                              covering_number_sigma, integral_diam_estimate,
+                              kink_ladder, verify_lemma_diam_l1)
 from .discrete_ot import bottleneck_solve, wasserstein
 from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                 Measure1D, discretize, measure_from_json,
@@ -297,9 +297,9 @@ def pushforward_measure1d(pot: CConcavePotential, m: Measure1D) -> DiscreteMeasu
 # closed-form example families
 # ---------------------------------------------------------------------------
 
-def _sign_potential(p: float, R: float = 1.0) -> CConcavePotential:
-    """Potential whose transport map is sign(x): atoms at -1 and +1."""
-    return CConcavePotential(np.array([[-1.0], [1.0]]), np.zeros(2), p, R)
+def _sign_potential(p: float) -> CConcavePotential:
+    """Unit-ball potential whose transport map is sign(x): atoms at -1, +1."""
+    return CConcavePotential(np.array([[-1.0], [1.0]]), np.zeros(2), p, 1.0)
 
 
 def _example_12(cfg: SweepConfig) -> ExperimentReport:
@@ -463,36 +463,36 @@ def fit_holder_rate(cfg: SweepConfig) -> ExperimentReport:
 # randomized stability audits
 # ---------------------------------------------------------------------------
 
-def _random_valid_potential_1d(rng: np.random.Generator, p: float, R: float,
-                               max_atoms: int = 5) -> CConcavePotential:
-    """Random Laguerre-form potential whose active differences stay in the
-    R-ball (so the cost's Lipschitz/concavity constants genuinely apply)."""
+def _random_valid_potential_1d(rng: np.random.Generator, p: float) -> CConcavePotential:
+    """Random Laguerre-form potential with two to five atoms whose active
+    differences stay in the unit ball (so the cost's Lipschitz/concavity
+    constants genuinely apply)."""
     for _ in range(500):
-        m = int(rng.integers(2, max_atoms + 1))
-        atoms = np.sort(rng.uniform(-0.85 * R, 0.85 * R, m))
-        if atoms[0] > 0.0 or atoms[-1] < 0.0 or np.diff(atoms).min() < 0.05 * R:
+        m = int(rng.integers(2, 6))
+        atoms = np.sort(rng.uniform(-0.85, 0.85, m))
+        if atoms[0] > 0.0 or atoms[-1] < 0.0 or np.diff(atoms).min() < 0.05:
             continue
-        offsets = rng.uniform(-0.03, 0.03, m) * R ** p
-        pot = CConcavePotential(atoms[:, None], offsets, p, R)
-        if pot.max_active_distance(2049) <= R:
+        offsets = rng.uniform(-0.03, 0.03, m)
+        pot = CConcavePotential(atoms[:, None], offsets, p, 1.0)
+        if pot.max_active_distance(2049) <= 1.0:
             return pot
     raise RuntimeError("could not draw a valid 1D potential")
 
 
-def _random_valid_potential_2d(rng: np.random.Generator, p: float,
-                               max_atoms: int = 6) -> CConcavePotential:
+def _random_valid_potential_2d(rng: np.random.Generator, p: float) -> CConcavePotential:
     """Random planar Laguerre-form potential, checked on the 2-ball.
 
-    Atoms lie in the 0.6-ball, at least 0.1 apart, with offsets in +-0.03.
-    Nothing bounds the active differences by construction: a point near the
-    rim of the R = 2 ball can be up to 2.6 from its active atom.  So a draw
-    is kept only when ``max_active_distance`` finds every |x - y_active(x)|
-    <= R at the points of a 64 x 64 grid that lie in that ball (a sample,
-    not a certificate); a rejected draw is drawn again, up to 500 times.
+    Two to six atoms lie in the 0.6-ball, at least 0.1 apart, with offsets
+    in +-0.03.  Nothing bounds the active differences by construction: a
+    point near the rim of the R = 2 ball can be up to 2.6 from its active
+    atom.  So a draw is kept only when ``max_active_distance`` finds every
+    |x - y_active(x)| <= R at the points of a 64 x 64 grid that lie in that
+    ball (a sample, not a certificate); a rejected draw is drawn again, up
+    to 500 times.
     """
     R = 2.0
     for _ in range(500):
-        m = int(rng.integers(2, max_atoms + 1))
+        m = int(rng.integers(2, 7))
         pts = rng.uniform(-0.6, 0.6, (4 * m, 2))
         pts = pts[np.linalg.norm(pts, axis=1) <= 0.6][:m]
         if len(pts) < m:
@@ -559,7 +559,7 @@ def _audit_check(w_out: float, bound_r: float, bound_inf: float,
 def _audit_one_1d(rng: np.random.Generator, cfg: SweepConfig,
                   kind: int) -> list[float]:
     dom = Domain.ball(np.zeros(1), 1.0)
-    pot = _random_valid_potential_1d(rng, cfg.p, 1.0)
+    pot = _random_valid_potential_1d(rng, cfg.p)
     rho, density_sup = _random_rho_1d(rng, dom)
     if kind == 0:
         rho_t, eps = rho, 0.0
@@ -702,8 +702,9 @@ def random_max_affine(rng: np.random.Generator, d: int, k: int,
     piece must be the first maximum at some point of a 169 x 169 grid
     clipped to the R-ball in 2D (4097 points in 1D).
     """
-    if k < 1 or lip_max <= 0 or R <= 0:
-        raise ValueError("need k >= 1, lip_max > 0, R > 0")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    _require_positive(lip_max=lip_max, R=R)
     if d == 1:
         scan = np.linspace(-R, R, 4097)[:, None]
     elif d == 2:
@@ -823,22 +824,16 @@ def run_singularity_suite(cfg: SweepConfig) -> ExperimentReport:
 # interpolation figure pipeline
 # ---------------------------------------------------------------------------
 
-def _pixel_cloud_disc() -> np.ndarray:
+def _pixel_cloud(lo: float, hi: float, dy: float, center, r_in: float,
+                 r_out: float) -> np.ndarray:
+    """Points of the step-0.02 grid ``ax x (ax + dy)``, ax from lo to hi,
+    at distance r_in to r_out from ``center``."""
     step = 0.02
-    ax = np.arange(0.16, 0.44 + step / 2.0, step)
-    gx, gy = np.meshgrid(ax, ax + 0.32, indexing="ij")
+    ax = np.arange(lo, hi + step / 2.0, step)
+    gx, gy = np.meshgrid(ax, ax + dy, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    keep = np.linalg.norm(pts - np.array([0.30, 0.62]), axis=1) <= 0.12
-    return pts[keep]
-
-
-def _pixel_cloud_ring() -> np.ndarray:
-    step = 0.02
-    ax = np.arange(0.50, 0.86 + step / 2.0, step)
-    gx, gy = np.meshgrid(ax, ax - 0.30, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    d = np.linalg.norm(pts - np.array([0.68, 0.38]), axis=1)
-    return pts[(d >= 0.10) & (d <= 0.17)]
+    d = np.linalg.norm(pts - np.array(center), axis=1)
+    return pts[(d >= r_in) & (d <= r_out)]
 
 
 def _integer_count_weights(k: int, n_cells: int) -> np.ndarray:
@@ -898,7 +893,8 @@ def run_figure1(cfg: SweepConfig) -> ExperimentReport:
             raise ValueError("figure1 needs exactly two target files")
         targets = [_load_figure_target(t, n_cells) for t in cfg.targets]
     else:
-        clouds = (_pixel_cloud_disc(), _pixel_cloud_ring())
+        clouds = (_pixel_cloud(0.16, 0.44, 0.32, (0.30, 0.62), 0.0, 0.12),
+                  _pixel_cloud(0.50, 0.86, -0.30, (0.68, 0.38), 0.10, 0.17))
         targets = [DiscreteMeasure(c, _integer_count_weights(len(c), n_cells), box)
                    for c in clouds]
     phis = [potential_from_discrete_ot(rho, t) for t in targets]
@@ -964,7 +960,7 @@ def run_demo(cfg: SweepConfig) -> ExperimentReport:
     grid = cfg.grid or 512
     rows = []
     for i in range(5):
-        pot = _random_valid_potential_1d(rng, cfg.p, 1.0)
+        pot = _random_valid_potential_1d(rng, cfg.p)
         rho, _ = _random_rho_1d(rng, dom)
         rho_d = discretize(rho, grid)
         # pin one source atom exactly on a cell boundary so the singular

@@ -4,7 +4,7 @@ Measures come in three concrete forms:
 
 * :class:`DiscreteMeasure` — weighted point cloud in R^d.
 * :class:`GridDensity` — absolutely continuous measure given by cell masses
-  on a uniform grid over a box, with a tracked density upper bound.
+  on a uniform grid over a box; its density bound is derived from them.
 * :class:`Measure1D` — mixture of piecewise-constant densities on disjoint
   intervals plus atoms; supports closed-form quantiles and exact
   Wasserstein distances of every order r in (1, inf].
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,31 +232,37 @@ class GridDensity:
     """Absolutely continuous measure stored as cell masses on a uniform grid.
 
     The grid tiles the bounding box of ``domain``; for a ball domain, cells
-    whose centers fall outside the ball must carry zero mass.  The density
-    bound invariant ``cell mass <= density_bound * cell volume`` is enforced
-    at construction.
+    whose centers lie outside the ball (beyond ``Domain.contains``'
+    tolerance) must carry zero mass, which is checked at construction.
+    ``resolution`` is the shape of ``cell_masses``, and ``density_bound``,
+    the largest cell mass over the cell volume, bounds the density.
     """
 
     domain: Domain
-    resolution: tuple
     cell_masses: np.ndarray
-    density_bound: float
 
     def __post_init__(self):
-        res = tuple(int(r) for r in self.resolution)
-        object.__setattr__(self, "resolution", res)
-        masses = np.asarray(self.cell_masses, dtype=float).reshape(res)
+        masses = np.asarray(self.cell_masses, dtype=float)
         object.__setattr__(self, "cell_masses", masses)
-        if any(r < 1 for r in res):
-            raise ValueError("resolution must be >= 1 per axis")
+        if masses.ndim != self.domain.dim:
+            raise ValueError(f"cell masses must be a {self.domain.dim}D array")
         if abs(masses.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"cell masses sum to {masses.sum()}, not 1")
         if not (masses >= 0).all():
             raise ValueError("negative or NaN cell mass")
-        if not (math.isfinite(self.density_bound)
-                and (masses <= self.density_bound * self.cell_volume * (1 + 1e-9)).all()):
-            raise ValueError("cell mass exceeds density bound * cell volume, "
-                             "or the bound is not finite")
+        outside = (masses.ravel() > 0) & ~self.domain.contains(self.cell_centers())
+        if outside.any():
+            cell = np.unravel_index(int(np.argmax(outside)), masses.shape)
+            raise ValueError(f"cell {tuple(int(c) for c in cell)} has mass but its "
+                             "center lies outside the domain")
+
+    @property
+    def resolution(self) -> tuple:
+        return self.cell_masses.shape
+
+    @property
+    def density_bound(self) -> float:
+        return float(self.cell_masses.max() / self.cell_volume)
 
     @property
     def dim(self) -> int:
@@ -281,15 +287,12 @@ class GridDensity:
             res = res * domain.dim
         masses = domain.contains(_cell_centers(domain, res), tol=0.0).astype(float)
         masses /= masses.sum()
-        bound = masses.max() / float(np.prod(_cell_widths(domain, res)))
-        return GridDensity(domain, res, masses.reshape(res), bound)
+        return GridDensity(domain, masses.reshape(res))
 
     @staticmethod
     def from_cell_masses(domain: Domain, masses: np.ndarray) -> "GridDensity":
         masses = np.asarray(masses, dtype=float)
-        masses = masses / masses.sum()
-        bound = float(masses.max() / np.prod(_cell_widths(domain, masses.shape)))
-        return GridDensity(domain, masses.shape, masses, bound)
+        return GridDensity(domain, masses / masses.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +559,8 @@ def measure_from_json(doc) -> object:
       measure1d fields: intervals [[lo, hi, mass], ...], atoms [[x, mass], ...]
       discrete fields: points [[...], ...], weights [...]
       grid fields: resolution [...] of integers, masses [... row-major ...]
-                   or "uniform",
-                   density_bound (optional, recomputed if absent)
+                   or "uniform"; the density bound is derived from the
+                   masses (a "density_bound" field is ignored)
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)

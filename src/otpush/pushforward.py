@@ -79,12 +79,15 @@ class SelectionPolicy:
 
 @dataclass(frozen=True, eq=False)
 class PushforwardResult:
-    """Image measure, the coupling that produced it (image = second marginal
-    exactly), and the number of points where a selection policy was invoked."""
+    """The coupling of a pushforward, whose second marginal is the image
+    measure, and the number of points where a selection policy was invoked."""
 
-    image: DiscreteMeasure
     coupling: Coupling
     singular_hits: int
+
+    @property
+    def image(self) -> DiscreteMeasure:
+        return self.coupling.target
 
 
 def _as_discrete(rho) -> DiscreteMeasure:
@@ -125,7 +128,7 @@ def _bundle(src: DiscreteMeasure, targets: np.ndarray, hits: int,
     image = DiscreteMeasure(uniq, w, image_domain)
     coupling = Coupling(np.arange(len(src), dtype=np.int64),
                         inverse.astype(np.int64), src.weights.copy(), src, image)
-    return PushforwardResult(image, coupling, hits)
+    return PushforwardResult(coupling, hits)
 
 
 def pushforward_convex(f: MaxAffineFunction, rho, policy: SelectionPolicy | None = None
@@ -227,7 +230,7 @@ def potential_from_discrete_ot(rho, mu: DiscreteMeasure) -> MaxAffineFunction:
     the face (still exact optimal duals), making every argmax strict.
     """
     src = _as_discrete(rho)
-    mu_pos, keep_t = mu.drop_zero_weights()
+    mu_pos = mu.drop_zero_weights()[0]
     coupling, _, duals = solve(src, mu_pos, p=2.0)
     v = duals.phi_c
     ii, jj = coupling.i, coupling.j

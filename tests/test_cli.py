@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otpush import cli
+from otpush import cli, convex_analysis
 from otpush.experiments import (BoundViolationError, ExperimentReport,
                                 SweepConfig)
 
@@ -132,6 +132,16 @@ def test_bound_violation_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "audit_stability_bound", fake_audit)
     assert cli.main(["stability-audit"]) == 2
     assert "bound violation" in capsys.readouterr().err
+
+
+def test_covering_count_above_bound_is_a_reported_failure(tmp_path, monkeypatch, capsys):
+    # the suite judges the bound: a count above it is a failure row, not an
+    # exception out of the report
+    bound = convex_analysis.count_bound
+    monkeypatch.setattr(convex_analysis, "count_bound",
+                        lambda *args: 1e-4 * bound(*args))
+    assert cli.main(["singularity", "--out", str(tmp_path)]) == 2
+    assert "failure: covering count above bound" in capsys.readouterr().err
 
 
 def test_figure1_requires_zero_or_two_targets(tmp_path, capsys):

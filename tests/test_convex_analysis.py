@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from otpush import _kernels, convex_analysis
 from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
-                                    SingularSetReport, SubdiffPolytope,
-                                    breakpoints_1d, count_bound,
+                                    SubdiffPolytope, breakpoints_1d, count_bound,
                                     covering_number_sigma, diam_subdiff_ball,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, subdifferential,
@@ -29,6 +28,10 @@ REPO = Path(__file__).resolve().parents[1]
 
 ABS = MaxAffineFunction(np.array([[-1.0], [1.0]]), np.zeros(2))
 AFFINE = MaxAffineFunction(np.array([[0.7]]), np.array([0.2]))
+ABS_X = MaxAffineFunction(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2))  # |x_1|
+# NaN fails every comparison, so a `<= 0` check lets it through
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
 
 
 def _first_argmax_slopes(f, points):
@@ -444,6 +447,12 @@ def test_project_zero_on_an_edge_is_exact():
 # local subdifferential diameter
 # ---------------------------------------------------------------------------
 
+@NON_FINITE
+def test_diam_subdiff_ball_rejects_non_finite_eta(bad):
+    with pytest.raises(ValueError, match="^eta must be finite"):
+        diam_subdiff_ball(ABS, np.array([0.0]), bad)
+
+
 def test_diam_subdiff_ball_examples():
     assert diam_subdiff_ball(ABS, np.array([0.0]), 0.3) == pytest.approx(2.0)
     assert diam_subdiff_ball(ABS, np.array([0.5]), 0.2) == 0.0
@@ -533,15 +542,12 @@ def test_covering_2d_within_bound():
         assert rep.count <= rep.bound
 
 
-def test_singular_report_validation():
-    with pytest.raises(ValueError):
-        SingularSetReport(eta=0.1, alpha=0.5, R=1.0,
-                          centers=np.array([[np.nan]]), count=1,
-                          bound=10.0, lip=1.0)
-    with pytest.raises(AssertionError):
-        SingularSetReport(eta=0.1, alpha=0.5, R=1.0,
-                          centers=np.zeros((3, 1)), count=3,
-                          bound=2.0, lip=1.0)
+@NON_FINITE
+@pytest.mark.parametrize("name", ["eta", "alpha", "R"])
+def test_covering_rejects_non_finite_arguments(name, bad):
+    args = {"eta": 0.01, "alpha": 0.5, "R": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        covering_number_sigma(kink_ladder(4, 1.0, 1.0), **args)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +586,16 @@ def test_integral_estimate_q_validation():
         integral_diam_estimate(ABS, eta=0.1, q=0.5, R=1.0)
 
 
+@NON_FINITE
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["eta", "q", "R"])
+def test_integral_estimate_rejects_non_finite_arguments(name, dim, bad):
+    f = ABS if dim == 1 else ABS_X
+    args = {"eta": 0.1, "q": 2.0, "R": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integral_diam_estimate(f, **args)
+
+
 def test_integral_estimate_2d_below_bound():
     rng = np.random.default_rng(19)
     for trial in range(3):
@@ -594,6 +610,14 @@ def test_integral_estimate_2d_below_bound():
 # ---------------------------------------------------------------------------
 # pointwise diameter-vs-gradient-integral inequality
 # ---------------------------------------------------------------------------
+
+@NON_FINITE
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_lemma_rejects_non_finite_eta(dim, bad):
+    f = ABS if dim == 1 else ABS_X
+    with pytest.raises(ValueError, match="^eta must be finite"):
+        verify_lemma_diam_l1(f, np.zeros(dim), bad)
+
 
 def test_verify_lemma_abs_at_origin():
     lhs, rhs = verify_lemma_diam_l1(ABS, np.array([0.0]), 1.0)

@@ -181,6 +181,14 @@ def test_audit_check_raises_on_violation():
 # random max-affine draws
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["lip_max", "R"])
+def test_random_max_affine_rejects_non_finite_arguments(name, bad):
+    args = {"lip_max": 1.0, "R": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        random_max_affine(np.random.default_rng(0), 2, 3, **args)
+
+
 @pytest.mark.parametrize("d,k", [(1, 2), (1, 5), (1, 8), (2, 3), (2, 6)])
 def test_random_max_affine_every_piece_active(d, k):
     rng = np.random.default_rng(100 * d + k)

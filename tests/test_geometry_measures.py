@@ -40,13 +40,11 @@ BOX1 = Domain.box([0.0], [1.0])
     lambda: Domain.ball([math.nan], 1.0),
     lambda: Domain.box([-math.inf], [1.0]),
     lambda: DiscreteMeasure(np.array([[0.2], [0.4]]), np.array([math.nan, 1.0]), BOX1),
-    lambda: GridDensity(BOX1, (2,), np.array([math.nan, 1.0]), 2.0),
-    lambda: GridDensity(BOX1, (2,), np.array([0.5, 0.5]), math.nan),
-    lambda: GridDensity(BOX1, (2,), np.array([0.5, 0.5]), math.inf),
+    lambda: GridDensity(BOX1, np.array([math.nan, 1.0])),
     lambda: Measure1D.from_pieces(DOM, [(-0.5, 0.5, math.nan)]),
     lambda: Measure1D.from_pieces(DOM, [], [(math.nan, 1.0)]),
 ], ids=["ball-radius-nan", "ball-radius-inf", "ball-center", "box-corner",
-        "discrete-weight", "grid-mass", "grid-bound-nan", "grid-bound-inf",
+        "discrete-weight", "grid-mass",
         "measure1d-mass", "measure1d-atom"])
 def test_non_finite_inputs_are_rejected(build):
     # NaN fails every comparison, so each of these got past the mass,
@@ -137,13 +135,29 @@ def test_grid_uniform_ball_masks_outside():
 
 def test_grid_density_bound_invariant():
     for dom, res in ((Domain.box([0.0], [1.0]), 8),
-                     (Domain.ball(np.zeros(2), 1.0), 12)):
+                     (Domain.box([0.0, 0.0], [1.0, 2.0]), 5),
+                     (Domain.ball(np.zeros(2), 1.0), 12),
+                     (Domain.ball(np.zeros(1), 1.0), 7)):
         g = GridDensity.uniform(dom, res)
+        assert g.density_bound == g.cell_masses.max() / g.cell_volume
+        assert g.resolution == g.cell_masses.shape
         assert (g.cell_masses <=
                 g.density_bound * g.cell_volume * (1.0 + 1e-9)).all()
-    with pytest.raises(ValueError):
-        GridDensity(Domain.box([0.0], [1.0]), (2,),
-                    np.array([0.9, 0.1]), density_bound=1.0)
+
+
+def test_grid_masses_must_have_the_domain_dimension():
+    with pytest.raises(ValueError, match="must be a 2D array"):
+        GridDensity(Domain.ball(np.zeros(2), 1.0), np.array([0.5, 0.5]))
+
+
+def test_grid_mass_outside_a_ball_domain_is_rejected():
+    # caught at construction, naming the cell, not first at discretize
+    doc = {"kind": "grid", "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+           "resolution": [4, 4], "masses": [1.0] + [0.0] * 15}
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) has mass but its center lies outside"):
+        measure_from_json(doc)
+    doc["masses"] = [0.0] * 5 + [1.0] + [0.0] * 10  # cell (1, 1): center inside
+    assert discretize(measure_from_json(doc)).points.tolist() == [[-0.25, -0.25]]
 
 
 def test_single_cell_grid_is_center_dirac():
@@ -448,6 +462,8 @@ def test_measure_from_json_grid_with_cell_masses():
     assert isinstance(g, GridDensity)
     assert g.cell_masses.tolist() == [[0.125, 0.25], [0.375, 0.25]]
     assert g.density_bound == 0.375 / 0.5  # cells are 0.5 x 1
+    doc["density_bound"] = 1e-9  # derived from the masses, not read
+    assert measure_from_json(doc).density_bound == 0.375 / 0.5
 
 
 def test_measure1d_cdf_with_atoms():
