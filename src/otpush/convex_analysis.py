@@ -25,7 +25,10 @@ the one rule for every 2D query.  A one-point query runs it on every piece
 (``_cell_actives_2d``); the grid scans of the covering and the integral mark
 each row's section of every cell's eta-offset directly and run it only on a
 few columns around the section ends and on the rows nearly tangent to the
-offset.  Products of points with slopes go through ``_batch_product``, so a
+offset.  A grid scan holds one float64 per grid point plus one block of
+activity: each piece keeps its sure row runs and its active exact points,
+and the activity mask is built from them one block of ``_BLOCK`` points at
+a time.  Products of points with slopes go through ``_batch_product``, so a
 point gets the same bits alone as inside a batch.  The lemma check's 2D
 right-hand side is a midpoint rule that weights each grid point by its
 first arg-max piece; it evaluates piece values on every eighth column of
@@ -377,10 +380,18 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
+def _finite_center(x: np.ndarray) -> np.ndarray:
+    """x as a 1D float array; ValueError naming x if an entry is not finite."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x!r}")
+    return x
+
+
 def diam_subdiff_ball(f: MaxAffineFunction, x: np.ndarray, eta: float) -> float:
     """Exact diameter of the set of slopes active somewhere in B(x, eta)."""
     _require_positive(eta=eta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_center(x)
     return float(_ball_diams(f, x[None, :], eta)[0])
 
 
@@ -402,30 +413,43 @@ class SingularSetReport:
         return len(self.centers)
 
 
-def _disc_mask(axis: np.ndarray, r2: float) -> np.ndarray:
-    """(n, n) mask of the grid points (axis[i], axis[j]) with
-    axis[i]^2 + axis[j]^2 <= r2.  On an increasing axis each row's points
-    are one run of columns."""
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integer ranges [lo[t], hi[t]) (each lo <= hi), concatenated."""
+    lens = hi - lo
+    offsets = np.cumsum(lens) - lens  # where each range starts in the output
+    return np.arange(lens.sum()) + np.repeat(lo - offsets, lens)
+
+
+# Points per block of a 2D grid scan: the disc rows are found and the
+# activity mask is built one block at a time.
+_BLOCK = 1 << 15
+
+
+def _disc_rows(axis: np.ndarray, r2: float):
+    """(first, stop, start) of each row of the grid points (axis[i], axis[j])
+    with axis[i]^2 + axis[j]^2 <= r2: its first column, one past its last,
+    and the index of its first point in ``_disc_grid`` order (with the point
+    count appended).  On an increasing axis each row's points are one run of
+    columns; the comparison runs on blocks of rows."""
     sq = axis * axis
-    return sq[:, None] + sq[None, :] <= r2
+    n = len(axis)
+    first = np.empty(n, dtype=np.intp)
+    count = np.empty(n, dtype=np.intp)
+    step = max(1, _BLOCK // n)
+    for r in range(0, n, step):
+        inside = sq[r:r + step, None] + sq[None, :] <= r2
+        first[r:r + step] = inside.argmax(axis=1)
+        count[r:r + step] = inside.sum(axis=1)
+    start = np.concatenate([[0], np.cumsum(count)])
+    return first, first + count, start
 
 
 def _disc_grid(axis: np.ndarray, r2: float) -> np.ndarray:
     """Points (axis[i], axis[j]) with axis[i]^2 + axis[j]^2 <= r2, in
-    row-major (i, j) order, without the full product grid."""
-    i, j = np.nonzero(_disc_mask(axis, r2))
-    return np.stack([axis[i], axis[j]], axis=1)
-
-
-def _disc_rows(axis: np.ndarray, r2: float):
-    """(first, stop, start) of each row of ``_disc_mask(axis, r2)``: its
-    first column, one past its last, and the index of its first point in
-    ``_disc_grid`` order (with the point count appended)."""
-    inside = _disc_mask(axis, r2)
-    first = inside.argmax(axis=1)
-    stop = first + inside.sum(axis=1)
-    start = np.concatenate([[0], np.cumsum(stop - first)])
-    return first, stop, start
+    row-major (i, j) order, from the row runs of ``_disc_rows``."""
+    first, stop, _ = _disc_rows(axis, r2)
+    rows = np.repeat(np.arange(len(axis)), stop - first)
+    return np.stack([axis[rows], axis[_ranges(first, stop)]], axis=1)
 
 
 def _scan_axis(R: float, step: float) -> np.ndarray:
@@ -439,13 +463,6 @@ def _scan_axis(R: float, step: float) -> np.ndarray:
 
 # Columns on each side of a row section's ends that the exact predicate decides.
 _BAND = 3
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integer ranges [lo[t], hi[t]) (each lo <= hi), concatenated."""
-    lens = hi - lo
-    offsets = np.cumsum(lens) - lens  # where each range starts in the output
-    return np.arange(lens.sum()) + np.repeat(lo - offsets, lens)
 
 
 def _row_span(c: float, lo: np.ndarray, hi: np.ndarray):
@@ -514,16 +531,23 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
     set's leftmost or rightmost x, where rows cross its boundary nearly
     tangentially and a column margin is no distance margin.  Each cell is
     clipped once from the box of the axis's ends +- 2 eta.
+
+    Memory: each piece keeps its sure runs of point indices and the indices
+    of its active exact points.  The (k, ``_BLOCK``) activity mask is built
+    from them one block of points at a time and reduced by
+    ``_kernels.active_diam2`` into the one float64 array returned, square
+    rooted in place: one float64 per grid point plus one block of activity.
     """
     A, B = f.slopes, f.intercepts
     n = len(axis)
     first, stop, start = _disc_rows(axis, r2)
     npts = int(start[-1])
     box = _box(np.full(2, axis[0] - 2.0 * eta), np.full(2, axis[-1] + 2.0 * eta))
-    active = np.zeros((len(B), npts), dtype=bool)
+    marks = []  # per piece: sure runs [run_from, run_to) and active exact points
     for i in range(len(B)):
         poly = _cell_polygon(A, B, i, box)
         if len(poly) == 0:
+            marks.append((np.empty(0, dtype=np.intp),) * 3)
             continue
         r0 = np.searchsorted(axis, poly[:, 0].min() - eta)
         r1 = np.searchsorted(axis, poly[:, 0].max() + eta, side="right") - 1
@@ -538,16 +562,12 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
         sure_lo = c_lo + _BAND
         sure_hi = np.maximum(c_hi - _BAND, sure_lo)
 
-        # sure columns: a difference array over point indices, summed up
+        # sure columns: runs of point indices, in point order
         a = np.clip(sure_lo, first[cut], stop[cut])
         b = np.clip(sure_hi, first[cut], stop[cut])
         some = a < b
         to_index = start[cut] - first[cut]
-        diff = np.zeros(npts + 1, dtype=np.int8)
-        diff[(a + to_index)[some]] = 1
-        diff[(b + to_index)[some]] -= 1  # after the 1s: a run may end where the next starts
-        np.cumsum(diff[:npts], dtype=np.int8, out=diff[:npts])
-        np.not_equal(diff[:npts], 0, out=active[i])
+        run_from, run_to = (a + to_index)[some], (b + to_index)[some]
 
         # band columns and full rows: the exact predicate
         whole = rows[full]
@@ -559,8 +579,24 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
         cols = _ranges(c_from, c_to)
         r = np.repeat(r, c_to - c_from)
         centers = np.stack([axis[r], axis[cols]], axis=1)
-        active[i, start[r] + cols - first[r]] = _cell_active(A, B, i, poly, centers, eta)
-    return np.sqrt(_kernels.active_diam2(active, _kernels.pair_dist2(A)))
+        exact = (start[r] + cols - first[r])[_cell_active(A, B, i, poly, centers, eta)]
+        exact.sort()
+        marks.append((run_from, run_to, exact))
+
+    pair_d2 = _kernels.pair_dist2(A)
+    out = np.empty(npts)
+    active = np.empty((len(B), _BLOCK), dtype=bool)
+    for s in range(0, npts, _BLOCK):
+        e = min(s + _BLOCK, npts)
+        block = active[:, :e - s]
+        block[:] = False
+        for i, (run_from, run_to, exact) in enumerate(marks):
+            # the sure runs meeting [s, e), cut to it, and the exact points in it
+            j0, j1 = np.searchsorted(run_to, s, side="right"), np.searchsorted(run_from, e)
+            block[i, _ranges(np.maximum(run_from[j0:j1], s), np.minimum(run_to[j0:j1], e)) - s] = True
+            block[i, exact[np.searchsorted(exact, s):np.searchsorted(exact, e)] - s] = True
+        out[s:e] = _kernels.active_diam2(block, pair_d2)
+    return np.sqrt(out, out=out)
 
 
 def count_bound(d: int, R: float, eta: float, alpha: float, lip: float) -> float:
@@ -651,7 +687,8 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
         n = int(math.ceil(2.0 * R / h))
         axis = -R + h * (np.arange(n) + 0.5)
         vals = _grid_ball_diams(f, axis, R * R, eta)
-        return IntegralDiamEstimate(float((vals ** q).sum() * h * h), bound)
+        vals **= q  # in place; one pairwise sum over the whole array
+        return IntegralDiamEstimate(float(vals.sum() * h * h), bound)
     raise NotImplementedError("integral scans are implemented for d in {1, 2}")
 
 
@@ -735,7 +772,7 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     ``scan`` benchmark's calls.
     """
     _require_positive(eta=eta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_center(x)
     lhs = diam_subdiff_ball(f, x, eta)
     beta = unit_ball_volume(f.dim)
     if f.dim == 1:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from otpush import cli, convex_analysis
-from otpush.experiments import (BoundViolationError, ExperimentReport,
-                                SweepConfig)
+from otpush.experiments import BoundViolationError, ExperimentReport
 
 
 def test_example_12_exits_zero(capsys):

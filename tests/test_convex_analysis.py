@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,18 @@ def test_diam_subdiff_ball_rejects_non_finite_eta(bad):
         diam_subdiff_ball(ABS, np.array([0.0]), bad)
 
 
+@NON_FINITE
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("query", [diam_subdiff_ball, verify_lemma_diam_l1],
+                         ids=["diam", "lemma"])
+def test_ball_queries_reject_non_finite_centers(query, dim, bad):
+    f = ABS if dim == 1 else ABS_X
+    x = np.zeros(dim)
+    x[0] = bad
+    with pytest.raises(ValueError, match="^x must be finite"):
+        query(f, x, 0.1)
+
+
 def test_diam_subdiff_ball_examples():
     assert diam_subdiff_ball(ABS, np.array([0.0]), 0.3) == pytest.approx(2.0)
     assert diam_subdiff_ball(ABS, np.array([0.5]), 0.2) == 0.0
@@ -761,13 +774,18 @@ def test_lemma_rhs_against_exact_cell_areas():
     assert exact == pytest.approx(12.0 * 16.0, rel=1e-12)
 
 
-def _scan_lemma_calls(seed):
-    """(f, x, eta) of the ``scan`` benchmark workload's 50 lemma calls."""
+def _scan_calls(seed):
+    """The ``scan`` benchmark workload's calls, (function name, f, args...)."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    calls = [c[1:] for c in workloads.scan_instances(seed) if c[0] == "verify_lemma_diam_l1"]
+    return workloads.scan_instances(seed)
+
+
+def _scan_lemma_calls(seed):
+    """(f, x, eta) of the ``scan`` benchmark workload's 50 lemma calls."""
+    calls = [c[1:] for c in _scan_calls(seed) if c[0] == "verify_lemma_diam_l1"]
     assert len(calls) == 50
     return calls
 
@@ -843,7 +861,7 @@ def test_lemma_rhs_evaluates_at_most_a_quarter_of_its_grid(monkeypatch):
     grid = 0
     for f, x, eta in _scan_lemma_calls(0):
         verify_lemma_diam_l1(f, x, eta)
-        grid += int(convex_analysis._disc_mask(_lemma_axis(eta)[1], 16.0 * eta * eta).sum())
+        grid += int(convex_analysis._disc_rows(_lemma_axis(eta)[1], 16.0 * eta * eta)[2][-1])
     assert sum(rows) <= 0.25 * grid
 
 
@@ -945,6 +963,31 @@ def test_disc_grid_matches_meshgrid_mask():
     assert (pts[:, 0] == 1.0).sum() == 1 and (pts[:, 1] == 1.0).sum() == 1
 
 
+def _dense_disc_rows(axis, r2):
+    """``_disc_rows`` and ``_disc_grid`` from the full (n, n) mask."""
+    sq = axis * axis
+    inside = sq[:, None] + sq[None, :] <= r2
+    first = inside.argmax(axis=1)
+    stop = first + inside.sum(axis=1)
+    start = np.concatenate([[0], np.cumsum(stop - first)])
+    i, j = np.nonzero(inside)
+    return (first, stop, start), np.stack([axis[i], axis[j]], axis=1)
+
+
+@pytest.mark.parametrize("n", [16, 17, 97, 160, 256, 511, 1000, 1024, 1599, 1600])
+def test_disc_rows_match_the_dense_mask(n):
+    # n = 1024 and 1600 are the integral's axes at h = R/512 and at
+    # h = eta/8 with eta = 0.01; the rows are compared in blocks of rows
+    for axis, r2 in [(-1.0 + (2.0 / n) * (np.arange(n) + 0.5), 1.0),
+                     (_scan_axis(1.0, 2.0 / (n - 0.5)), 1.0 + 1e-12),
+                     (np.linspace(-1.0, 1.0, n) + 0.3, 0.5)]:
+        rows, pts = _dense_disc_rows(axis, r2)
+        got = convex_analysis._disc_rows(axis, r2)
+        for a, b in zip(got, rows):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert _bits(_disc_grid(axis, r2)) == _bits(pts)
+
+
 def _scan_cases(rng):
     for k in range(1, 7):
         f = random_max_affine(rng, 2, k, 3.0, 1.0)
@@ -987,6 +1030,24 @@ def test_integral_matches_old_scan_code_bitwise(monkeypatch):
     new = [_bits(*integral_diam_estimate(f, eta, q, 1.0)) for f, eta, q in cases]
     _old_scan_code(monkeypatch)
     assert [_bits(*integral_diam_estimate(f, eta, q, 1.0)) for f, eta, q in cases] == new
+
+
+def test_integral_peak_memory_is_one_float_per_point():
+    # the scan benchmark's integral: R = 1, q = 2, k = 4, eta ~ 0.077, so a
+    # 1024-point axis (h = R/512) and 823,592 points in the disc; the floor
+    # is the one float64 array of diameters summed at once
+    name, f, eta, q, R = _scan_calls(1)[0]
+    assert name == "integral_diam_estimate" and (len(f.slopes), q, R) == (4, 2.0, 1.0)
+    assert eta / 8.0 > R / 512.0
+    axis = -R + (R / 512.0) * (np.arange(1024) + 0.5)
+    npts = int(convex_analysis._disc_rows(axis, R * R)[2][-1])
+    tracemalloc.start()
+    try:
+        integral_diam_estimate(f, eta, q, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * npts + 2 * 2 ** 20
 
 
 def test_grid_scans_run_without_the_bracket_kernel(monkeypatch):

@@ -13,10 +13,9 @@ from otpush.experiments import (BoundViolationError, ExperimentReport,
                                 pushforward_measure1d, random_max_affine,
                                 run_demo, run_example, run_figure1,
                                 run_singularity_suite, stability_constant)
-from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D,
-                                      discretize, wasserstein_1d)
+from otpush.geometry_measures import Domain, Measure1D, discretize, wasserstein_1d
 from otpush.pcost_maps import CConcavePotential
-from otpush.pushforward import SelectionPolicy, pushforward_tmap
+from otpush.pushforward import pushforward_tmap
 
 
 # ---------------------------------------------------------------------------

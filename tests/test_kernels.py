@@ -15,11 +15,12 @@ import hashlib
 import heapq
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from otpush import random_max_affine
+from otpush import convex_analysis, random_max_affine
 from otpush._kernels import ball_activity_2d, ssp_flow
 from otpush.convex_analysis import (_TIE_TOL, MaxAffineFunction, _ball_diams,
                                     _cell_actives_2d, _disc_grid, _grid_ball_diams,
@@ -571,10 +572,16 @@ def _grid_axis(kind, n, frac):
 def test_row_section_scan_matches_ball_diams_bitwise(piece, eta, kind, n, frac):
     f = MaxAffineFunction(*piece)
     axis, r2 = _grid_axis(kind, n, frac)
-    new = _grid_ball_diams(f, axis, r2, eta)
     old = _ball_diams(f, _disc_grid(axis, r2), eta)
-    assert new.shape == old.shape
-    assert (new.view(np.int64) == old.view(np.int64)).all()
+    # these grids fit in one block of the scan; blocks of 97 points split
+    # every grid, and its disc rows, over several
+    new = [_grid_ball_diams(f, axis, r2, eta)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convex_analysis, "_BLOCK", 97)
+        new.append(_grid_ball_diams(f, axis, r2, eta))
+    for diams in new:
+        assert diams.shape == old.shape
+        assert (diams.view(np.int64) == old.view(np.int64)).all()
 
 
 def test_ball_activity_dispatch():
