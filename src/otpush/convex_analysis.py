@@ -19,25 +19,26 @@ Exactness strategy: in 1D every quantity is computed from the upper envelope
 of the affine pieces (slopes active on an interval are a contiguous run of
 envelope slopes).  In 2D piece i is active somewhere in B(x, eta) exactly
 when its max-affine cell {z : f_i(z) >= f_j(z) - tol for all j} lies within
-eta of x: x meets the cell's inequalities or lies within eta of the cell
-clipped from a box holding every ball (``_cell_active``).  That predicate is
-the one rule for every 2D query.  A one-point query runs it on every piece
-(``_cell_actives_2d``); the grid scans of the covering and the integral mark
-each row's section of every cell's eta-offset directly and run it only on a
-few columns around the section ends and on the rows nearly tangent to the
-offset.  A grid scan holds one float64 per grid point plus one block of
-activity: each piece keeps its sure row runs and its active exact points,
-and the activity mask is built from them one block of ``_BLOCK`` points at
-a time.  Products of points with slopes go through ``_batch_product``, so a
-point gets the same bits alone as inside a batch.  The lemma check's 2D
-right-hand side is a midpoint rule that weights each grid point by its
-first arg-max piece; it evaluates piece values on every eighth column of
-each row and fills a span between two samples without evaluating it when
-both pick the same piece by a gap above M = 64 eps (1 + scale), more than
-four times the rounding error of a piece value.  Piece differences are
-affine along a row, so no point of such a span can round to another
-arg-max or a tie, and the other spans are evaluated on their own points:
-the bits are those of the arg-max over every grid point.
+eta of x: x meets the cell's inequalities or lies within eta of one of its
+edges, the parts of its tie lines that the other pieces leave, found with no
+box and so independent of the query (``_cell_edges``, ``_cell_active``).
+That predicate is the one rule for every 2D query.  A one-point query runs
+it on every piece (``_cell_actives_2d``); the grid scans of the covering and
+the integral mark each row's section of every cell's eta-offset directly and
+run it only on a few columns around the section ends and on the rows nearly
+tangent to the offset.  A grid scan holds one float64 per grid point plus
+one block of activity: each piece keeps its sure row runs and its active
+exact points, and the activity mask is built from them one block of
+``_BLOCK`` points at a time.  Products of points with slopes go through
+``_batch_product``, so a point gets the same bits alone as inside a batch.
+The lemma check's 2D right-hand side is a midpoint rule that weights each
+grid point by its first arg-max piece; it evaluates piece values on every
+eighth column of each row and fills a span between two samples without
+evaluating it when both pick the same piece by a gap above M, more than
+four times the rounding error of a piece value (M = 64 eps (1 + scale)).
+Piece differences are affine along a row, so no point of such a span can
+round to another arg-max or a tie, and the other spans are evaluated on
+their own points: the bits are those of the arg-max over every grid point.
 
 One rule decides a single point for every pushforward, map and gradient
 of the package: a piece is active within 1e-12 (1 + |max|) of the row max
@@ -193,12 +194,6 @@ class SubdiffPolytope:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def diam(self) -> float:
-        return _pairwise_diam(self.vertices)
-
-    def is_singleton(self) -> bool:
-        return not _singular(self.vertices)
-
     def extreme_vertex(self, direction: np.ndarray) -> np.ndarray:
         """Vertex maximizing <direction, v>; lexicographic tie-break."""
         d = np.asarray(direction, dtype=float)
@@ -301,34 +296,45 @@ def _ball_diams_1d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.
     return env_s[i_hi] - env_s[i_lo]
 
 
-def _cell_polygon(A: np.ndarray, B: np.ndarray, i: int, box: np.ndarray) -> np.ndarray:
-    """Vertices of piece i's cell {z : f_i(z) >= f_j(z) - tol for all j}
-    within the counter-clockwise convex polygon ``box``, clipped by one
-    Sutherland-Hodgman pass per other piece (no rows when it is empty)."""
-    poly = box
-    for j in range(len(B)):
-        if j == i or len(poly) == 0:
-            continue
-        nxt = np.arange(1, len(poly) + 1) % len(poly)
-        g = poly @ (A[i] - A[j]) + (B[i] - B[j] + _TIE_TOL)
-        keep = g >= 0
-        cross = keep != keep[nxt]
-        t = np.divide(g, g - g[nxt], out=np.zeros_like(g), where=cross)
-        hit = poly + (poly[nxt] - poly) * t[:, None]
-        poly = np.stack([poly, hit], axis=1)[np.stack([keep, cross], axis=1)]
-    return poly
+def _cell_edges(A: np.ndarray, B: np.ndarray, i: int):
+    """The edges (p, e, lo, hi) of piece i's cell {z : n_j . z + c_j >= 0
+    for all j != i}, n_j = a_i - a_j, c_j = b_i - b_j + tol, with no box: for
+    each n_j != 0 its line as p + t e (e is n_j turned a quarter) and the
+    interval [lo, hi] of t, either end possibly infinite, that the other
+    half-planes leave: n_l . e > 0 raises lo, n_l . e < 0 lowers hi, and
+    n_l . e = 0 with n_l . p + c_l < 0 empties the edge.  Half-planes equal
+    to the line's own (duplicated pieces) are skipped, normals are scaled to
+    max-norm 1 so |n|^2 cannot underflow, and empty edges and lines whose p
+    is beyond the float range are dropped: an empty cell and the whole plane
+    have no edges."""
+    n = A[i] - np.delete(A, i, axis=0)
+    c = B[i] - np.delete(B, i) + _TIE_TOL
+    scale = np.abs(n).max(axis=1)
+    line = scale > 0
+    scale[~line] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n /= scale[:, None]
+        c /= scale
+        ln, lc = n[line], c[line]
+        p = ln * (-lc / np.vecdot(ln, ln))[:, None]
+        e = np.stack([-ln[:, 1], ln[:, 0]], axis=1)
+        s = e[:, :1] * n[:, 0] + e[:, 1:] * n[:, 1]  # (line, half-plane)
+        g = p[:, :1] * n[:, 0] + p[:, 1:] * n[:, 1] + c
+        own = (n == ln[:, None, :]).all(axis=2) & (c == lc[:, None])
+        s[own] = g[own] = 0.0
+        t = -g / s
+    lo = np.where(s > 0, t, -np.inf).max(axis=1, initial=-np.inf)
+    hi = np.where(s < 0, t, np.inf).min(axis=1, initial=np.inf)
+    keep = (lo <= hi) & ~((s == 0) & (g < 0)).any(axis=1) & np.isfinite(p).all(axis=1)
+    return p[keep], e[keep], lo[keep], hi[keep]
 
 
-def _box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The counter-clockwise square [lo, hi] that ``_cell_polygon`` clips."""
-    return np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
-
-
-def _cell_active(A: np.ndarray, B: np.ndarray, i: int, poly: np.ndarray,
+def _cell_active(A: np.ndarray, B: np.ndarray, i: int, edges,
                  centers: np.ndarray, eta: float) -> np.ndarray:
     """Whether piece i's cell comes within eta of each center: the center
-    meets the cell's inequalities (in the arithmetic that clips the cell), or
-    its squared distance to the clipped cell ``poly`` is at most eta^2."""
+    meets the cell's inequalities, or its squared distance to an edge
+    (``_cell_edges``) at its projection clipped to [lo, hi] is at most
+    eta^2.  ``np.fmin`` passes over the NaN of an overflowed distance."""
     g = _batch_product(centers, (A[i] - A).T)
     g += B[i] - B + _TIE_TOL
     active = np.ones(len(centers), dtype=bool)
@@ -336,30 +342,24 @@ def _cell_active(A: np.ndarray, B: np.ndarray, i: int, poly: np.ndarray,
         active &= g[:, j] >= 0
     x, y = centers[:, 0], centers[:, 1]
     d2 = np.full(len(centers), np.inf)
-    for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
-        wx, wy = x - p[0], y - p[1]
-        ee = e @ e
-        if ee > 0:
-            t = np.clip((wx * e[0] + wy * e[1]) / ee, 0.0, 1.0)
-            wx -= t * e[0]
-            wy -= t * e[1]
-        np.minimum(d2, wx * wx + wy * wy, out=d2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (px, py), (ex, ey), lo, hi in zip(*(a.tolist() for a in edges)):
+            wx, wy = x - px, y - py
+            t = np.clip((wx * ex + wy * ey) / (ex * ex + ey * ey), lo, hi)
+            wx -= t * ex
+            wy -= t * ey
+            np.fmin(d2, wx * wx + wy * wy, out=d2)
     active |= d2 <= eta * eta
     return active
 
 
 def _cell_actives_2d(f: MaxAffineFunction, centers: np.ndarray, eta: float) -> np.ndarray:
-    """Exact (k, npts) mask of the pieces active somewhere in each B(x, eta).
-
-    Piece i is active iff its cell comes within eta of x (``_cell_active``).
-    Cells are clipped once from a box holding every ball, which changes no
-    distance up to eta.
-    """
+    """Exact (k, npts) mask of the pieces active somewhere in each B(x, eta):
+    piece i is active iff its cell comes within eta of x (``_cell_active``)."""
     A, B = f.slopes, f.intercepts
-    box = _box(centers.min(axis=0) - 2.0 * eta, centers.max(axis=0) + 2.0 * eta)
     active = np.empty((len(B), len(centers)), dtype=bool)
     for i in range(len(B)):
-        active[i] = _cell_active(A, B, i, _cell_polygon(A, B, i, box), centers, eta)
+        active[i] = _cell_active(A, B, i, _cell_edges(A, B, i), centers, eta)
     return active
 
 
@@ -476,50 +476,50 @@ def _row_span(c: float, lo: np.ndarray, hi: np.ndarray):
     return np.where(hit, -np.inf, np.inf), np.where(hit, np.inf, -np.inf)
 
 
-def _offset_sections(poly: np.ndarray, x: np.ndarray, eta: float):
+def _offset_sections(edges, x: np.ndarray, eta: float):
     """Ends (lo, hi) of the sections of the rows {(x[r], y)} through the
-    points within eta of the convex polygon ``poly``: lo = inf, hi = -inf on
-    a row that misses them.
+    points within eta of the cell with ``edges``: lo = inf, hi = -inf on a
+    row that misses them.
 
-    That set is the union over the polygon's edges of the stadiums
-    edge + B(0, eta) (with the polygon, which lies between them on every
-    row), so each end is the outermost end over the edges of the stadium
-    sections.  A stadium is the disc around its edge's start (the end is the
-    next edge's start) and the rectangle of points projecting onto the edge
-    within eta of it, whose section is cut out by four half-planes.
-    """
-    lo = np.full(len(x), np.inf)
-    hi = np.full(len(x), -np.inf)
+    That set is the cell together with the stadiums edge + B(0, eta), so
+    each end is the outermost end of the cell's section and the stadium
+    sections.  The cell is the intersection of its edges' half-planes, and
+    its section is infinite where the cell is.  A stadium is the discs
+    around its edge's finite ends and the strip of points projecting onto
+    the edge within eta of it, cut out by four half-planes."""
+    lo, hi = np.full(len(x), np.inf), np.full(len(x), -np.inf)
+    cell_lo, cell_hi = -lo, -hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
-            u = x - p[0]
-            chord2 = eta * eta - u * u
-            hit = chord2 >= 0
-            half = np.sqrt(np.where(hit, chord2, 0.0))
-            np.minimum(lo, np.where(hit, p[1] - half, np.inf), out=lo)
-            np.maximum(hi, np.where(hit, p[1] + half, -np.inf), out=hi)
-            ee = e @ e
-            if ee == 0:
-                continue
-            # v = y - p_y with 0 <= u e_x + v e_y <= |e|^2 and
-            # |u e_y - v e_x| <= eta |e|
-            along = _row_span(e[1], -u * e[0], ee - u * e[0])
+        for (px, py), (ex, ey), a, b in zip(*(v.tolist() for v in edges)):
+            # v = y - p_y: the cell's side is u e_y - v e_x >= 0
+            u = x - px
+            side = _row_span(-ex, -u * ey, np.inf)
+            np.maximum(cell_lo, py + side[0], out=cell_lo)
+            np.minimum(cell_hi, py + side[1], out=cell_hi)
+            for t in (a, b):  # an infinite end's disc meets no row
+                chord2 = eta * eta - (u - t * ex) ** 2
+                hit = chord2 >= 0
+                half = np.sqrt(np.where(hit, chord2, 0.0))
+                np.minimum(lo, np.where(hit, py + t * ey - half, np.inf), out=lo)
+                np.maximum(hi, np.where(hit, py + t * ey + half, -np.inf), out=hi)
+            # a |e|^2 <= u e_x + v e_y <= b |e|^2 and |u e_y - v e_x| <= eta |e|
+            ee = ex * ex + ey * ey
+            along = _row_span(ey, a * ee - u * ex, b * ee - u * ex)
             width = eta * math.sqrt(ee)
-            across = _row_span(e[0], u * e[1] - width, u * e[1] + width)
+            across = _row_span(ex, u * ey - width, u * ey + width)
             v_lo = np.maximum(along[0], across[0])
             v_hi = np.minimum(along[1], across[1])
             hit = v_lo <= v_hi
-            np.minimum(lo, np.where(hit, p[1] + v_lo, np.inf), out=lo)
-            np.maximum(hi, np.where(hit, p[1] + v_hi, -np.inf), out=hi)
-    return lo, hi
+            np.minimum(lo, np.where(hit, py + v_lo, np.inf), out=lo)
+            np.maximum(hi, np.where(hit, py + v_hi, -np.inf), out=hi)
+    met = cell_lo <= cell_hi
+    return np.minimum(lo, cell_lo, out=lo, where=met), np.maximum(hi, cell_hi, out=hi, where=met)
 
 
 def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: float) -> np.ndarray:
     """Exact diameter of the slopes active in B(x, eta) at every point of
-    ``_disc_grid(axis, r2)`` in its order, for a 2D f.  It gives the bits of
-    ``_ball_diams`` on those points, except where a point lies exactly eta
-    from a cell, to the last bit: both clip each cell from a box that
-    depends on the query, and there the clipped vertices' rounding decides.
+    ``_disc_grid(axis, r2)`` in its order, for a 2D f: the bits of
+    ``_ball_diams`` on each point, alone or in any batch.
 
     Piece i is active in B(x, eta) iff x lies within eta of its cell, and
     each grid row (fixed axis[r], varying axis[c]) meets that convex set in
@@ -527,10 +527,10 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
     inside a section are active and points more than ``_BAND`` columns
     outside it are not: a margin of at least two grid steps, far above
     rounding.  The exact predicate ``_cell_active`` decides the band points
-    in between, and every point of the rows within ``_BAND + 1`` rows of the
-    set's leftmost or rightmost x, where rows cross its boundary nearly
-    tangentially and a column margin is no distance margin.  Each cell is
-    clipped once from the box of the axis's ends +- 2 eta.
+    in between, and every point of the rows within ``_BAND + 1`` rows of
+    the set's leftmost or rightmost x (from the edges' ends), where
+    rows cross its boundary nearly tangentially and a column margin is no
+    distance margin; it decides every point for a cell with no edge.
 
     Memory: each piece keeps its sure runs of point indices and the indices
     of its active exact points.  The (k, ``_BLOCK``) activity mask is built
@@ -542,19 +542,18 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
     n = len(axis)
     first, stop, start = _disc_rows(axis, r2)
     npts = int(start[-1])
-    box = _box(np.full(2, axis[0] - 2.0 * eta), np.full(2, axis[-1] + 2.0 * eta))
+    rows = np.arange(n)
     marks = []  # per piece: sure runs [run_from, run_to) and active exact points
     for i in range(len(B)):
-        poly = _cell_polygon(A, B, i, box)
-        if len(poly) == 0:
-            marks.append((np.empty(0, dtype=np.intp),) * 3)
-            continue
-        r0 = np.searchsorted(axis, poly[:, 0].min() - eta)
-        r1 = np.searchsorted(axis, poly[:, 0].max() + eta, side="right") - 1
-        rows = np.arange(max(r0 - _BAND - 1, 0), min(r1 + _BAND + 2, n))
-        full = (np.abs(rows - r0) <= _BAND + 1) | (np.abs(rows - r1) <= _BAND + 1)
+        p, e, t_lo, t_hi = edges = _cell_edges(A, B, i)
+        # x at the edges' ends: a vertical edge's x, else +-inf at an infinite t
+        with np.errstate(invalid="ignore", over="ignore"):
+            ends = np.where(e[:, 0] == 0, p[:, 0], p[:, 0] + np.stack([t_lo, t_hi]) * e[:, 0])
+        r0 = np.searchsorted(axis, ends.min(initial=np.inf) - eta)
+        r1 = np.searchsorted(axis, ends.max(initial=-np.inf) + eta, side="right") - 1
+        full = (len(p) == 0) | (np.abs(rows - r0) <= _BAND + 1) | (np.abs(rows - r1) <= _BAND + 1)
         cut = rows[~full]
-        lo, hi = _offset_sections(poly, axis[cut], eta)
+        lo, hi = _offset_sections(edges, axis[cut], eta)
         met = lo <= hi
         cut, lo, hi = cut[met], lo[met], hi[met]
         c_lo = np.searchsorted(axis, lo)  # first column in the section
@@ -579,7 +578,7 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
         cols = _ranges(c_from, c_to)
         r = np.repeat(r, c_to - c_from)
         centers = np.stack([axis[r], axis[cols]], axis=1)
-        exact = (start[r] + cols - first[r])[_cell_active(A, B, i, poly, centers, eta)]
+        exact = (start[r] + cols - first[r])[_cell_active(A, B, i, edges, centers, eta)]
         exact.sort()
         marks.append((run_from, run_to, exact))
 

@@ -18,8 +18,8 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     integral_bound, integral_diam_estimate,
                                     kink_ladder, subdifferential,
                                     verify_lemma_diam_l1)
-from otpush.convex_analysis import (_actives, _box, _cell_active, _cell_polygon,
-                                    _disc_grid, _scan_axis)
+from otpush.convex_analysis import (_actives, _cell_active, _cell_edges, _disc_grid,
+                                    _pairwise_diam, _scan_axis, _singular)
 from otpush.experiments import random_max_affine
 from otpush.geometry_measures import DiscreteMeasure, Domain
 from otpush.pcost_maps import convex_to_phi, diam_partial_c
@@ -80,9 +80,9 @@ def test_one_point_gets_the_bits_of_its_batch_row(seed, k, rows):
     eta = float(rng.uniform(0.02, 0.5))
     A, B = f.slopes, f.intercepts
     for i in range(k):
-        poly = _cell_polygon(A, B, i, _box(np.full(2, -2.0), np.full(2, 2.0)))
-        alone = _cell_active(A, B, i, poly, x[None, :], eta)
-        assert alone.tolist() == _cell_active(A, B, i, poly, pts, eta)[t:t + 1].tolist()
+        edges = _cell_edges(A, B, i)
+        alone = _cell_active(A, B, i, edges, x[None, :], eta)
+        assert alone.tolist() == _cell_active(A, B, i, edges, pts, eta)[t:t + 1].tolist()
 
 
 def test_max_affine_validation():
@@ -136,9 +136,9 @@ def test_envelope_matches_dense_argmax():
 def test_subdifferential_abs():
     sd0 = subdifferential(ABS, np.array([0.0]))
     assert np.allclose(np.sort(sd0.vertices.ravel()), [-1.0, 1.0])
-    assert sd0.diam() == pytest.approx(2.0, abs=1e-15)
+    assert _pairwise_diam(sd0.vertices) == pytest.approx(2.0, abs=1e-15)
     sd_half = subdifferential(ABS, np.array([0.5]))
-    assert sd_half.is_singleton()
+    assert not _singular(sd_half.vertices)
     assert np.allclose(sd_half.vertices.ravel(), [1.0])
 
 
@@ -161,7 +161,7 @@ def test_subdifferential_near_tie_agrees_with_pushforward():
     assert np.array_equal(np.sort(sd.vertices.ravel()), [-1.0, 1.0])
     dirac = DiscreteMeasure(x[None, :], np.ones(1), Domain.box([-1.0], [1.0]))
     assert pushforward_convex(f, dirac).singular_hits == 1
-    assert not sd.is_singleton()
+    assert _singular(sd.vertices)
 
 
 def test_subgradient_monotonicity():
@@ -177,8 +177,8 @@ def test_subgradient_monotonicity():
 def test_subdiff_polytope_operations():
     verts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     poly = SubdiffPolytope(verts)
-    assert poly.diam() == pytest.approx(math.sqrt(5.0), abs=1e-12)
-    assert not poly.is_singleton()
+    assert _pairwise_diam(poly.vertices) == pytest.approx(math.sqrt(5.0), abs=1e-12)
+    assert _singular(poly.vertices)
     assert np.allclose(poly.extreme_vertex(np.array([0.0, 1.0])), [0.0, 2.0])
     proj, dist = poly.project(np.array([0.0, -1.0]))
     assert np.allclose(proj, [0.0, 0.0], atol=1e-9)
@@ -186,7 +186,7 @@ def test_subdiff_polytope_operations():
     mn = poly.min_norm_point()
     assert np.linalg.norm(mn) <= 1e-9  # origin lies inside
     single = SubdiffPolytope(np.array([[0.25, 0.75]]))
-    assert single.is_singleton() and single.diam() == 0.0
+    assert not _singular(single.vertices) and _pairwise_diam(single.vertices) == 0.0
 
 
 _SIGNED_ZERO_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
@@ -692,10 +692,10 @@ def _disc_area_in_polygon(poly, center, r):
 def _exact_gradient_integral(f, x, radius):
     """Integral of |grad f| over B(x, radius) for a 2D max-affine f with
     distinct pieces: sum_i |a_i| area(cell_i & disc), cells clipped by
-    ``_cell_polygon`` from the disc's bounding square."""
+    ``_box_cell_polygon`` from the disc's bounding square."""
     box = x + radius * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     A, B = f.slopes, f.intercepts
-    return sum(np.linalg.norm(A[i]) * _disc_area_in_polygon(_cell_polygon(A, B, i, box), x, radius)
+    return sum(np.linalg.norm(A[i]) * _disc_area_in_polygon(_box_cell_polygon(A, B, i, box), x, radius)
                for i in range(len(B)))
 
 
@@ -881,7 +881,12 @@ def _broadcast_piece_values(self, points):
     return pts @ self.slopes.T + self.intercepts
 
 
-def _rolled_cell_polygon(A, B, i, box):
+def _box_cell_polygon(A, B, i, box):
+    """Vertices of piece i's cell {z : f_i(z) >= f_j(z) - tol for all j}
+    within the counter-clockwise convex polygon ``box``, clipped by one
+    Sutherland-Hodgman pass per other piece (no rows when it is empty): the
+    per-query box clipping that the 2D ball queries ran before cells had
+    exact edges."""
     poly = box
     for j in range(len(B)):
         if j == i or len(poly) == 0:
@@ -914,7 +919,7 @@ def _all_axis_cell_actives_2d(f, centers, eta):
     for i in range(len(B)):
         active[i] = (centers @ (A[i] - A).T
                      + (B[i] - B + convex_analysis._TIE_TOL) >= 0).all(axis=1)
-        poly = convex_analysis._cell_polygon(A, B, i, box)
+        poly = _box_cell_polygon(A, B, i, box)
         d2 = np.full(len(centers), np.inf)
         for p, e in zip(poly, np.roll(poly, -1, axis=0) - poly):
             wx, wy = x - p[0], y - p[1]
@@ -928,14 +933,19 @@ def _all_axis_cell_actives_2d(f, centers, eta):
     return active
 
 
+def _dense_grid_ball_diams(f, axis, r2, eta):
+    return convex_analysis._ball_diams(f, convex_analysis._disc_grid(axis, r2), eta)
+
+
 def _old_scan_code(monkeypatch):
     """Put back the meshgrid point sets, the broadcast intercept adds of
-    ``piece_values``, the ``.all(axis=1)`` cell membership, ``np.roll``
-    clipping and ``np.where`` diameters."""
+    ``piece_values``, the ``.all(axis=1)`` cell membership, cells clipped
+    from a box around the query points (``_box_cell_polygon``), grid scans
+    as one query on every grid point and ``np.where`` diameters."""
     monkeypatch.setattr(convex_analysis, "_disc_grid", _meshgrid_disc)
     monkeypatch.setattr(MaxAffineFunction, "piece_values", _broadcast_piece_values)
     monkeypatch.setattr(convex_analysis, "_cell_actives_2d", _all_axis_cell_actives_2d)
-    monkeypatch.setattr(convex_analysis, "_cell_polygon", _rolled_cell_polygon)
+    monkeypatch.setattr(convex_analysis, "_grid_ball_diams", _dense_grid_ball_diams)
     monkeypatch.setattr(_kernels, "active_diam2", _where_active_diam2)
 
 

@@ -8,7 +8,8 @@ The ball queries that run the exact cell predicate on every piece
 (``_ball_diams``), and the brackets of ``ball_activity_2d`` (kept for the
 benchmark's patch list), are checked against exact max-affine cells, clipped
 from a box by halfplanes; the 2D grid scans from row sections of the cells'
-eta-offsets are checked bit for bit against ``_ball_diams``.
+eta-offsets are checked bit for bit against ``_ball_diams``, on a batch and
+one point at a time.
 """
 
 import hashlib
@@ -507,6 +508,12 @@ def _degenerate_max_affine(draw):
     return slopes, intercepts
 
 
+_SUBNORMAL_PAIR = (np.array([[0.0, 0.0], [0.0, 2.2250738585072014e-309]]), np.array([0.0, 1.0]))
+_SUBNORMAL_TRIPLE = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.2250738585072014e-309]]),
+                     np.array([0.0, 0.0, 1.0]))
+_TWIN_PIECES = (np.array([[-0.5, 0.0], [-0.5, 0.0], [0.0, 0.0], [1.0, 0.25]]), np.zeros(4))
+
+
 @settings(max_examples=150, deadline=None)
 @given(piece=_degenerate_max_affine(), eta=st.floats(0.02, 0.5),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -517,6 +524,12 @@ def _degenerate_max_affine(draw):
 # cell's own inequality puts piece 1's cell at y <= 0, 0.83 from point 2
 @example(piece=(np.array([[0.0, 2.2250738585072014e-308], [0.0, 0.0]]), np.array([1e-12, 0.0])),
          eta=0.5, seed=0)
+# slopes 2.2e-309 apart: their difference squared underflows, and the tie
+# line lies 4.5e308 away, beyond the float range
+@example(piece=_SUBNORMAL_PAIR, eta=0.5, seed=0)
+@example(piece=_SUBNORMAL_TRIPLE, eta=0.5, seed=0)
+# a duplicated piece: an edge's line is also another piece's line
+@example(piece=_TWIN_PIECES, eta=0.5, seed=0)
 def test_cell_actives_match_cell_distance_oracle(piece, eta, seed):
     slopes, intercepts = piece
     rng = np.random.default_rng(seed)
@@ -569,6 +582,13 @@ def _grid_axis(kind, n, frac):
 # the row sections
 @example(piece=(np.array([[0.0, 1.0], [0.0, -1.0]]), np.zeros(2)),
          eta=0.4687499999995, kind="midpoint", n=32, frac=0.5)
+# cells beyond the float range, a duplicated piece, and an empty cell (piece 0
+# lies 0.25 below its twin) with no edges
+@example(piece=_SUBNORMAL_PAIR, eta=0.5, kind="midpoint", n=16, frac=0.5)
+@example(piece=_SUBNORMAL_TRIPLE, eta=0.5, kind="midpoint", n=16, frac=0.5)
+@example(piece=_TWIN_PIECES, eta=0.5, kind="midpoint", n=16, frac=0.5)
+@example(piece=(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+                np.array([0.0, 0.25, 0.0, 0.0])), eta=0.5, kind="midpoint", n=16, frac=0.5)
 def test_row_section_scan_matches_ball_diams_bitwise(piece, eta, kind, n, frac):
     f = MaxAffineFunction(*piece)
     axis, r2 = _grid_axis(kind, n, frac)
@@ -582,6 +602,22 @@ def test_row_section_scan_matches_ball_diams_bitwise(piece, eta, kind, n, frac):
     for diams in new:
         assert diams.shape == old.shape
         assert (diams.view(np.int64) == old.view(np.int64)).all()
+
+
+def test_one_point_queries_get_the_grid_scan_bits():
+    # the two knife-edge functions above, whose grid rows and columns lie
+    # exactly eta from a cell, and random functions; each point is queried
+    # alone, so no query shares a batch with the scan
+    knife = 0.4687499999995
+    cases = [(MaxAffineFunction(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)), knife, 32),
+             (MaxAffineFunction(np.array([[0.0, 1.0], [0.0, -1.0]]), np.zeros(2)), knife, 32)]
+    rng = np.random.default_rng(97)
+    for k, n in ((5, 16), (3, 40), (2, 120)):
+        cases.append((random_max_affine(rng, 2, k, 3.0, 1.0), float(rng.uniform(0.05, 0.5)), n))
+    for f, eta, n in cases:
+        axis, r2 = _grid_axis("midpoint", n, 0.5)
+        alone = [_ball_diams(f, x[None, :], eta) for x in _disc_grid(axis, r2)]
+        assert np.concatenate(alone).tobytes() == _grid_ball_diams(f, axis, r2, eta).tobytes()
 
 
 def test_ball_activity_dispatch():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from otpush.convex_analysis import MaxAffineFunction, SubdiffPolytope
+from otpush.convex_analysis import (MaxAffineFunction, SubdiffPolytope, _pairwise_diam,
+                                    _singular)
 from otpush.discrete_ot import wasserstein
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       discretize)
@@ -146,9 +147,9 @@ def test_singular_is_the_pairwise_diameter_of_the_active_gradients():
     assert pushforward_tmap(pot, src).singular_hits == 1
     assert pushforward_convex(phi_to_convex(pot), src).singular_hits == 1
     # a diameter of exactly the tolerance is a singleton, as it is regular
-    edge = SubdiffPolytope(np.array([[0.0], [1e-10]]))
-    assert edge.diam() == 1e-10 and edge.is_singleton()
-    assert not SubdiffPolytope(np.array([[0.0], [np.nextafter(1e-10, 1.0)]])).is_singleton()
+    edge = SubdiffPolytope(np.array([[0.0], [1e-10]])).vertices
+    assert _pairwise_diam(edge) == 1e-10 and not _singular(edge)
+    assert _singular(SubdiffPolytope(np.array([[0.0], [np.nextafter(1e-10, 1.0)]])).vertices)
 
 
 def test_duplicate_pieces_and_atoms_tie_but_stay_regular():
