@@ -21,8 +21,7 @@ Modules
 from .convex_analysis import (MaxAffineFunction, SubdiffPolytope,
                               covering_number_sigma, diam_subdiff_ball,
                               integral_bound, integral_diam_estimate,
-                              kink_ladder, subdifferential,
-                              verify_lemma_diam_l1)
+                              kink_ladder, verify_lemma_diam_l1)
 from .discrete_ot import (Coupling, DualPotentials, bottleneck_solve,
                           cost_matrix, solve, wasserstein)
 from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
@@ -33,7 +32,7 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
                           stability_constant)
 from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                 Measure1D, discretize, measure_from_json,
-                                quantile, unit_ball_volume, wasserstein_1d)
+                                unit_ball_volume, wasserstein_1d)
 from .pcost_maps import (BoundaryEscapeError, CConcavePotential, PCost,
                          convex_to_phi, diam_partial_c, grad_xi_p,
                          grad_xi_p_inverse, phi_to_convex)
@@ -56,7 +55,7 @@ __all__ = [
     "integral_diam_estimate", "kink_ladder", "lot_interpolant",
     "measure_from_json", "phi_to_convex", "potential_from_discrete_ot",
     "pushforward_convex", "pushforward_measure1d", "pushforward_tmap",
-    "quantile", "random_max_affine", "run_demo", "run_example", "run_figure1",
-    "run_singularity_suite", "solve", "stability_constant", "subdifferential",
-    "unit_ball_volume", "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
+    "random_max_affine", "run_demo", "run_example", "run_figure1",
+    "run_singularity_suite", "solve", "stability_constant", "unit_ball_volume",
+    "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
 ]

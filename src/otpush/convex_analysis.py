@@ -3,8 +3,7 @@
 The central object is :class:`MaxAffineFunction` f(x) = max_i <a_i, x> + b_i.
 On top of it this module provides
 
-* subdifferentials on the one activity rule (:func:`subdifferential`) and
-  exact diameters of subdifferential images of balls
+* exact diameters of subdifferential images of balls
   (:func:`diam_subdiff_ball`),
 * the near-singularity set scan and its greedy covering
   (:func:`covering_number_sigma`), reported with the count bound
@@ -27,9 +26,11 @@ it on every piece (``_cell_actives_2d``); the grid scans of the covering and
 the integral mark each row's section of every cell's eta-offset directly and
 run it only on a few columns around the section ends and on the rows nearly
 tangent to the offset.  A grid scan holds one float64 per grid point plus
-one block of activity: each piece keeps its sure row runs and its active
-exact points, and the activity mask is built from them one block of
-``_BLOCK`` points at a time.  Products of points with slopes go through
+one block of activity: the predicate runs on at most ``_BLOCK`` points (or
+one row) at a time, each piece keeps its runs of active points (sure, or
+wholly active under the predicate) and its other active exact points, and
+the activity mask is built from them one block of ``_BLOCK`` points at a
+time.  Products of points with slopes go through
 ``_batch_product``, so a point gets the same bits alone as inside a batch.
 The lemma check's 2D right-hand side is a midpoint rule that weights each
 grid point by its first arg-max piece; it evaluates piece values on every
@@ -62,7 +63,6 @@ __all__ = [
     "MaxAffineFunction",
     "SubdiffPolytope",
     "SingularSetReport",
-    "subdifferential",
     "diam_subdiff_ball",
     "covering_number_sigma",
     "IntegralDiamEstimate",
@@ -272,11 +272,6 @@ def _vertex_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     if k not in _VERTEX_PAIRS:
         _VERTEX_PAIRS[k] = np.triu_indices(k, 1)
     return _VERTEX_PAIRS[k]
-
-
-def subdifferential(f: MaxAffineFunction, x: np.ndarray) -> SubdiffPolytope:
-    """Hull of the slopes of the pieces active at x (``_actives``)."""
-    return SubdiffPolytope(f.slopes[_actives(f.piece_values(x))[0][0]])
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +527,21 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
     rows cross its boundary nearly tangentially and a column margin is no
     distance margin; it decides every point for a cell with no edge.
 
-    Memory: each piece keeps its sure runs of point indices and the indices
-    of its active exact points.  The (k, ``_BLOCK``) activity mask is built
-    from them one block of points at a time and reduced by
-    ``_kernels.active_diam2`` into the one float64 array returned, square
-    rooted in place: one float64 per grid point plus one block of activity.
+    Memory: the exact predicate runs on at most ``_BLOCK`` points (or one
+    row) at a time.  Each piece keeps runs of point indices (its sure runs
+    and the spans the predicate finds wholly active, so a cell with no edge
+    keeps one run per active row) and the indices of its other active exact
+    points.  The (k, ``_BLOCK``) activity mask is built from them one block
+    of points at a time and reduced by ``_kernels.active_diam2`` into the
+    one float64 array returned, square rooted in place: one float64 per
+    grid point plus one block of activity.
     """
     A, B = f.slopes, f.intercepts
     n = len(axis)
     first, stop, start = _disc_rows(axis, r2)
     npts = int(start[-1])
     rows = np.arange(n)
-    marks = []  # per piece: sure runs [run_from, run_to) and active exact points
+    marks = []  # per piece: runs [run_from, run_to) of active points, other active points
     for i in range(len(B)):
         p, e, t_lo, t_hi = edges = _cell_edges(A, B, i)
         # x at the edges' ends: a vertical edge's x, else +-inf at an infinite t
@@ -568,19 +566,36 @@ def _grid_ball_diams(f: MaxAffineFunction, axis: np.ndarray, r2: float, eta: flo
         to_index = start[cut] - first[cut]
         run_from, run_to = (a + to_index)[some], (b + to_index)[some]
 
-        # band columns and full rows: the exact predicate
+        # band columns and full rows: the exact predicate, on spans of
+        # columns grouped into at most _BLOCK points (or one row); a span
+        # it finds wholly active becomes a run
         whole = rows[full]
         r = np.concatenate([cut, cut, whole])
         c_from = np.concatenate([c_lo - _BAND, sure_hi, first[whole]])
         c_to = np.concatenate([sure_lo, c_hi + _BAND, stop[whole]])
         c_from = np.clip(c_from, first[r], stop[r])
         c_to = np.clip(c_to, c_from, stop[r])
-        cols = _ranges(c_from, c_to)
-        r = np.repeat(r, c_to - c_from)
-        centers = np.stack([axis[r], axis[cols]], axis=1)
-        exact = (start[r] + cols - first[r])[_cell_active(A, B, i, edges, centers, eta)]
+        some = c_from < c_to
+        r, c_from, lens = r[some], c_from[some], (c_to - c_from)[some]
+        ends = np.cumsum(lens)
+        runs, exact = [(run_from, run_to)], [np.empty(0, dtype=np.intp)]
+        g = 0
+        while g < len(r):
+            h = max(g + 1, np.searchsorted(ends, ends[g] - lens[g] + _BLOCK, side="right"))
+            rg, cg, lg = r[g:h], c_from[g:h], lens[g:h]
+            cols = _ranges(cg, cg + lg)
+            rr = np.repeat(rg, lg)
+            act = _cell_active(A, B, i, edges, np.stack([axis[rr], axis[cols]], axis=1), eta)
+            all_active = np.logical_and.reduceat(act, np.cumsum(lg) - lg)
+            span_from = (start[rg] + cg - first[rg])[all_active]
+            runs.append((span_from, span_from + lg[all_active]))
+            exact.append((start[rr] + cols - first[rr])[act & ~np.repeat(all_active, lg)])
+            g = h
+        run_from, run_to = (np.concatenate(v) for v in zip(*runs))
+        order = np.argsort(run_from)
+        exact = np.concatenate(exact)
         exact.sort()
-        marks.append((run_from, run_to, exact))
+        marks.append((run_from[order], run_to[order], exact))
 
     pair_d2 = _kernels.pair_dist2(A)
     out = np.empty(npts)
@@ -616,8 +631,6 @@ def covering_number_sigma(f: MaxAffineFunction, eta: float, alpha: float, R: flo
     _require_positive(eta=eta, alpha=alpha, R=R)
     d = f.dim
     bound = count_bound(d, R, eta, alpha, f.lip)
-    if alpha > 2.0 * f.lip:
-        return SingularSetReport(np.empty((0, d)), bound)
     axis = _scan_axis(R, eta / 4.0)
     if d == 1:
         pts = axis[:, None]

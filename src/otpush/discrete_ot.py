@@ -150,10 +150,6 @@ class Coupling:
     def value(self, p: float) -> float:
         return float(self.mass @ self.costs(p))
 
-    def max_distance(self) -> float:
-        d2 = self.costs(2.0)[self.mass > 0]
-        return float(np.sqrt(d2.max())) if d2.size else 0.0
-
 
 @dataclass(frozen=True)
 class DualPotentials:
@@ -167,24 +163,21 @@ class DualPotentials:
     phi_c: np.ndarray
     p: float
 
-    def verify(self, coupling: Coupling, tol: float = 1e-9) -> float:
-        cost = cost_matrix(coupling.source.points, coupling.target.points, self.p)
-        return _check_duals(cost, self.phi, self.phi_c, coupling, tol)
 
-    def dual_value(self, source: DiscreteMeasure, target: DiscreteMeasure) -> float:
-        return float(self.phi @ source.weights + self.phi_c @ target.weights)
-
-
-def _check_duals(cost, phi, phi_c, coupling, tol=1e-9):
-    """``DualPotentials.verify`` against a given ``cost`` matrix on the
-    coupling's full supports."""
+def _check_duals(cost, phi, phi_c, coupling):
+    """Audit of the duals (phi, phi_c) of ``coupling`` against its ``cost``
+    matrix on the full supports: AssertionError unless every slack
+    cost - phi - phi_c is at least -tol and every plan edge's slack is
+    within tol of 0, tol = 1e-9 (1 + max |cost|).  Returns the larger
+    violation."""
+    tol = 1e-9 * (1.0 + np.abs(cost).max())
     slack = cost - phi[:, None] - phi_c[None, :]
     worst = -float(slack.min())
-    if worst > tol * (1.0 + np.abs(cost).max()):
+    if worst > tol:
         raise AssertionError(f"dual infeasibility {worst}")
     support = coupling.mass > 0
     gap = float(np.abs(slack[coupling.i[support], coupling.j[support]]).max()) if support.any() else 0.0
-    if gap > tol * (1.0 + np.abs(cost).max()):
+    if gap > tol:
         raise AssertionError(f"complementary slackness violation {gap}")
     return max(worst, gap)
 

@@ -4,9 +4,9 @@ Measures come in three concrete forms:
 
 * :class:`DiscreteMeasure` — weighted point cloud in R^d.
 * :class:`GridDensity` — absolutely continuous measure given by cell masses
-  on a uniform grid over a box; its density bound is derived from them.
+  on a uniform grid over a box.
 * :class:`Measure1D` — mixture of piecewise-constant densities on disjoint
-  intervals plus atoms; supports closed-form quantiles and exact
+  intervals plus atoms; its piecewise-linear quantile function gives exact
   Wasserstein distances of every order r in (1, inf].
 
 All types are immutable after construction and carry their :class:`Domain`;
@@ -27,7 +27,6 @@ __all__ = [
     "DiscreteMeasure",
     "GridDensity",
     "Measure1D",
-    "quantile",
     "wasserstein_1d",
     "discretize",
     "measure_from_json",
@@ -211,16 +210,11 @@ class DiscreteMeasure:
 # grid densities
 # ---------------------------------------------------------------------------
 
-def _cell_widths(domain: Domain, resolution) -> np.ndarray:
-    """Cell widths of the grid of ``resolution`` tiling the domain's box."""
-    lo, hi = domain.bounding_box()
-    return (hi - lo) / np.asarray(resolution, dtype=float)
-
-
 def _cell_centers(domain: Domain, resolution) -> np.ndarray:
-    """Cell centers of that grid, in C order, one row per cell."""
-    lo, _ = domain.bounding_box()
-    widths = _cell_widths(domain, resolution)
+    """Cell centers of the grid of ``resolution`` tiling the domain's box, in
+    C order, one row per cell."""
+    lo, hi = domain.bounding_box()
+    widths = (hi - lo) / np.asarray(resolution, dtype=float)
     axes = [lo[a] + (np.arange(r) + 0.5) * widths[a]
             for a, r in enumerate(resolution)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -234,8 +228,7 @@ class GridDensity:
     The grid tiles the bounding box of ``domain``; for a ball domain, cells
     whose centers lie outside the ball (beyond ``Domain.contains``'
     tolerance) must carry zero mass, which is checked at construction.
-    ``resolution`` is the shape of ``cell_masses``, and ``density_bound``,
-    the largest cell mass over the cell volume, bounds the density.
+    ``resolution`` is the shape of ``cell_masses``.
     """
 
     domain: Domain
@@ -259,22 +252,6 @@ class GridDensity:
     @property
     def resolution(self) -> tuple:
         return self.cell_masses.shape
-
-    @property
-    def density_bound(self) -> float:
-        return float(self.cell_masses.max() / self.cell_volume)
-
-    @property
-    def dim(self) -> int:
-        return len(self.resolution)
-
-    @property
-    def cell_widths(self) -> np.ndarray:
-        return _cell_widths(self.domain, self.resolution)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.cell_widths))
 
     def cell_centers(self) -> np.ndarray:
         return _cell_centers(self.domain, self.resolution)
@@ -396,38 +373,6 @@ class Measure1D:
         if segs.size:
             segs[-1, 1] = 1.0  # absorb roundoff at the top
         return segs
-
-    def cdf(self, x: float) -> float:
-        """P(X <= x)."""
-        total = 0.0
-        for lo, hi, mass in self.intervals:
-            if x >= hi:
-                total += mass
-            elif x > lo:
-                total += mass * (x - lo) / (hi - lo)
-        for a, mass in self.atoms:
-            if x >= a:
-                total += mass
-        return min(total, 1.0)
-
-
-def quantile(m: Measure1D, u: float) -> float:
-    """Generalized inverse CDF, right-continuous at atoms.
-
-    Q(u) = inf{x : F(x) > u}; at u = 1 the supremum of the support.
-    """
-    if u < 0.0 or u > 1.0:
-        raise ValueError("quantile level must lie in [0, 1]")
-    segs = m.quantile_segments()
-    if u >= 1.0:
-        return float(segs[-1, 3])
-    # right-continuous: pick the first segment with u_hi > u
-    idx = np.searchsorted(segs[:, 1], u, side="right")
-    idx = min(idx, segs.shape[0] - 1)
-    u0, u1, x0, x1 = segs[idx]
-    if x1 == x0 or u1 == u0:
-        return float(x0)
-    return float(x0 + (x1 - x0) * (u - u0) / (u1 - u0))
 
 
 def _piece_integral(a: float, b: float, length: float, r: float) -> float:
@@ -559,8 +504,8 @@ def measure_from_json(doc) -> object:
       measure1d fields: intervals [[lo, hi, mass], ...], atoms [[x, mass], ...]
       discrete fields: points [[...], ...], weights [...]
       grid fields: resolution [...] of integers, masses [... row-major ...]
-                   or "uniform"; the density bound is derived from the
-                   masses (a "density_bound" field is ignored)
+                   or "uniform"
+    Other fields are ignored.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)

@@ -68,21 +68,9 @@ class PCost:
             raise ValueError("domain radius must be positive and finite")
 
     @property
-    def lip(self) -> float:
-        return self.p * self.R ** (self.p - 1.0)
-
-    @property
     def concavity(self) -> float:
         """C_{p,R}: x -> C|x|^2/2 - xi_p(x) is concave on B(0, R)."""
         return self.p * (self.p - 1.0) * self.R ** (self.p - 2.0)
-
-    @property
-    def holder_constant(self) -> float:
-        return 3.0 / self.p ** (1.0 / (self.p - 1.0))
-
-    @property
-    def holder_exponent(self) -> float:
-        return 1.0 / (self.p - 1.0)
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -194,7 +182,7 @@ class CConcavePotential:
         object.__setattr__(self, "_cells", cells)
         return cells
 
-    def max_active_distance(self, n: int = 4097) -> float:
+    def max_active_distance(self, n: int) -> float:
         """Largest |x - y_active(x)| over a grid on the domain ball.
 
         A value <= R says that the Lipschitz / partner-convexity constants of

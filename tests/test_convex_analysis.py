@@ -16,8 +16,7 @@ from otpush.convex_analysis import (IntegralDiamEstimate, MaxAffineFunction,
                                     SubdiffPolytope, breakpoints_1d, count_bound,
                                     covering_number_sigma, diam_subdiff_ball,
                                     integral_bound, integral_diam_estimate,
-                                    kink_ladder, subdifferential,
-                                    verify_lemma_diam_l1)
+                                    kink_ladder, verify_lemma_diam_l1)
 from otpush.convex_analysis import (_actives, _cell_active, _cell_edges, _disc_grid,
                                     _pairwise_diam, _scan_axis, _singular)
 from otpush.experiments import random_max_affine
@@ -133,35 +132,39 @@ def test_envelope_matches_dense_argmax():
 # subdifferentials
 # ---------------------------------------------------------------------------
 
+def _active_slopes(f, x):
+    """Slopes of the pieces active at the one point x (``_actives``)."""
+    return f.slopes[_actives(f.piece_values(x))[0][0]]
+
+
 def test_subdifferential_abs():
-    sd0 = subdifferential(ABS, np.array([0.0]))
-    assert np.allclose(np.sort(sd0.vertices.ravel()), [-1.0, 1.0])
-    assert _pairwise_diam(sd0.vertices) == pytest.approx(2.0, abs=1e-15)
-    sd_half = subdifferential(ABS, np.array([0.5]))
-    assert not _singular(sd_half.vertices)
-    assert np.allclose(sd_half.vertices.ravel(), [1.0])
+    sd0 = _active_slopes(ABS, np.array([0.0]))
+    assert np.allclose(np.sort(sd0.ravel()), [-1.0, 1.0])
+    assert _pairwise_diam(sd0) == pytest.approx(2.0, abs=1e-15)
+    sd_half = _active_slopes(ABS, np.array([0.5]))
+    assert not _singular(sd_half)
+    assert np.allclose(sd_half.ravel(), [1.0])
 
 
 def test_subdifferential_ladder_kinks():
     f = kink_ladder(4, 1.0, 1.0)
     slopes = f.slopes.ravel()
     for k, x in enumerate(breakpoints_1d(f)):
-        sd = subdifferential(f, np.array([x]))
-        assert np.allclose(np.sort(sd.vertices.ravel()),
-                           [slopes[k], slopes[k + 1]])
+        sd = _active_slopes(f, np.array([x]))
+        assert np.allclose(np.sort(sd.ravel()), [slopes[k], slopes[k + 1]])
 
 
 def test_subdifferential_near_tie_agrees_with_pushforward():
     # f = max(-x, x + 1e-13): at x = 0 the pieces are 1e-13 apart, inside
     # the activity tolerance, and their slopes 2 apart, so x is singular
-    # for the subdifferential and for the pushforward alike
+    # for the active set and for the pushforward alike
     f = MaxAffineFunction(np.array([[-1.0], [1.0]]), np.array([0.0, 1e-13]))
     x = np.zeros(1)
-    sd = subdifferential(f, x)
-    assert np.array_equal(np.sort(sd.vertices.ravel()), [-1.0, 1.0])
+    sd = _active_slopes(f, x)
+    assert np.array_equal(np.sort(sd.ravel()), [-1.0, 1.0])
     dirac = DiscreteMeasure(x[None, :], np.ones(1), Domain.box([-1.0], [1.0]))
     assert pushforward_convex(f, dirac).singular_hits == 1
-    assert _singular(sd.vertices)
+    assert _singular(sd)
 
 
 def test_subgradient_monotonicity():
@@ -541,6 +544,10 @@ def test_covering_threshold_above_total_spread():
     f = kink_ladder(4, 1.0, 1.0)
     rep = covering_number_sigma(f, eta=0.01, alpha=2.5, R=1.0)
     assert rep.count == 0
+    # the scan detects diam >= alpha - 1e-9, so the kink of |x| (diam 2 = 2 Lip)
+    # is detected at an alpha above 2 Lip by less than that
+    rep = covering_number_sigma(ABS, eta=0.01, alpha=2.0 + 5e-10, R=1.0)
+    assert rep.count == 1
 
 
 def test_covering_2d_within_bound():
@@ -1051,13 +1058,20 @@ def test_integral_peak_memory_is_one_float_per_point():
     assert eta / 8.0 > R / 512.0
     axis = -R + (R / 512.0) * (np.arange(1024) + 0.5)
     npts = int(convex_analysis._disc_rows(axis, R * R)[2][-1])
-    tracemalloc.start()
-    try:
-        integral_diam_estimate(f, eta, q, R)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * npts + 2 * 2 ** 20
+    # cells with no edge, where the exact predicate decides every point: one
+    # piece, two identical pieces, and a piece below its equal-slope twin,
+    # at eta = 0.1 on the same 1024-point axis
+    a = np.array([[1.0, 0.5], [1.0, 0.5]])
+    edge_free = [MaxAffineFunction(a[:1], np.zeros(1)), MaxAffineFunction(a, np.zeros(2)),
+                 MaxAffineFunction(a, np.array([0.0, -0.25]))]
+    for f, eta in [(f, eta)] + [(g, 0.1) for g in edge_free]:
+        tracemalloc.start()
+        try:
+            integral_diam_estimate(f, eta, q, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * npts + 2 * 2 ** 20, (f.slopes, f.intercepts, peak)
 
 
 def test_grid_scans_run_without_the_bracket_kernel(monkeypatch):

@@ -13,12 +13,13 @@ from scipy.sparse.csgraph import (dijkstra, maximum_bipartite_matching, maximum_
 
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
-                                SolverError, _dijkstra, _gap_graph, _scaled_units,
+                                SolverError, _check_duals, _dijkstra, _gap_graph,
+                                _scaled_units,
                                 _unit_bounds, _solve_assignment, _solve_highs,
                                 bottleneck_solve, cost_matrix, solve,
                                 wasserstein)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                      discretize)
+                                      Measure1D, discretize, wasserstein_1d)
 
 DOM1 = Domain.ball(np.zeros(1), 2.0)
 
@@ -26,6 +27,17 @@ DOM1 = Domain.ball(np.zeros(1), 2.0)
 def _m1(points, weights, dom=DOM1):
     return DiscreteMeasure(np.asarray(points, dtype=float).reshape(-1, dom.dim),
                            np.asarray(weights, dtype=float), dom)
+
+
+def _verify(duals, coupling):
+    """``_check_duals`` on the cost matrix of the coupling's full supports."""
+    cost = cost_matrix(coupling.source.points, coupling.target.points, duals.p)
+    return _check_duals(cost, duals.phi, duals.phi_c, coupling)
+
+
+def _longest_edge(coupling):
+    """Length of the longest plan edge that carries mass."""
+    return float(np.sqrt(coupling.costs(2.0)[coupling.mass > 0].max()))
 
 
 def _random_pair(rng, n, m, d=1, radius=1.5):
@@ -72,7 +84,7 @@ def test_two_point_mass_excess_example():
     assert value == pytest.approx(0.2, abs=1e-12)
     assert wasserstein(mu, nu, 2.0) == pytest.approx(math.sqrt(0.2), abs=1e-12)
     coupling.check_marginals()
-    duals.verify(coupling)
+    _verify(duals, coupling)
 
 
 def test_identity_is_diagonal():
@@ -80,7 +92,7 @@ def test_identity_is_diagonal():
     coupling, value, _ = solve(mu, mu, p=2.0)
     assert value == 0.0
     assert (coupling.i == coupling.j).all()
-    assert coupling.max_distance() == 0.0
+    assert _longest_edge(coupling) == 0.0
 
 
 def test_zero_weight_points_are_remapped():
@@ -93,7 +105,7 @@ def test_zero_weight_points_are_remapped():
     assert coupling.source is mu and coupling.target is nu
     coupling.check_marginals()
     assert len(duals.phi) == 3 and len(duals.phi_c) == 2
-    duals.verify(coupling)
+    _verify(duals, coupling)
 
 
 def test_scaled_units_trim_overshooting_floors():
@@ -218,7 +230,8 @@ def test_duality_gap_and_feasibility():
                               d=int(rng.integers(1, 3)))
         p = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
         coupling, value, duals = solve(mu, nu, p)
-        assert abs(duals.dual_value(mu, nu) - value) <= 1e-8 * (1 + abs(value))
+        dual_value = duals.phi @ mu.weights + duals.phi_c @ nu.weights
+        assert abs(dual_value - value) <= 1e-8 * (1 + abs(value))
         cost = cost_matrix(mu.points, nu.points, p)
         slack = cost - duals.phi[:, None] - duals.phi_c[None, :]
         assert slack.min() >= -1e-9 * (1 + cost.max())
@@ -259,7 +272,7 @@ def test_solve_builds_one_cost_matrix(monkeypatch, zeros):
 def _solve_by_separate_matrices(mu, nu, p):
     """Reference for ``solve`` on measures with zero weights: solve on the
     positive-weight atoms, complete the duals by c-transforms on their own
-    cost matrices, and check them with ``DualPotentials.verify``."""
+    cost matrices, and check them with ``_check_duals``."""
     mu0, keep_s = mu.drop_zero_weights()
     nu0, keep_t = nu.drop_zero_weights()
     c0, _, d0 = solve(mu0, nu0, p)
@@ -275,7 +288,7 @@ def _solve_by_separate_matrices(mu, nu, p):
                           - u_full[:, None]).min(axis=0)
     coupling = Coupling(keep_s[c0.i], keep_t[c0.j], c0.mass, mu, nu)
     duals = DualPotentials(u_full, v_full, p)
-    duals.verify(coupling)
+    _verify(duals, coupling)
     return coupling, coupling.value(p), duals
 
 
@@ -315,17 +328,17 @@ def test_verify_rejects_infeasible_duals():
     rng = np.random.default_rng(53)
     mu, nu = _with_zero_weights(rng, 6, 5, 2, 1, 1)
     coupling, _, duals = solve(mu, nu, 2.0)
-    assert duals.verify(coupling) <= 1e-9
+    assert _verify(duals, coupling) <= 1e-9
     phi = duals.phi.copy()
     phi[0] += 1.0
     with pytest.raises(AssertionError, match="dual infeasibility"):
-        DualPotentials(phi, duals.phi_c, 2.0).verify(coupling)
+        _verify(DualPotentials(phi, duals.phi_c, 2.0), coupling)
     # lowering a shipping source's dual keeps feasibility but opens a gap
     # on its plan edges
     phi = duals.phi.copy()
     phi[coupling.i[coupling.mass > 0][0]] -= 1.0
     with pytest.raises(AssertionError, match="complementary slackness violation"):
-        DualPotentials(phi, duals.phi_c, 2.0).verify(coupling)
+        _verify(DualPotentials(phi, duals.phi_c, 2.0), coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +643,7 @@ def test_bottleneck_examples():
     split = _m1([-eps / 4, eps / 4], [0.5, 0.5])
     coupling, value = bottleneck_solve(dirac, split)
     assert value == pytest.approx(eps / 4, abs=1e-12)
-    assert coupling.max_distance() == pytest.approx(eps / 4, abs=1e-12)
+    assert _longest_edge(coupling) == pytest.approx(eps / 4, abs=1e-12)
 
 
 def test_bottleneck_matches_minimax_permutation_oracle():
@@ -646,7 +659,7 @@ def test_bottleneck_matches_minimax_permutation_oracle():
                      for perm in itertools.permutations(range(n)))
         coupling, value = bottleneck_solve(mu, nu)
         assert value == pytest.approx(oracle, abs=1e-12)
-        assert coupling.max_distance() <= value + 1e-12
+        assert _longest_edge(coupling) <= value + 1e-12
         coupling.check_marginals()
 
 
@@ -657,9 +670,46 @@ def test_bottleneck_unequal_weights():
         mu, nu = _random_pair(rng, 4, 6, d=1)
         coupling, value = bottleneck_solve(mu, nu)
         coupling.check_marginals()
-        assert coupling.max_distance() <= value + 1e-12
+        assert _longest_edge(coupling) <= value + 1e-12
         # any W_q lower-bounds the bottleneck value
         assert wasserstein(mu, nu, 4.0) <= value + 1e-9
+
+
+@pytest.mark.usefixtures("no_highs")
+def test_product_family_matches_first_marginals(monkeypatch):
+    # mu = a (x) l and nu = b (x) l share the second factor l, 5 equally
+    # spaced atoms: the product coupling gives W_r(mu, nu) <= W_r(a, b), the
+    # 1-Lipschitz projection on the first coordinate the reverse, for r up
+    # to inf.  b moves the first of 12 atoms spaced 0.1 by a shift, past 3
+    # of its neighbours at 0.3, so the bottleneck search probes
+    flow, flows = discrete_ot.maximum_flow, []
+
+    def counted(*args):
+        flows.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(discrete_ot, "maximum_flow", counted)
+    dom = Domain.ball(np.zeros(2), 2.0)
+    xs = -0.55 + 0.1 * np.arange(12)
+    ys = np.linspace(-0.2, 0.2, 5)
+
+    def product(x):
+        pts = np.stack(np.meshgrid(x, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        return DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)), dom)
+
+    def first_marginal(m):
+        return Measure1D.from_discrete(DiscreteMeasure(m.points[:, :1], m.weights,
+                                                       Domain.ball(np.zeros(1), 2.0)))
+
+    for shift in (0.02, 0.1, 0.3):
+        mu, nu = product(xs), product(np.r_[xs[0] + shift, xs[1:]])
+        a, b = first_marginal(mu), first_marginal(nu)
+        for r in (2.0, 3.0):
+            _, value, _ = solve(mu, nu, r)
+            assert value ** (1.0 / r) == pytest.approx(wasserstein_1d(a, b, r), rel=1e-12, abs=0.0)
+        _, value = bottleneck_solve(mu, nu)
+        assert value == pytest.approx(wasserstein_1d(a, b, math.inf), rel=1e-12, abs=0.0)
+    assert flows
 
 
 def _bounds_feasible(admitted, mu, nu):
@@ -855,7 +905,7 @@ def test_bottleneck_counts_atoms_below_one_flow_unit(w):
             coupling, value = bottleneck_solve(a, b)
             assert value == level
             coupling.check_marginals()
-            assert coupling.max_distance() <= value * (1 + 1e-12)
+            assert _longest_edge(coupling) <= value * (1 + 1e-12)
 
 
 @pytest.mark.usefixtures("no_highs")
@@ -870,7 +920,7 @@ def test_bottleneck_count_weights_round_alike():
         coupling, value = bottleneck_solve(a, b)
         assert value == 0.0
         coupling.check_marginals()
-        assert coupling.max_distance() == 0.0
+        assert _longest_edge(coupling) == 0.0
 
 
 @pytest.mark.usefixtures("no_highs")
@@ -894,7 +944,7 @@ def test_bottleneck_zero_between_two_splits_of_one_count_measure(count):
         coupling, value = bottleneck_solve(split(), split())
         assert value == 0.0
         coupling.check_marginals()
-        assert coupling.max_distance() == 0.0
+        assert _longest_edge(coupling) == 0.0
 
 
 def test_bottleneck_raises_on_plan_with_forbidden_edge(monkeypatch):

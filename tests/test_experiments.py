@@ -225,7 +225,7 @@ def test_pushforward_measure1d_against_grid_oracle():
             atoms = np.sort(rng.uniform(-0.8, 0.8, (m_atoms, 1)), axis=0)
         pot = CConcavePotential(atoms, rng.uniform(-0.02, 0.02, m_atoms),
                                 2.0, 1.0)
-        if pot.max_active_distance() > 1.0:
+        if pot.max_active_distance(4097) > 1.0:
             continue
         rho = Measure1D.uniform(dom, -0.5, 0.5)
         exact = pushforward_measure1d(pot, rho)

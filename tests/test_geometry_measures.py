@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                       Measure1D, _piece_integral, discretize,
-                                      measure_from_json, quantile,
-                                      unit_ball_volume, wasserstein_1d)
+                                      measure_from_json, unit_ball_volume,
+                                      wasserstein_1d)
 
 DOM = Domain.ball(np.zeros(1), 1.0)
 
@@ -139,10 +139,7 @@ def test_grid_density_bound_invariant():
                      (Domain.ball(np.zeros(2), 1.0), 12),
                      (Domain.ball(np.zeros(1), 1.0), 7)):
         g = GridDensity.uniform(dom, res)
-        assert g.density_bound == g.cell_masses.max() / g.cell_volume
         assert g.resolution == g.cell_masses.shape
-        assert (g.cell_masses <=
-                g.density_bound * g.cell_volume * (1.0 + 1e-9)).all()
 
 
 def test_grid_masses_must_have_the_domain_dimension():
@@ -184,33 +181,38 @@ def test_measure1d_validation():
 
 
 def test_quantile_examples():
-    assert quantile(Measure1D.dirac(DOM, 0.0), 0.5) == 0.0
+    # rows (u_lo, u_hi, x_lo, x_hi) of the quantile function, the pieces
+    # wasserstein_1d couples
+    assert Measure1D.dirac(DOM, 0.0).quantile_segments().tolist() == [[0.0, 1.0, 0.0, 0.0]]
     u = Measure1D.uniform(DOM, -0.5, 0.5)
-    assert quantile(u, 0.25) == pytest.approx(-0.25, abs=1e-15)
+    assert u.quantile_segments().tolist() == [[0.0, 1.0, -0.5, 0.5]]
+    assert wasserstein_1d(u, Measure1D.dirac(DOM, 0.0), math.inf) == 0.5
     eps = 0.1
     pinched = Measure1D.lebesgue_on(
         DOM, [(-0.5, -eps / 2), (eps / 2, 0.5)], [(0.0, eps)])
-    assert quantile(pinched, 0.5) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        quantile(u, 1.5)
-    with pytest.raises(ValueError):
-        quantile(u, -0.1)
+    segs = pinched.quantile_segments()
+    np.testing.assert_allclose(segs, [[0.0, 0.45, -0.5, -0.05], [0.45, 0.55, 0.0, 0.0],
+                                      [0.55, 1.0, 0.05, 0.5]], rtol=0, atol=1e-15)
+    assert segs[-1, 1] == 1.0
 
 
 def test_quantile_right_continuous_at_atoms():
     m = Measure1D.from_pieces(DOM, (), [(0.0, 0.5), (0.75, 0.5)])
     # F(0) = 0.5; the right-continuous inverse jumps to the next atom at 0.5
-    assert quantile(m, 0.5) == 0.75
-    assert quantile(m, 0.499999) == 0.0
-    assert quantile(m, 1.0) == 0.75
+    assert m.quantile_segments().tolist() == [[0.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.75, 0.75]]
+    assert wasserstein_1d(m, Measure1D.dirac(DOM, 0.0), math.inf) == 0.75
+    assert wasserstein_1d(m, Measure1D.dirac(DOM, 0.0), 2.0) == pytest.approx(
+        math.sqrt(0.5) * 0.75, rel=1e-15)
 
 
 def test_quantile_scaling_of_uniform():
+    # Q_wide = 4 Q_narrow, so every distance to the Dirac at 0 scales by 4
     wide = Measure1D.uniform(DOM, -0.8, 0.8)
     narrow = Measure1D.uniform(DOM, -0.2, 0.2)
-    for u in (0.1, 0.25, 0.6, 0.9):
-        assert quantile(wide, u) == pytest.approx(4.0 * quantile(narrow, u),
-                                                  abs=1e-12)
+    dirac = Measure1D.dirac(DOM, 0.0)
+    for r in (1.5, 2.0, 3.0, math.inf):
+        assert wasserstein_1d(wide, dirac, r) == pytest.approx(
+            4.0 * wasserstein_1d(narrow, dirac, r), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def test_measure_from_json_roundtrips():
            "intervals": [[-0.5, 0.5, 0.9]], "atoms": [[0.0, 0.1]]}
     m = measure_from_json(doc)
     assert isinstance(m, Measure1D)
-    assert m.cdf(0.0) == pytest.approx(0.55, abs=1e-15)
+    assert m.intervals.tolist() == [[-0.5, 0.5, 0.9]] and m.atoms.tolist() == [[0.0, 0.1]]
 
     doc = {"kind": "discrete",
            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
@@ -461,19 +463,18 @@ def test_measure_from_json_grid_with_cell_masses():
     g = measure_from_json(doc)
     assert isinstance(g, GridDensity)
     assert g.cell_masses.tolist() == [[0.125, 0.25], [0.375, 0.25]]
-    assert g.density_bound == 0.375 / 0.5  # cells are 0.5 x 1
-    doc["density_bound"] = 1e-9  # derived from the masses, not read
-    assert measure_from_json(doc).density_bound == 0.375 / 0.5
+    doc["density_bound"] = 1e-9  # not a field of the literal: ignored
+    assert measure_from_json(doc).cell_masses.tolist() == g.cell_masses.tolist()
 
 
 def test_measure1d_cdf_with_atoms():
+    # the CDF's jumps (flat quantile rows) and ramps (sloped rows): 0 below
+    # -0.75, 0.25 from the atom there, 0.25 -> 0.75 across the interval, and
+    # 1 from the atom at its top end on
     m = Measure1D.from_pieces(DOM, [(-0.5, 0.5, 0.5)], [(-0.75, 0.25), (0.5, 0.25)])
-    assert m.cdf(-1.0) == 0.0
-    assert m.cdf(-0.75) == 0.25  # right-continuous at an atom
-    assert m.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert m.cdf(np.nextafter(0.5, 0.0)) == pytest.approx(0.75, abs=1e-15)
-    assert m.cdf(0.5) == 1.0  # the interval and the atom at its top end
-    assert m.cdf(1.0) == 1.0
+    assert m.quantile_segments().tolist() == [[0.0, 0.25, -0.75, -0.75],
+                                              [0.25, 0.75, -0.5, 0.5],
+                                              [0.75, 1.0, 0.5, 0.5]]
 
 
 def test_measure_from_json_text_document():

@@ -589,12 +589,19 @@ def _grid_axis(kind, n, frac):
 @example(piece=_TWIN_PIECES, eta=0.5, kind="midpoint", n=16, frac=0.5)
 @example(piece=(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
                 np.array([0.0, 0.25, 0.0, 0.0])), eta=0.5, kind="midpoint", n=16, frac=0.5)
+# functions whose cells all have no edge: one piece (rows of 160 points,
+# longer than a 97-point block), two identical pieces, a piece below its twin
+@example(piece=(np.array([[1.0, 0.5]]), np.zeros(1)), eta=0.1, kind="midpoint", n=160, frac=0.5)
+@example(piece=(np.array([[1.0, 0.5], [1.0, 0.5]]), np.zeros(2)),
+         eta=0.1, kind="midpoint", n=40, frac=0.5)
+@example(piece=(np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([0.0, -0.25])),
+         eta=0.1, kind="scan", n=40, frac=0.5)
 def test_row_section_scan_matches_ball_diams_bitwise(piece, eta, kind, n, frac):
     f = MaxAffineFunction(*piece)
     axis, r2 = _grid_axis(kind, n, frac)
     old = _ball_diams(f, _disc_grid(axis, r2), eta)
     # these grids fit in one block of the scan; blocks of 97 points split
-    # every grid, and its disc rows, over several
+    # every grid, its disc rows and its exact points over several
     new = [_grid_ball_diams(f, axis, r2, eta)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convex_analysis, "_BLOCK", 97)

@@ -32,7 +32,7 @@ def _random_valid_potential_1d(rng, p, R, m):
         if not (atoms.min() <= 0 <= atoms.max()):
             continue
         phi = CConcavePotential(atoms, rng.uniform(-0.03, 0.03, m) * R ** p, p, R)
-        if phi.max_active_distance() <= R:
+        if phi.max_active_distance(4097) <= R:
             return phi
 
 
@@ -62,14 +62,14 @@ def test_gradient_roundtrip(p, d):
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.0])
 def test_inverse_is_holder(p):
     rng = np.random.default_rng(11)
-    cost = PCost(p, 1.0)
     a = rng.uniform(-1, 1, (10_000, 2))
     a = a[np.linalg.norm(a, axis=1) <= 1]
     b = rng.uniform(-1, 1, (len(a), 2))
     keep = np.linalg.norm(b, axis=1) <= 1
     a, b = a[keep], b[keep]
     lhs = np.linalg.norm(grad_xi_p_inverse(a, p) - grad_xi_p_inverse(b, p), axis=1)
-    rhs = cost.holder_constant * np.linalg.norm(a - b, axis=1) ** cost.holder_exponent
+    # the modulus 3 / p^{1/(p-1)} |z|^{1/(p-1)}
+    rhs = 3.0 / p ** (1.0 / (p - 1.0)) * np.linalg.norm(a - b, axis=1) ** (1.0 / (p - 1.0))
     assert (lhs <= rhs * (1 + 1e-12) + 1e-15).all()
 
 
@@ -302,10 +302,7 @@ def test_map_lands_on_c_superdifferential(p):
 
 def test_pcost_constants():
     c = PCost(3.0, 2.0)
-    assert c.lip == 12.0
     assert c.concavity == 12.0
-    assert c.holder_constant == pytest.approx(3 / 3 ** 0.5, abs=1e-15)
-    assert c.holder_exponent == 0.5
     for p, R in ((1.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)):
         with pytest.raises(ValueError):
             PCost(p, R)

@@ -1,0 +1,137 @@
+"""Every function of ``src/otpush`` that no CLI scenario runs has a reason
+to exist.
+
+A fresh interpreter runs ``otpush.cli.main`` on each scenario of the
+reachability run (examples 1.2-1.4, the rate fit and the stability audit
+with two exponent sets each, the singular-set suite, ``figure1`` at grid 24
+and the demo at p = 2 and p = 3), plus a ``--config`` file, a ``figure1``
+run on two ``--target`` files and one usage error.  A global trace function
+records every code object of the package that starts.  Each ``def`` of the
+package, found from its source, that none of these ran must be listed in
+``_KEPT`` with one of five reasons; a listed name that ran, or that no longer
+exists, fails the test as well.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "otpush"
+
+_FAILURE = "failure path"
+_PATCH_TARGET = "perfbench patch target (ROADMAP 1c)"
+_ORACLE = "test oracle"
+_LITERAL = "measure-literal path"
+_AWAITING = "awaiting the owner or ROADMAP direction 3"
+
+# (module, qualified name) of each def that no run reaches, and why it stays
+_KEPT = {
+    ("experiments", "BoundViolationError.__init__"): _FAILURE,
+    ("experiments", "_json_default"): _FAILURE,
+    ("_kernels", "ball_activity_2d"): _PATCH_TARGET,
+    ("discrete_ot", "__getattr__"): _PATCH_TARGET,
+    ("discrete_ot", "_solve_highs"): _PATCH_TARGET,
+    ("convex_analysis", "MaxAffineFunction.__call__"): _ORACLE,
+    ("pcost_maps", "CConcavePotential.value"): _ORACLE,
+    ("geometry_measures", "Measure1D.uniform"): _ORACLE,
+    ("geometry_measures", "GridDensity.from_cell_masses"): _LITERAL,
+    ("pcost_maps", "diam_partial_c"): _AWAITING,
+    ("pcost_maps", "phi_to_convex"): _AWAITING,
+    ("pcost_maps", "convex_to_phi"): _AWAITING,
+    ("pcost_maps", "CConcavePotential.one_sided_derivatives"): _AWAITING,
+    ("pcost_maps", "CConcavePotential.active_atoms"): _AWAITING,
+    ("discrete_ot", "maximum_flow"): _AWAITING,
+    ("discrete_ot", "_bounded_plan"): _AWAITING,
+    ("discrete_ot", "bottleneck_solve.<locals>.plan_at"): _AWAITING,
+}
+
+# Runs the scenarios in the order given and writes the exit codes and the
+# (module, qualified name) of every package code object that started.
+_RUN = textwrap.dedent("""
+    import json
+    import os
+    import sys
+
+    from otpush import cli
+
+    package, tmp, expected = sys.argv[1], sys.argv[2], sys.argv[3]
+    assert os.path.dirname(cli.__file__) == package, (cli.__file__, package)
+    started = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if os.path.dirname(code.co_filename) == package:
+            started.add((os.path.basename(code.co_filename)[:-3], code.co_qualname))
+
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w") as fh:
+        json.dump({"id": "1.4", "seed": 1}, fh)
+    targets = []
+    for k, pts in enumerate(([[0.2, 0.3], [0.4, 0.5], [0.3, 0.7]],
+                             [[0.6, 0.2], [0.8, 0.4], [0.7, 0.8], [0.5, 0.5]])):
+        targets += ["--target", os.path.join(tmp, f"target{k}.json")]
+        with open(targets[-1], "w") as fh:
+            json.dump({"kind": "discrete", "points": pts,
+                       "weights": [1.0 / len(pts)] * len(pts),
+                       "domain": {"kind": "box", "lo": [0, 0], "hi": [1, 1]}}, fh)
+    runs = [["example", "--id", "1.2"], ["example", "--id", "1.3"],
+            ["example", "--id", "1.4"], ["rate-fit"], ["rate-fit", "--q", "2", "--r", "3"],
+            ["stability-audit"], ["stability-audit", "--p", "3", "--q", "3"],
+            ["singularity"], ["figure1", "--grid", "24"], ["demo"], ["demo", "--p", "3"],
+            ["example", "--config", config], ["figure1", "--grid", "8"] + targets,
+            ["rate-fit", "--p", "two"]]
+    codes = []
+    sys.settrace(record)
+    for k, argv in enumerate(runs):
+        try:
+            codes.append(cli.main(argv + ["--out", os.path.join(tmp, f"out{k}")]))
+        except SystemExit as e:
+            codes.append(e.code)
+    sys.settrace(None)
+    with open(expected, "w") as fh:
+        json.dump({"codes": codes, "started": sorted(started)}, fh)
+""")
+
+
+def _defs() -> set:
+    """(module, qualified name) of every def in the package's source."""
+    found = set()
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add((module, prefix + child.name))
+                walk(child, module, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, prefix + child.name + ".")
+            else:
+                walk(child, module, prefix)
+
+    for path in PACKAGE.glob("*.py"):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_every_unreached_def_has_a_reason(tmp_path):
+    assert set(_KEPT.values()) <= {_FAILURE, _PATCH_TARGET, _ORACLE, _LITERAL, _AWAITING}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    result = tmp_path / "reached.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN, str(PACKAGE), str(tmp_path), str(result)],
+        env=env, capture_output=True, text=True, timeout=600, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(result.read_text())
+    # every scenario passes; the usage error exits 1
+    assert doc["codes"] == [0] * 13 + [1], (doc["codes"], proc.stderr)
+
+    defs = _defs()
+    unreached = defs - {tuple(k) for k in doc["started"]}
+    assert sorted(unreached - set(_KEPT)) == [], "unreached and not kept"
+    assert sorted(set(_KEPT) - unreached) == [], "kept but reached, or gone"
