@@ -1064,7 +1064,8 @@ def test_integral_peak_memory_is_one_float_per_point():
     a = np.array([[1.0, 0.5], [1.0, 0.5]])
     edge_free = [MaxAffineFunction(a[:1], np.zeros(1)), MaxAffineFunction(a, np.zeros(2)),
                  MaxAffineFunction(a, np.array([0.0, -0.25]))]
-    for f, eta in [(f, eta)] + [(g, 0.1) for g in edge_free]:
+    cases = [(f, eta)] + [(g, 0.1) for g in edge_free]
+    for f, eta in cases:
         tracemalloc.start()
         try:
             integral_diam_estimate(f, eta, q, R)
