@@ -33,7 +33,7 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
 from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
                                 Measure1D, discretize, measure_from_json,
                                 unit_ball_volume, wasserstein_1d)
-from .pcost_maps import (BoundaryEscapeError, CConcavePotential, PCost,
+from .pcost_maps import (BoundaryEscapeError, CConcavePotential,
                          convex_to_phi, diam_partial_c, grad_xi_p,
                          grad_xi_p_inverse, phi_to_convex)
 from .pushforward import (PushforwardResult, SelectionPolicy, lot_interpolant,
@@ -46,7 +46,7 @@ __all__ = [
     "BoundViolationError", "BoundaryEscapeError", "CConcavePotential",
     "Coupling", "DiscreteMeasure", "Domain", "DualPotentials",
     "ExperimentReport", "GridDensity", "MaxAffineFunction", "Measure1D",
-    "PCost", "PushforwardResult", "SelectionPolicy", "SubdiffPolytope",
+    "PushforwardResult", "SelectionPolicy", "SubdiffPolytope",
     "SweepConfig",
     "audit_stability_bound", "bottleneck_solve", "convex_to_phi",
     "cost_matrix", "covering_number_sigma", "diam_partial_c",

@@ -1,9 +1,10 @@
 """Command-line front end for the experiment scenarios.
 
 Subcommands: ``example``, ``rate-fit``, ``stability-audit``, ``singularity``,
-``figure1``, ``demo``.  Every subcommand accepts ``--config FILE`` (a JSON
-object of config fields) plus flag overrides; explicit flags win over the
-config file, which wins over defaults.
+``figure1``, ``demo``.  Each takes ``--config FILE`` (a JSON object), ``--out
+DIR`` and a flag for each config field that ``_READS`` says its scenario
+reads; the config file may set those fields and ``out``.  Any other flag or
+key is a usage error.  Flags win over the config file, which wins over defaults.
 
 Exit codes: 0 on success, 2 when an audited bound is violated (or a scenario
 reports failure), 1 for usage or configuration errors.
@@ -12,7 +13,6 @@ reports failure), 1 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,7 +23,32 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
                           audit_stability_bound, fit_holder_rate, run_demo,
                           run_example, run_figure1, run_singularity_suite)
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)} | {"id"}
+# subcommand: (help, the config fields its scenario reads); ``id`` is the
+# example family, and ``example`` takes the union over its three families
+_READS = {
+    "example": ("closed-form counterexample families", ("id", "p", "q", "r", "grid", "eps")),
+    "rate-fit": ("log-log exponent fit on the atom-pinch family", ("p", "q", "r", "eps")),
+    "stability-audit": ("randomized stability-bound audit",
+                        ("seed", "p", "q", "r", "grid", "eps", "count_1d", "count_2d")),
+    "singularity": ("singular-set covering and integral suite", ("seed",)),
+    "figure1": ("interpolation figure pipeline", ("grid", "targets")),
+    "demo": ("qualitative singular-selection gallery", ("seed", "p", "grid")),
+}
+
+# config field: its flags, as (name, argparse keywords)
+_FLAGS = {
+    "id": [("--id", {"help": "example family id: 1.2, 1.3 or 1.4"})],
+    "seed": [("--seed", {"type": int})], "grid": [("--grid", {"type": int})],
+    "p": [("--p", {"type": float})], "q": [("--q", {"type": float})],
+    "r": [("--r", {"type": float})],
+    "eps": [("--eps-min", {"type": float}), ("--eps-max", {"type": float}),
+            ("--eps-count", {"type": int})],
+    "count_1d": [("--count-1d", {"type": int})], "count_2d": [("--count-2d", {"type": int})],
+    "targets": [("--target", {"action": "append", "dest": "targets", "metavar": "FILE",
+                              "help": "measure JSON for a figure target (give exactly "
+                                      "twice); only its points and domain are used: "
+                                      "its weights become near-uniform cell counts"})],
+}
 
 
 class _UsageError(ValueError):
@@ -39,50 +64,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE",
-                     help="JSON object of config fields")
-    sub.add_argument("--out", metavar="DIR",
-                     help="directory for the report CSV (and figure output)")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--eps-min", type=float)
-    sub.add_argument("--eps-max", type=float)
-    sub.add_argument("--eps-count", type=int)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--grid", type=int)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="otpush",
                      description="Stability experiments for transport-map "
                                  "pushforwards")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("example", "closed-form counterexample families"),
-            ("rate-fit", "log-log exponent fit on the atom-pinch family"),
-            ("stability-audit", "randomized stability-bound audit"),
-            ("singularity", "singular-set covering and integral suite"),
-            ("figure1", "interpolation figure pipeline"),
-            ("demo", "qualitative singular-selection gallery")):
+    for name, (help_text, reads) in _READS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "example":
-            sub.add_argument("--id", default=None,
-                             help="example family id: 1.2, 1.3 or 1.4")
-        if name == "stability-audit":
-            sub.add_argument("--count-1d", type=int)
-            sub.add_argument("--count-2d", type=int)
-        if name == "figure1":
-            sub.add_argument("--target", action="append", dest="targets", metavar="FILE",
-                             help="measure JSON for a figure target (give exactly "
-                                  "twice); only its points and domain are used: "
-                                  "its weights become near-uniform cell counts")
+        sub.add_argument("--config", metavar="FILE",
+                         help="JSON object of config fields")
+        sub.add_argument("--out", metavar="DIR",
+                         help="directory for the report CSV (and figure output)")
+        for field in reads:
+            for flag, kwargs in _FLAGS[field]:
+                sub.add_argument(flag, **kwargs)
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -90,9 +89,9 @@ def _load_config(path: str) -> dict:
         raise _UsageError(f"cannot read config {path!r}: {e}")
     if not isinstance(doc, dict):
         raise _UsageError("config file must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    unread = set(doc) - set(_READS[command][1]) - {"out"}
+    if unread:
+        raise _UsageError(f"{command} does not read config keys {sorted(unread)}")
     return doc
 
 
@@ -110,13 +109,13 @@ def _eps_from_flags(args) -> tuple[float, ...] | None:
 
 
 def _build_config(args) -> tuple[SweepConfig, str | None]:
-    fields = _load_config(args.config) if args.config else {}
-    for name in _CONFIG_KEYS:  # each flag's dest is its config key
+    fields = _load_config(args.config, args.command) if args.config else {}
+    reads = _READS[args.command][1]
+    for name in reads + ("out",):  # each flag's dest is its config key
         v = getattr(args, name, None)
         if v is not None:
             fields[name] = v
-    eps = _eps_from_flags(args)
-    if eps is not None:
+    if "eps" in reads and (eps := _eps_from_flags(args)) is not None:
         fields["eps"] = eps
     example_id = fields.pop("id", None)
     try:

@@ -120,7 +120,8 @@ _EPS_DEFAULT = tuple(float(e) for e in np.logspace(-3.0, -1.0, 7))
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration shared by every scenario driver.
+    """Configuration of the scenario drivers; each driver reads only some of
+    the fields (``cli._READS`` lists which).
 
     The scenario is the driver the config is passed to; the config does not
     name it.  ``eps`` left empty means "use the scenario default grid"; any
@@ -837,6 +838,9 @@ def _pixel_cloud(lo: float, hi: float, dy: float, center, r_in: float,
 
 
 def _integer_count_weights(k: int, n_cells: int) -> np.ndarray:
+    if k > n_cells:  # an atom with no cell would get weight 0 and be dropped
+        raise ValueError(f"figure target of {k} atoms needs at least {k} grid "
+                         f"cells, got {n_cells}")
     counts = np.full(k, n_cells // k, dtype=float)
     counts[: n_cells % k] += 1.0
     return counts / n_cells

@@ -32,7 +32,6 @@ from .convex_analysis import MaxAffineFunction, _actives, _envelope_1d, diam_sub
 from .discrete_ot import cost_matrix
 
 __all__ = [
-    "PCost",
     "CConcavePotential",
     "BoundaryEscapeError",
     "grad_xi_p",
@@ -52,25 +51,6 @@ def _check_escape(targets: np.ndarray, R: float):
     worst = np.linalg.norm(targets, axis=1).max()
     if worst > R + 1e-8:
         raise BoundaryEscapeError(f"image point at radius {worst} escapes the ball of radius {R}")
-
-
-@dataclass(frozen=True)
-class PCost:
-    """Ground cost xi_p(x - y) = |x - y|^p on the ball B(0, R), p >= 2."""
-
-    p: float
-    R: float
-
-    def __post_init__(self):
-        if not 2 <= self.p < np.inf:
-            raise ValueError("cost exponent must be finite and satisfy p >= 2")
-        if not 0 < self.R < np.inf:
-            raise ValueError("domain radius must be positive and finite")
-
-    @property
-    def concavity(self) -> float:
-        """C_{p,R}: x -> C|x|^2/2 - xi_p(x) is concave on B(0, R)."""
-        return self.p * (self.p - 1.0) * self.R ** (self.p - 2.0)
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -127,13 +107,17 @@ class CConcavePotential:
             raise ValueError("need one offset per atom, at least one atom")
         if not (np.isfinite(y).all() and np.isfinite(psi).all()):
             raise ValueError("atoms and offsets must be finite")
-        PCost(self.p, self.R)  # validates p, R
+        if not 2 <= self.p < np.inf:
+            raise ValueError("cost exponent must be finite and satisfy p >= 2")
+        if not 0 < self.R < np.inf:
+            raise ValueError("domain radius must be positive and finite")
         object.__setattr__(self, "atoms", y)
         object.__setattr__(self, "offsets", psi)
 
     @property
-    def cost(self) -> PCost:
-        return PCost(self.p, self.R)
+    def concavity(self) -> float:
+        """C_{p,R}: x -> C|x|^2/2 - xi_p(x) is concave on B(0, R)."""
+        return self.p * (self.p - 1.0) * self.R ** (self.p - 2.0)
 
     @property
     def dim(self) -> int:
@@ -281,7 +265,7 @@ def diam_partial_c(potential: CConcavePotential, x: np.ndarray, eta: float) -> t
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    p, R, C = potential.p, potential.R, potential.cost.concavity
+    p, R, C = potential.p, potential.R, potential.concavity
 
     if potential.p == 2:
         partner = phi_to_convex(potential)

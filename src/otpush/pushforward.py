@@ -168,7 +168,7 @@ def pushforward_tmap(potential: CConcavePotential, rho, policy: SelectionPolicy 
     # pieces near the min: negation is exact, so this is the max-side test
     mask, first = _actives(-potential.piece_values(src.points))
     targets = potential.atoms[first].copy()
-    x, C = src.points, potential.cost.concavity
+    x, C = src.points, potential.concavity
 
     def image(i, vertices, g):
         match = np.linalg.norm(vertices - g[None, :], axis=1)

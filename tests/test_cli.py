@@ -94,11 +94,33 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert cli.main(["demo", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("command, flag, doc", [
+    ("example", ["--seed", "3"], {"count_1d": 5}),
+    ("rate-fit", ["--grid", "9"], {"targets": ["a.json", "b.json"]}),
+    ("stability-audit", ["--target", "a.json"], {"id": "1.2"}),
+    ("singularity", ["--grid", "9"], {"p": 3.0}),
+    ("figure1", ["--seed", "3"], {"eps": [0.1]}),
+    ("demo", ["--q", "3"], {"id": "1.2"}),
+])
+def test_unread_setting_exits_one(tmp_path, capsys, command, flag, doc):
+    # each was accepted and ignored: the run exited 0 with the default output
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command] + flag)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(cfg_path)]) == 1
+    (key,) = doc
+    assert f"otpush: error: {command} does not read config keys ['{key}']" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command, doc", [
     ("rate-fit", {"eps": 0.1}),
     ("rate-fit", {"eps": [0.1, "0.2"]}),
     ("rate-fit", {"q": "3"}),
-    ("rate-fit", {"grid": 2.5}),
+    ("demo", {"grid": 2.5}),
     ("stability-audit", {"seed": "x"}),
     ("stability-audit", {"count_1d": True}),
     ("figure1", {"targets": "ab"}),
@@ -146,6 +168,14 @@ def test_covering_count_above_bound_is_a_reported_failure(tmp_path, monkeypatch,
 def test_figure1_requires_zero_or_two_targets(tmp_path, capsys):
     assert cli.main(["figure1", "--target", "only-one.json",
                      "--out", str(tmp_path)]) == 1
+
+
+def test_figure1_grid_too_small_for_its_targets_exits_one(tmp_path, capsys):
+    # grid 8 has 64 cells: 49 of the first built-in target's 113 atoms got
+    # weight 0 and were dropped, and the run passed
+    assert cli.main(["figure1", "--grid", "8", "--out", str(tmp_path)]) == 1
+    assert ("otpush: error: figure target of 113 atoms needs at least 113 grid "
+            "cells, got 64") in capsys.readouterr().err
 
 
 def test_nan_exponent_is_a_usage_error(capsys):

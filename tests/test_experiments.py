@@ -389,3 +389,11 @@ def test_figure_pipeline_custom_and_malformed_targets(tmp_path):
     with pytest.raises(ValueError, match="figure target"):
         run_figure1(SweepConfig(grid=16, seed=1, out=str(tmp_path / "broken"),
                                 targets=(str(p_good), str(p_bad))))
+
+
+def test_figure_target_needs_a_cell_per_atom(tmp_path):
+    # the built-in targets have 113 and 152 atoms; at grid 12 the last 8 of
+    # the 152 got 0 of the 144 cells, were dropped, and the run passed
+    with pytest.raises(ValueError, match="152 atoms needs at least 152 grid cells, got 144"):
+        run_figure1(SweepConfig(grid=12, out=str(tmp_path / "g12")))
+    assert run_figure1(SweepConfig(grid=13, out=str(tmp_path / "g13"))).passed

@@ -35,7 +35,7 @@ _SCRIPT = textwrap.dedent("""
     assert not scipy_loaded(), ("import otpush.cli", scipy_loaded())
     with tempfile.TemporaryDirectory() as tmp:
         # the singularity suite has no size knob; it runs at its defaults
-        for argv in (["figure1", "--grid", "8"],
+        for argv in (["figure1", "--grid", "16"],
                      ["stability-audit", "--seed", "0", "--count-1d", "4",
                       "--count-2d", "2"],
                      ["singularity", "--seed", "2"],

@@ -8,7 +8,7 @@ import pytest
 from otpush.convex_analysis import MaxAffineFunction, diam_subdiff_ball
 from otpush.discrete_ot import cost_matrix
 from otpush.geometry_measures import DiscreteMeasure, Domain
-from otpush.pcost_maps import (BoundaryEscapeError, CConcavePotential, PCost,
+from otpush.pcost_maps import (BoundaryEscapeError, CConcavePotential,
                                convex_to_phi, diam_partial_c, grad_xi_p,
                                grad_xi_p_inverse, phi_to_convex)
 from otpush.pushforward import pushforward_tmap
@@ -301,8 +301,8 @@ def test_map_lands_on_c_superdifferential(p):
 # ---------------------------------------------------------------------------
 
 def test_pcost_constants():
-    c = PCost(3.0, 2.0)
-    assert c.concavity == 12.0
+    atoms, offsets = np.array([[0.5]]), np.zeros(1)
+    assert CConcavePotential(atoms, offsets, 3.0, 2.0).concavity == 12.0
     for p, R in ((1.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)):
         with pytest.raises(ValueError):
-            PCost(p, R)
+            CConcavePotential(atoms, offsets, p, R)

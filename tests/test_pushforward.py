@@ -1,13 +1,16 @@
 """Pushforwards of grid densities under convex gradients and transport maps."""
 
+import math
+
 import numpy as np
 import pytest
 
 from otpush.convex_analysis import (MaxAffineFunction, SubdiffPolytope, _pairwise_diam,
                                     _singular)
-from otpush.discrete_ot import wasserstein
-from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                      discretize)
+from otpush.discrete_ot import bottleneck_solve, wasserstein
+from otpush.experiments import pushforward_measure1d
+from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity, Measure1D,
+                                      discretize, wasserstein_1d)
 from otpush.pcost_maps import CConcavePotential, phi_to_convex
 from otpush.pushforward import (SelectionPolicy, lot_interpolant,
                                 potential_from_discrete_ot,
@@ -190,6 +193,46 @@ def test_duplicate_pieces_and_atoms_tie_but_stay_regular():
     assert res.singular_hits == 0 and res.image.points.tolist() == [g.slopes[1].tolist()]
     blend = lot_interpolant(g, h, 0.25, one, never)
     assert blend.points.tolist() == [(0.75 * g.slopes[1] + 0.25 * h.slopes[0]).tolist()]
+
+
+def test_tmap_on_product_family_matches_first_marginals():
+    # a p = 2 potential with atoms (a_j, 0) has vertical strips for cells,
+    # cut at x1 = -0.32, 0.125 and 0.525, between the grid columns.  Both
+    # images then share the source's second factor, so W_r and W_inf of the
+    # 2D images equal those of the 1D images of the first marginals
+    # through the potential on the line (same a_j, same offsets)
+    a, offsets = np.array([-0.6, -0.1, 0.35, 0.7]), np.array([0.03, 0.0, 0.0, 0.0])
+    pot2 = CConcavePotential(np.stack([a, np.zeros(4)], axis=1), offsets, 2.0, 2.0)
+    pot1 = CConcavePotential(a[:, None], offsets, 2.0, 2.0)
+    dom, line = Domain.ball(np.zeros(2), 2.0), Domain.ball(np.zeros(1), 2.0)
+    xs = -0.55 + 0.1 * np.arange(12)
+    ys = np.linspace(-0.2, 0.2, 5)
+
+    def product(x):
+        pts = np.stack(np.meshgrid(x, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        return DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)), dom)
+
+    def first_marginal(m):
+        return Measure1D.from_discrete(DiscreteMeasure(m.points[:, :1], m.weights, line))
+
+    never = SelectionPolicy.fixed(5)
+    for shift, w_inf in ((0.02, 0.0), (0.1, 0.0), (0.3, 0.5)):
+        # the first column moves by the shift; only 0.3 crosses the cut at -0.32
+        mu, nu = product(xs), product(np.r_[xs[0] + shift, xs[1:]])
+        img2, img1 = [], []
+        for m in (mu, nu):
+            res = pushforward_tmap(pot2, m, never)
+            assert res.singular_hits == 0
+            img2.append(res.image)
+            img1.append(pushforward_measure1d(pot1, first_marginal(m)))
+            assert np.array_equal(res.image.points, np.c_[img1[-1].points, np.zeros(len(img1[-1]))])
+            assert res.image.weights == pytest.approx(img1[-1].weights, rel=1e-14, abs=0.0)
+        a1, b1 = (Measure1D.from_discrete(m) for m in img1)
+        for q in (2.0, 3.0):
+            # the gap is the solver's rounding of mass to integer units
+            assert wasserstein(*img2, q) == pytest.approx(wasserstein_1d(a1, b1, q),
+                                                          rel=1e-10, abs=0.0)
+        assert bottleneck_solve(*img2)[1] == wasserstein_1d(a1, b1, math.inf) == w_inf
 
 
 def test_quadratic_support_gradient_scales_w2_exactly():

@@ -10,6 +10,12 @@ records every code object of the package that starts.  Each ``def`` of the
 package, found from its source, that none of these ran must be listed in
 ``_KEPT`` with one of five reasons; a listed name that ran, or that no longer
 exists, fails the test as well.
+
+The same runs check the CLI's table of the config fields each subcommand
+reads (``cli._READS``): a hook on ``SweepConfig.__getattribute__``, on only
+while ``cli._run_scenario`` runs, records the fields that the scenario's
+driver reads after the config is built.  Each table entry must equal the
+union of those reads over its subcommand's runs.
 """
 
 import ast
@@ -53,11 +59,13 @@ _KEPT = {
 # Runs the scenarios in the order given and writes the exit codes and the
 # (module, qualified name) of every package code object that started.
 _RUN = textwrap.dedent("""
+    import dataclasses
     import json
     import os
     import sys
 
     from otpush import cli
+    from otpush.experiments import SweepConfig
 
     package, tmp, expected = sys.argv[1], sys.argv[2], sys.argv[3]
     assert os.path.dirname(cli.__file__) == package, (cli.__file__, package)
@@ -68,9 +76,31 @@ _RUN = textwrap.dedent("""
         if os.path.dirname(code.co_filename) == package:
             started.add((os.path.basename(code.co_filename)[:-3], code.co_qualname))
 
+    # every subcommand takes out, so it is not one of the fields in the table
+    fields = {f.name for f in dataclasses.fields(SweepConfig)} - {"out"}
+    reads, reading = {}, []
+
+    def getattribute(self, name):
+        if reading and name in fields:
+            reading[-1].add(name)
+        return object.__getattribute__(self, name)
+
+    run_scenario = cli._run_scenario
+
+    def measured(command, cfg, example_id):
+        # the example id is passed beside the config, not in it
+        reading.append(set() if example_id is None else {"id"})
+        try:
+            return run_scenario(command, cfg, example_id)
+        finally:
+            reads.setdefault(command, set()).update(reading.pop())
+
+    SweepConfig.__getattribute__ = getattribute
+    cli._run_scenario = measured
+
     config = os.path.join(tmp, "config.json")
     with open(config, "w") as fh:
-        json.dump({"id": "1.4", "seed": 1}, fh)
+        json.dump({"id": "1.4", "r": 3.0}, fh)
     targets = []
     for k, pts in enumerate(([[0.2, 0.3], [0.4, 0.5], [0.3, 0.7]],
                              [[0.6, 0.2], [0.8, 0.4], [0.7, 0.8], [0.5, 0.5]])):
@@ -94,7 +124,9 @@ _RUN = textwrap.dedent("""
             codes.append(e.code)
     sys.settrace(None)
     with open(expected, "w") as fh:
-        json.dump({"codes": codes, "started": sorted(started)}, fh)
+        json.dump({"codes": codes, "started": sorted(started),
+                   "reads": {c: sorted(r) for c, r in reads.items()},
+                   "table": {c: sorted(r) for c, (_, r) in cli._READS.items()}}, fh)
 """)
 
 
@@ -135,3 +167,5 @@ def test_every_unreached_def_has_a_reason(tmp_path):
     unreached = defs - {tuple(k) for k in doc["started"]}
     assert sorted(unreached - set(_KEPT)) == [], "unreached and not kept"
     assert sorted(set(_KEPT) - unreached) == [], "kept but reached, or gone"
+    # each subcommand's table entry is what its driver read on its runs
+    assert doc["reads"] == doc["table"]
