@@ -3,7 +3,7 @@
 
 Modules
 -------
-``geometry_measures``  domains, discrete/grid/1D measures, exact 1D
+``geometry_measures``  domains, discrete and 1D measures, exact 1D
                        Wasserstein distances.
 ``discrete_ot``        exact discrete optimal transport (plans, duals,
                        bottleneck distance).
@@ -30,8 +30,8 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
                           random_max_affine, run_demo, run_example,
                           run_figure1, run_singularity_suite,
                           stability_constant)
-from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                Measure1D, discretize, measure_from_json,
+from .geometry_measures import (DiscreteMeasure, Domain, Measure1D,
+                                discretize, measure_from_json, uniform_grid,
                                 unit_ball_volume, wasserstein_1d)
 from .pcost_maps import (BoundaryEscapeError, CConcavePotential,
                          convex_to_phi, diam_partial_c, grad_xi_p,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundViolationError", "BoundaryEscapeError", "CConcavePotential",
     "Coupling", "DiscreteMeasure", "Domain", "DualPotentials",
-    "ExperimentReport", "GridDensity", "MaxAffineFunction", "Measure1D",
+    "ExperimentReport", "MaxAffineFunction", "Measure1D",
     "PushforwardResult", "SelectionPolicy", "SubdiffPolytope",
     "SweepConfig",
     "audit_stability_bound", "bottleneck_solve", "convex_to_phi",
@@ -56,6 +56,6 @@ __all__ = [
     "measure_from_json", "phi_to_convex", "potential_from_discrete_ot",
     "pushforward_convex", "pushforward_measure1d", "pushforward_tmap",
     "random_max_affine", "run_demo", "run_example", "run_figure1",
-    "run_singularity_suite", "solve", "stability_constant", "unit_ball_volume",
-    "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
+    "run_singularity_suite", "solve", "stability_constant", "uniform_grid",
+    "unit_ball_volume", "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
 ]

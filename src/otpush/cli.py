@@ -4,7 +4,8 @@ Subcommands: ``example``, ``rate-fit``, ``stability-audit``, ``singularity``,
 ``figure1``, ``demo``.  Each takes ``--config FILE`` (a JSON object), ``--out
 DIR`` and a flag for each config field that ``_READS`` says its scenario
 reads; the config file may set those fields and ``out``.  Any other flag or
-key is a usage error.  Flags win over the config file, which wins over defaults.
+key, or one the chosen ``example`` family does not read (``_EXAMPLE_READS``),
+is a usage error.  Flags win over the config file, which wins over defaults.
 
 Exit codes: 0 on success, 2 when an audited bound is violated (or a scenario
 reports failure), 1 for usage or configuration errors.
@@ -34,6 +35,10 @@ _READS = {
     "figure1": ("interpolation figure pipeline", ("grid", "targets")),
     "demo": ("qualitative singular-selection gallery", ("seed", "p", "grid")),
 }
+
+# example family: the config fields its run reads (the default family is 1.3)
+_EXAMPLE_READS = {"1.2": ("p", "q"), "1.3": ("p", "q", "r", "grid", "eps"),
+                  "1.4": ("p", "q", "r", "eps")}
 
 # config field: its flags, as (name, argparse keywords)
 _FLAGS = {
@@ -118,6 +123,11 @@ def _build_config(args) -> tuple[SweepConfig, str | None]:
     if "eps" in reads and (eps := _eps_from_flags(args)) is not None:
         fields["eps"] = eps
     example_id = fields.pop("id", None)
+    if args.command == "example":  # an unknown family is run_example's error
+        family = example_id or "1.3"
+        unread = set(fields) - {"out"} - set(_EXAMPLE_READS.get(family, fields))
+        if unread:
+            raise _UsageError(f"example {family} does not read {sorted(unread)}")
     try:
         return SweepConfig(**fields), example_id
     except (TypeError, ValueError) as e:

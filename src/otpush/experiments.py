@@ -46,8 +46,8 @@ from .convex_analysis import (MaxAffineFunction, _disc_grid, _require_positive,
                               covering_number_sigma, integral_diam_estimate,
                               kink_ladder, verify_lemma_diam_l1)
 from .discrete_ot import bottleneck_solve, wasserstein
-from .geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                Measure1D, discretize, measure_from_json,
+from .geometry_measures import (DiscreteMeasure, Domain, Measure1D,
+                                discretize, measure_from_json, uniform_grid,
                                 unit_ball_volume, wasserstein_1d)
 from .pcost_maps import CConcavePotential
 from .pushforward import (SelectionPolicy, lot_interpolant,
@@ -634,10 +634,11 @@ def audit_stability_bound(cfg: SweepConfig) -> ExperimentReport:
     cell-center discretization; every distance is computed in closed form on
     quantile functions.  2D instances discretize the uniform ball density on
     a grid and jitter the cell centers; the O(h) discretization slack is
-    negligible against the explicit constant (~1e8).  The first instance of
-    each dimension is the trivial identical-perturbation row (0 <= 0).  Any
-    violation raises BoundViolationError with a full instance dump; NaN is a
-    hard error.
+    negligible against the explicit constant: 1.4e8 in 1D at density bound
+    M = 1 (1.5e9 at M = 20), 3.0e12 in 2D at p = q = 2 (3.1e13 at p = q = 3;
+    R = 2).  The first instance of each dimension is the trivial
+    identical-perturbation row (0 <= 0).  Any violation raises
+    BoundViolationError with a full instance dump; NaN is a hard error.
     """
     _check_inequality_exponents(cfg, "stability")
     rng = np.random.default_rng(cfg.seed)
@@ -647,10 +648,8 @@ def audit_stability_bound(cfg: SweepConfig) -> ExperimentReport:
         rows.append(_audit_one_1d(rng, cfg, kind))
     if cfg.count_2d:
         res = cfg.grid or 24
-        gd = GridDensity.uniform(Domain.ball(np.zeros(2), 1.0), res)
-        rho_d = discretize(gd)
-        rho_d = DiscreteMeasure(rho_d.points, rho_d.weights,
-                                Domain.ball(np.zeros(2), 2.0))
+        grid = uniform_grid(Domain.ball(np.zeros(2), 1.0), res)
+        rho_d = DiscreteMeasure(grid.points, grid.weights, Domain.ball(np.zeros(2), 2.0))
         h = 2.0 / res
         for i in range(cfg.count_2d):
             rows.append(_audit_one_2d(rng, cfg, 0 if i == 0 else 3, rho_d, h))
@@ -847,12 +846,13 @@ def _integer_count_weights(k: int, n_cells: int) -> np.ndarray:
 
 
 def _load_figure_target(path: str, n_cells: int) -> DiscreteMeasure:
-    with open(path) as fh:
-        doc = json.load(fh)
-    m = measure_from_json(doc)
-    if not isinstance(m, DiscreteMeasure) or m.dim != 2:
-        raise ValueError(f"malformed figure target {path!r}: "
-                         "need a 2D discrete measure")
+    try:
+        with open(path) as fh:
+            m = measure_from_json(json.load(fh))
+        if m.dim != 2:
+            raise ValueError("need a 2D discrete measure")
+    except ValueError as e:
+        raise ValueError(f"malformed figure target {path!r}: {e}") from None
     return DiscreteMeasure(m.points, _integer_count_weights(len(m.points), n_cells),
                            m.domain)
 
@@ -890,7 +890,7 @@ def run_figure1(cfg: SweepConfig) -> ExperimentReport:
     os.makedirs(out_dir, exist_ok=True)
     res = cfg.grid or 70
     box = Domain.box([0.0, 0.0], [1.0, 1.0])
-    rho = discretize(GridDensity.uniform(box, res))
+    rho = uniform_grid(box, res)
     n_cells = len(rho.points)
     if cfg.targets:
         if len(cfg.targets) != 2:

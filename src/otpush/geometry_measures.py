@@ -1,10 +1,9 @@
 """Measure representations on bounded domains and exact 1D Wasserstein distances.
 
-Measures come in three concrete forms:
+Measures come in two concrete forms:
 
-* :class:`DiscreteMeasure` — weighted point cloud in R^d.
-* :class:`GridDensity` — absolutely continuous measure given by cell masses
-  on a uniform grid over a box.
+* :class:`DiscreteMeasure` — weighted point cloud in R^d; ``uniform_grid``
+  builds the uniform one on a grid's cell centers.
 * :class:`Measure1D` — mixture of piecewise-constant densities on disjoint
   intervals plus atoms; its piecewise-linear quantile function gives exact
   Wasserstein distances of every order r in (1, inf].
@@ -16,7 +15,6 @@ constants downstream depend on the domain radius.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,10 +23,10 @@ import numpy as np
 __all__ = [
     "Domain",
     "DiscreteMeasure",
-    "GridDensity",
     "Measure1D",
     "wasserstein_1d",
     "discretize",
+    "uniform_grid",
     "measure_from_json",
     "unit_ball_volume",
 ]
@@ -120,11 +118,11 @@ class Domain:
         raise ValueError(f"malformed domain literal: {spec!r}")
 
 
-def _array(doc: dict, what: str, name: str, shape: tuple, integers: bool = False) -> np.ndarray:
-    """Field ``name`` of a JSON literal as an array of JSON numbers (integers
-    if ``integers``) of ``shape``, where None matches any length, or
-    ValueError naming the field when it is missing or not such an array.
-    An empty list is an empty list of rows."""
+def _array(doc: dict, what: str, name: str, shape: tuple) -> np.ndarray:
+    """Field ``name`` of a JSON literal as an array of JSON numbers of
+    ``shape``, where None matches any length, or ValueError naming the field
+    when it is missing or not such an array.  An empty list is an empty list
+    of rows."""
     if name not in doc:
         raise ValueError(f"{what} literal has no {name!r} field")
     try:
@@ -133,13 +131,12 @@ def _array(doc: dict, what: str, name: str, shape: tuple, integers: bool = False
         arr = np.asarray(None)
     if len(shape) == 2 and arr.shape == (0,):
         arr = arr.reshape(0, shape[1])
-    if (arr.dtype.kind not in ("iu" if integers else "iuf") or arr.ndim != len(shape)
+    if (arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
             or any(n is not None and n != m for n, m in zip(shape, arr.shape))):
-        want = ("a number" if not shape else
-                f"a list of {'integers' if integers else 'numbers'}" if len(shape) == 1 else
+        want = ("a number" if not shape else "a list of numbers" if len(shape) == 1 else
                 f"a list of {shape[1]}-number lists")
         raise ValueError(f"{what} field {name!r} must be {want}")
-    return arr if integers else arr.astype(float)
+    return arr.astype(float)
 
 
 def _check_domains_match(a: "Domain", b: "Domain"):
@@ -207,69 +204,27 @@ class DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# grid densities
+# uniform grids
 # ---------------------------------------------------------------------------
 
-def _cell_centers(domain: Domain, resolution) -> np.ndarray:
-    """Cell centers of the grid of ``resolution`` tiling the domain's box, in
-    C order, one row per cell."""
+def _cell_centers(domain: Domain, resolution: int) -> np.ndarray:
+    """Cell centers of the grid of ``resolution`` cells per axis tiling the
+    domain's box, in C order, one row per cell."""
     lo, hi = domain.bounding_box()
-    widths = (hi - lo) / np.asarray(resolution, dtype=float)
-    axes = [lo[a] + (np.arange(r) + 0.5) * widths[a]
-            for a, r in enumerate(resolution)]
+    widths = (hi - lo) / resolution
+    axes = [lo[a] + (np.arange(resolution) + 0.5) * widths[a] for a in range(domain.dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@dataclass(frozen=True)
-class GridDensity:
-    """Absolutely continuous measure stored as cell masses on a uniform grid.
-
-    The grid tiles the bounding box of ``domain``; for a ball domain, cells
-    whose centers lie outside the ball (beyond ``Domain.contains``'
-    tolerance) must carry zero mass, which is checked at construction.
-    ``resolution`` is the shape of ``cell_masses``.
-    """
-
-    domain: Domain
-    cell_masses: np.ndarray
-
-    def __post_init__(self):
-        masses = np.asarray(self.cell_masses, dtype=float)
-        object.__setattr__(self, "cell_masses", masses)
-        if masses.ndim != self.domain.dim:
-            raise ValueError(f"cell masses must be a {self.domain.dim}D array")
-        if abs(masses.sum() - 1.0) > _MASS_TOL:
-            raise ValueError(f"cell masses sum to {masses.sum()}, not 1")
-        if not (masses >= 0).all():
-            raise ValueError("negative or NaN cell mass")
-        outside = (masses.ravel() > 0) & ~self.domain.contains(self.cell_centers())
-        if outside.any():
-            cell = np.unravel_index(int(np.argmax(outside)), masses.shape)
-            raise ValueError(f"cell {tuple(int(c) for c in cell)} has mass but its "
-                             "center lies outside the domain")
-
-    @property
-    def resolution(self) -> tuple:
-        return self.cell_masses.shape
-
-    def cell_centers(self) -> np.ndarray:
-        return _cell_centers(self.domain, self.resolution)
-
-    @staticmethod
-    def uniform(domain: Domain, resolution) -> "GridDensity":
-        """Uniform density over the domain (ball domains mask outside cells)."""
-        res = tuple(int(r) for r in np.atleast_1d(resolution))
-        if len(res) == 1 and domain.dim > 1:
-            res = res * domain.dim
-        masses = domain.contains(_cell_centers(domain, res), tol=0.0).astype(float)
-        masses /= masses.sum()
-        return GridDensity(domain, masses.reshape(res))
-
-    @staticmethod
-    def from_cell_masses(domain: Domain, masses: np.ndarray) -> "GridDensity":
-        masses = np.asarray(masses, dtype=float)
-        return GridDensity(domain, masses / masses.sum())
+def uniform_grid(domain: Domain, resolution: int) -> DiscreteMeasure:
+    """Uniform measure on the cell centers of the ``resolution``-per-axis
+    grid over the domain's bounding box that lie in the domain (a ball
+    masks the cells whose centers fall outside it), each of weight
+    1 / count."""
+    centers = _cell_centers(domain, int(resolution))
+    centers = centers[domain.contains(centers, tol=0.0)]
+    return DiscreteMeasure(centers, np.full(len(centers), 1.0 / len(centers)), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -457,82 +412,47 @@ def wasserstein_1d(m1: Measure1D, m2: Measure1D, r: float) -> float:
     return float(total ** (1.0 / r))
 
 
-def discretize(measure, resolution=None) -> DiscreteMeasure:
-    """Cell-center discretization.
+def discretize(measure: Measure1D, resolution: int) -> DiscreteMeasure:
+    """Cell-center discretization: ``resolution`` cells spread over the
+    intervals (proportionally to length, at least one per interval); atoms
+    are kept.
 
-    * GridDensity: one support point per cell center, weight = cell mass.
-    * Measure1D: ``resolution`` cells spread over the intervals
-      (proportionally to length, at least one per interval); atoms are kept.
-
-    The resulting measure is within half a cell diagonal of the original in
-    the W_inf sense.
+    The resulting measure is within half a cell of the original in the
+    W_inf sense.
     """
-    if isinstance(measure, GridDensity):
-        centers = measure.cell_centers()
-        w = measure.cell_masses.ravel()
-        keep = w > 0
-        return DiscreteMeasure(centers[keep], w[keep], measure.domain)
-    if isinstance(measure, Measure1D):
-        if resolution is None:
-            raise ValueError("Measure1D discretization needs a resolution")
-        resolution = int(resolution)
-        pts, ws = [], []
-        iv = measure.intervals
-        if iv.size:
-            lengths = iv[:, 1] - iv[:, 0]
-            cells = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
-            for (lo, hi, mass), k in zip(iv, cells):
-                h = (hi - lo) / k
-                centers = lo + (np.arange(k) + 0.5) * h
-                pts.append(centers)
-                ws.append(np.full(k, mass / k))
-        for x, mass in measure.atoms:
-            pts.append([x])
-            ws.append([mass])
-        points = np.concatenate(pts)[:, None]
-        weights = np.concatenate(ws)
-        return DiscreteMeasure(points, weights / weights.sum(), measure.domain)
-    raise TypeError(f"cannot discretize {type(measure).__name__}")
+    resolution = int(resolution)
+    pts, ws = [], []
+    iv = measure.intervals
+    if iv.size:
+        lengths = iv[:, 1] - iv[:, 0]
+        cells = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
+        for (lo, hi, mass), k in zip(iv, cells):
+            h = (hi - lo) / k
+            centers = lo + (np.arange(k) + 0.5) * h
+            pts.append(centers)
+            ws.append(np.full(k, mass / k))
+    for x, mass in measure.atoms:
+        pts.append([x])
+        ws.append([mass])
+    points = np.concatenate(pts)[:, None]
+    weights = np.concatenate(ws)
+    return DiscreteMeasure(points, weights / weights.sum(), measure.domain)
 
 
-def measure_from_json(doc) -> object:
-    """Load a measure literal.
+def measure_from_json(doc) -> DiscreteMeasure:
+    """Load a discrete measure literal.
 
     Schema (JSON object):
-      kind: "measure1d" | "discrete" | "grid"
+      kind: "discrete"
       domain: {kind: "ball", center, radius} | {kind: "box", lo, hi}
-      measure1d fields: intervals [[lo, hi, mass], ...], atoms [[x, mass], ...]
-      discrete fields: points [[...], ...], weights [...]
-      grid fields: resolution [...] of integers, masses [... row-major ...]
-                   or "uniform"
+      points: [[...], ...], weights: [...]
     Other fields are ignored.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
     if not isinstance(doc, dict) or "domain" not in doc:
         raise ValueError("measure document must be an object with a 'domain' field")
     domain = Domain.from_dict(doc["domain"])
     kind = doc.get("kind")
-    if kind == "measure1d":
-        pieces = [_array(doc, "measure", name, (None, cols)) if name in doc else ()
-                  for name, cols in (("intervals", 3), ("atoms", 2))]
-        return Measure1D.from_pieces(domain, *pieces)
-    if kind == "discrete":
-        return DiscreteMeasure(_array(doc, "measure", "points", (None, domain.dim)),
-                               _array(doc, "measure", "weights", (None,)), domain)
-    if kind == "grid":
-        res = tuple(int(r) for r in _array(doc, "measure", "resolution", (None,), integers=True))
-        masses = doc.get("masses", "uniform")
-        if isinstance(masses, str) and masses == "uniform":
-            if len(res) not in (1, domain.dim):
-                raise ValueError(f"measure field 'resolution' must have 1 or {domain.dim} entries")
-            return GridDensity.uniform(domain, res)
-        if len(res) != domain.dim:
-            raise ValueError(f"measure field 'resolution' must have {domain.dim} entries "
-                             "when cell masses are given")
-        masses = _array(doc, "measure", "masses", (None,))
-        if len(masses) != math.prod(res):
-            raise ValueError(f"measure field 'masses' must have {math.prod(res)} entries, "
-                             "one per grid cell")
-        return GridDensity.from_cell_masses(domain, masses.reshape(res))
-    raise ValueError(f"unknown measure kind {kind!r}")
+    if kind != "discrete":
+        raise ValueError(f"unknown measure kind {kind!r}")
+    return DiscreteMeasure(_array(doc, "measure", "points", (None, domain.dim)),
+                           _array(doc, "measure", "weights", (None,)), domain)

@@ -1,4 +1,4 @@
-"""Pushforwards of discrete and grid measures through subdifferentials of
+"""Pushforwards of discrete measures through subdifferentials of
 convex potentials and through p-cost transport maps, with explicit,
 swappable subgradient-selection policies at singular points; linearized OT
 interpolation between two max-affine potentials; and the Brenier-envelope
@@ -22,7 +22,8 @@ import numpy as np
 
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope, _actives, _singular
 from .discrete_ot import Coupling, _gap_graph, cost_matrix, solve
-from .geometry_measures import DiscreteMeasure, Domain, GridDensity, discretize
+from .geometry_measures import DiscreteMeasure, Domain
+from .geometry_measures import discretize  # noqa: F401  perfbench patch target (ROADMAP 1c)
 from .pcost_maps import CConcavePotential, _check_escape, grad_xi_p_inverse
 
 __all__ = [
@@ -90,14 +91,6 @@ class PushforwardResult:
         return self.coupling.target
 
 
-def _as_discrete(rho) -> DiscreteMeasure:
-    if isinstance(rho, GridDensity):
-        return discretize(rho)
-    if isinstance(rho, DiscreteMeasure):
-        return rho
-    raise TypeError(f"expected DiscreteMeasure or GridDensity, got {type(rho).__name__}")
-
-
 def _select_singular(policy: SelectionPolicy | None, targets: np.ndarray,
                      rows: np.ndarray, factors, polytope, image=None) -> int:
     """Count the singular rows among ``rows`` and send them through the
@@ -131,28 +124,26 @@ def _bundle(src: DiscreteMeasure, targets: np.ndarray, hits: int,
     return PushforwardResult(coupling, hits)
 
 
-def pushforward_convex(f: MaxAffineFunction, rho, policy: SelectionPolicy | None = None
-                       ) -> PushforwardResult:
+def pushforward_convex(f: MaxAffineFunction, rho: DiscreteMeasure,
+                       policy: SelectionPolicy | None = None) -> PushforwardResult:
     """Pushforward of rho through the subdifferential of a max-affine f.
 
     Regular atoms, tied ones included, map to the slope of their first
     arg-max piece, bitwise; atoms where the active slopes have pairwise
     diameter > 1e-10 are resolved by the policy from their hull and counted
-    in ``singular_hits``.  Grid densities are discretized at cell centers
-    first.
+    in ``singular_hits``.
     """
-    src = _as_discrete(rho)
-    if f.dim != src.dim:
+    if f.dim != rho.dim:
         raise ValueError("dimension mismatch between potential and measure")
-    mask, first = _actives(f.piece_values(src.points))
+    mask, first = _actives(f.piece_values(rho.points))
     targets = f.slopes[first].copy()
     hits = _select_singular(policy, targets, np.flatnonzero(mask.sum(axis=1) > 1),
                             lambda i: [f.slopes[mask[i]]], lambda i, grads: grads[0])
-    return _bundle(src, targets, hits, Domain.ball(np.zeros(src.dim), max(f.lip, 1e-300)))
+    return _bundle(rho, targets, hits, Domain.ball(np.zeros(rho.dim), max(f.lip, 1e-300)))
 
 
-def pushforward_tmap(potential: CConcavePotential, rho, policy: SelectionPolicy | None = None
-                     ) -> PushforwardResult:
+def pushforward_tmap(potential: CConcavePotential, rho: DiscreteMeasure,
+                     policy: SelectionPolicy | None = None) -> PushforwardResult:
     """Pushforward of rho through the p-cost transport map of a potential.
 
     At regular points, tied ones included, the image is the first argmin
@@ -162,13 +153,12 @@ def pushforward_tmap(potential: CConcavePotential, rho, policy: SelectionPolicy 
     this is snapped back to the matching atom so that vertex selections
     stay exact.
     """
-    src = _as_discrete(rho)
     R = potential.R
-    image_domain = Domain.ball(np.zeros(src.dim), R)
+    image_domain = Domain.ball(np.zeros(rho.dim), R)
     # pieces near the min: negation is exact, so this is the max-side test
-    mask, first = _actives(-potential.piece_values(src.points))
+    mask, first = _actives(-potential.piece_values(rho.points))
     targets = potential.atoms[first].copy()
-    x, C = src.points, potential.concavity
+    x, C = rho.points, potential.concavity
 
     def image(i, vertices, g):
         match = np.linalg.norm(vertices - g[None, :], axis=1)
@@ -182,11 +172,12 @@ def pushforward_tmap(potential: CConcavePotential, rho, policy: SelectionPolicy 
         lambda i: [potential.piece_gradients(x[i], np.flatnonzero(mask[i]))],
         lambda i, grads: C * x[i][None, :] - grads[0], image)
     _check_escape(targets, R)
-    return _bundle(src, targets, hits, image_domain)
+    return _bundle(rho, targets, hits, image_domain)
 
 
 def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
-                    rho, policy: SelectionPolicy | None = None) -> DiscreteMeasure:
+                    rho: DiscreteMeasure, policy: SelectionPolicy | None = None
+                    ) -> DiscreteMeasure:
     """Linearized-OT interpolant: pushforward of rho through the blend
     (1-t) phi0 + t phi1.
 
@@ -203,22 +194,21 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
         raise ValueError("interpolation parameter t must lie in [0, 1]")
     if t in (0.0, 1.0):
         return pushforward_convex(phi1 if t else phi0, rho, policy).image
-    src = _as_discrete(rho)
-    (m0, first0), (m1, first1) = (_actives(f.piece_values(src.points)) for f in (phi0, phi1))
+    (m0, first0), (m1, first1) = (_actives(f.piece_values(rho.points)) for f in (phi0, phi1))
     g0, g1 = phi0.slopes[first0], phi1.slopes[first1]
     targets = np.where(np.all(g0 == g1, axis=1)[:, None], g0, (1.0 - t) * g0 + t * g1)
 
     def minkowski(i, grads):
         v0, v1 = (SubdiffPolytope(g).vertices for g in grads)
-        return ((1.0 - t) * v0[:, None, :] + t * v1[None, :, :]).reshape(-1, src.dim)
+        return ((1.0 - t) * v0[:, None, :] + t * v1[None, :, :]).reshape(-1, rho.dim)
 
     _select_singular(policy, targets, np.flatnonzero((m0.sum(1) > 1) | (m1.sum(1) > 1)),
                      lambda i: [phi0.slopes[m0[i]], phi1.slopes[m1[i]]], minkowski)
     radius = max((1.0 - t) * phi0.lip + t * phi1.lip, 1e-300)
-    return _bundle(src, targets, 0, Domain.ball(np.zeros(src.dim), radius)).image
+    return _bundle(rho, targets, 0, Domain.ball(np.zeros(rho.dim), radius)).image
 
 
-def potential_from_discrete_ot(rho, mu: DiscreteMeasure) -> MaxAffineFunction:
+def potential_from_discrete_ot(rho: DiscreteMeasure, mu: DiscreteMeasure) -> MaxAffineFunction:
     """Brenier-envelope potential from a quadratic-cost discrete OT solve.
 
     Solves OT(rho, mu) for cost |x-y|^2 and returns the max-affine function
@@ -229,13 +219,12 @@ def potential_from_discrete_ot(rho, mu: DiscreteMeasure) -> MaxAffineFunction:
     source to a single target, v is recentered to the max-margin point of
     the face (still exact optimal duals), making every argmax strict.
     """
-    src = _as_discrete(rho)
     mu_pos = mu.drop_zero_weights()[0]
-    coupling, _, duals = solve(src, mu_pos, p=2.0)
+    coupling, _, duals = solve(rho, mu_pos, p=2.0)
     v = duals.phi_c
     ii, jj = coupling.i, coupling.j
-    if np.array_equal(ii, np.arange(len(src))):  # ``Coupling`` sorts i
-        v_centered = _max_margin_duals(cost_matrix(src.points, mu_pos.points, 2.0), jj,
+    if np.array_equal(ii, np.arange(len(rho))):  # ``Coupling`` sorts i
+        v_centered = _max_margin_duals(cost_matrix(rho.points, mu_pos.points, 2.0), jj,
                                        len(mu_pos))
         if v_centered is not None:
             v = v_centered

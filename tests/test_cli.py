@@ -101,19 +101,30 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     ("singularity", ["--grid", "9"], {"p": 3.0}),
     ("figure1", ["--seed", "3"], {"eps": [0.1]}),
     ("demo", ["--q", "3"], {"id": "1.2"}),
+    ("example", ["--id", "1.2", "--r", "9", "--grid", "7", "--eps-min", "0.1",
+                 "--eps-max", "0.2", "--eps-count", "2"],
+     {"id": "1.2", "r": 9.0, "grid": 7, "eps": [0.1, 0.2]}),
+    ("example", ["--id", "1.4", "--grid", "7"], {"id": "1.4", "grid": 7}),
 ])
 def test_unread_setting_exits_one(tmp_path, capsys, command, flag, doc):
     # each was accepted and ignored: the run exited 0 with the default output
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command] + flag)
-    assert exc.value.code == 1
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    family = doc.get("id") if command == "example" else None
+    if family:  # fields that example reads, but not in this family
+        assert cli.main([command] + flag) == 1
+        flag_error = config_error = (
+            f"example {family} does not read {sorted(set(doc) - {'id'})}")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command] + flag)
+        assert exc.value.code == 1
+        (key,) = doc
+        flag_error = f"unrecognized arguments: {' '.join(flag)}"
+        config_error = f"{command} does not read config keys ['{key}']"
+    assert flag_error in capsys.readouterr().err
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli.main([command, "--config", str(cfg_path)]) == 1
-    (key,) = doc
-    assert f"otpush: error: {command} does not read config keys ['{key}']" in (
-        capsys.readouterr().err)
+    assert f"otpush: error: {config_error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -212,9 +223,9 @@ def _figure1_with_target(tmp_path, target: dict):
       "points": [[0.2, 0.8]], "weights": [1.0]}, "no 'radius' field"),
     ({"kind": "discrete", "domain": _BOX, "points": [[0.2, 0.8], [0.8, 0.2]],
       "weights": {"a": 1}}, "'weights' must be a list of numbers"),
-    ({"kind": "grid", "domain": _BOX, "resolution": 4},
-     "'resolution' must be a list of integers"),
-], ids=["nan-weight", "no-weights", "ball-without-radius", "object-weights", "scalar-resolution"])
+    ({"kind": "discrete", "domain": _BOX, "points": 4, "weights": [1.0]},
+     "'points' must be a list of 2-number lists"),
+], ids=["nan-weight", "no-weights", "ball-without-radius", "object-weights", "scalar-points"])
 def test_malformed_figure_target_is_a_usage_error(tmp_path, target, message):
     # each exited 0 with passed=True (NaN) or died with a KeyError or
     # TypeError traceback

@@ -18,8 +18,8 @@ from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
                                 _unit_bounds, _solve_assignment, _solve_highs,
                                 bottleneck_solve, cost_matrix, solve,
                                 wasserstein)
-from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                      Measure1D, discretize, wasserstein_1d)
+from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D,
+                                      uniform_grid, wasserstein_1d)
 
 DOM1 = Domain.ball(np.zeros(1), 2.0)
 
@@ -801,7 +801,7 @@ def test_bottleneck_bracket_matches_full_range_search_jittered_grid():
     # cell centers jittered by a fraction of the cell and kept in the disc
     rng = np.random.default_rng(67)
     for res in (6, 9, 12):
-        grid = discretize(GridDensity.uniform(Domain.ball(np.zeros(2), 1.0), res))
+        grid = uniform_grid(Domain.ball(np.zeros(2), 1.0), res)
         dom = Domain.ball(np.zeros(2), 2.0)
         rho = DiscreteMeasure(grid.points, grid.weights, dom)
         _check_against_full_range(rho, rho)

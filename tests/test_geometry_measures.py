@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity,
-                                      Measure1D, _piece_integral, discretize,
-                                      measure_from_json, unit_ball_volume,
-                                      wasserstein_1d)
+from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D,
+                                      _piece_integral, discretize,
+                                      measure_from_json, uniform_grid,
+                                      unit_ball_volume, wasserstein_1d)
 
 DOM = Domain.ball(np.zeros(1), 1.0)
 
@@ -40,12 +40,10 @@ BOX1 = Domain.box([0.0], [1.0])
     lambda: Domain.ball([math.nan], 1.0),
     lambda: Domain.box([-math.inf], [1.0]),
     lambda: DiscreteMeasure(np.array([[0.2], [0.4]]), np.array([math.nan, 1.0]), BOX1),
-    lambda: GridDensity(BOX1, np.array([math.nan, 1.0])),
     lambda: Measure1D.from_pieces(DOM, [(-0.5, 0.5, math.nan)]),
     lambda: Measure1D.from_pieces(DOM, [], [(math.nan, 1.0)]),
 ], ids=["ball-radius-nan", "ball-radius-inf", "ball-center", "box-corner",
-        "discrete-weight", "grid-mass",
-        "measure1d-mass", "measure1d-atom"])
+        "discrete-weight", "measure1d-mass", "measure1d-atom"])
 def test_non_finite_inputs_are_rejected(build):
     # NaN fails every comparison, so each of these got past the mass,
     # sign and size checks
@@ -115,51 +113,28 @@ def test_discrete_measure_csv_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# grid densities
+# uniform grids
 # ---------------------------------------------------------------------------
 
 def test_grid_uniform_box_70():
-    g = GridDensity.uniform(Domain.box([0.0, 0.0], [1.0, 1.0]), 70)
-    m = discretize(g)
+    m = uniform_grid(Domain.box([0.0, 0.0], [1.0, 1.0]), 70)
     assert len(m.points) == 70 * 70
-    assert np.allclose(m.weights, 1.0 / 4900.0, atol=1e-15)
+    axis = (np.arange(70) + 0.5) / 70  # cell centers, first coordinate slowest
+    assert np.allclose(m.points, np.stack(np.meshgrid(axis, axis, indexing="ij"), -1)
+                       .reshape(-1, 2), rtol=0.0, atol=1e-15)
+    assert (m.weights == 1.0 / 4900.0).all()
 
 
 def test_grid_uniform_ball_masks_outside():
-    g = GridDensity.uniform(Domain.ball(np.zeros(2), 1.0), 16)
-    m = discretize(g)
+    m = uniform_grid(Domain.ball(np.zeros(2), 1.0), 16)
     assert (np.linalg.norm(m.points, axis=1) <= 1.0).all()
     assert len(m.points) < 16 * 16
+    assert (m.weights == 1.0 / len(m.points)).all()
     assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grid_density_bound_invariant():
-    for dom, res in ((Domain.box([0.0], [1.0]), 8),
-                     (Domain.box([0.0, 0.0], [1.0, 2.0]), 5),
-                     (Domain.ball(np.zeros(2), 1.0), 12),
-                     (Domain.ball(np.zeros(1), 1.0), 7)):
-        g = GridDensity.uniform(dom, res)
-        assert g.resolution == g.cell_masses.shape
-
-
-def test_grid_masses_must_have_the_domain_dimension():
-    with pytest.raises(ValueError, match="must be a 2D array"):
-        GridDensity(Domain.ball(np.zeros(2), 1.0), np.array([0.5, 0.5]))
-
-
-def test_grid_mass_outside_a_ball_domain_is_rejected():
-    # caught at construction, naming the cell, not first at discretize
-    doc = {"kind": "grid", "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-           "resolution": [4, 4], "masses": [1.0] + [0.0] * 15}
-    with pytest.raises(ValueError, match=r"cell \(0, 0\) has mass but its center lies outside"):
-        measure_from_json(doc)
-    doc["masses"] = [0.0] * 5 + [1.0] + [0.0] * 10  # cell (1, 1): center inside
-    assert discretize(measure_from_json(doc)).points.tolist() == [[-0.25, -0.25]]
-
-
 def test_single_cell_grid_is_center_dirac():
-    g = GridDensity.uniform(Domain.box([0.0, 0.0], [1.0, 1.0]), 1)
-    m = discretize(g)
+    m = uniform_grid(Domain.box([0.0, 0.0], [1.0, 1.0]), 1)
     assert len(m.points) == 1
     assert np.allclose(m.points[0], [0.5, 0.5])
     assert m.weights[0] == pytest.approx(1.0, abs=1e-15)
@@ -384,22 +359,19 @@ def test_discretize_error_within_half_cell():
 # ---------------------------------------------------------------------------
 
 def test_measure_from_json_roundtrips():
-    doc = {"kind": "measure1d",
-           "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
-           "intervals": [[-0.5, 0.5, 0.9]], "atoms": [[0.0, 0.1]]}
-    m = measure_from_json(doc)
-    assert isinstance(m, Measure1D)
-    assert m.intervals.tolist() == [[-0.5, 0.5, 0.9]] and m.atoms.tolist() == [[0.0, 0.1]]
-
     doc = {"kind": "discrete",
            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
            "points": [[0.25, 0.5], [0.75, 0.5]], "weights": [0.5, 0.5]}
     m = measure_from_json(doc)
     assert isinstance(m, DiscreteMeasure)
-    assert len(m.points) == 2
+    assert m.points.tolist() == [[0.25, 0.5], [0.75, 0.5]]
+    assert m.weights.tolist() == [0.5, 0.5]
 
     with pytest.raises(ValueError):
         measure_from_json({"kind": "nonsense"})
+    with pytest.raises(ValueError, match="unknown measure kind 'measure1d'"):
+        measure_from_json({"kind": "measure1d", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+                           "intervals": [[0.0, 1.0, 1.0]]})
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -407,8 +379,8 @@ def test_measure_from_json_roundtrips():
       "points": [[0.5]]}, "weights"),
     ({"kind": "discrete", "domain": {"kind": "ball", "center": [0.0]},
       "points": [[0.5]], "weights": [1.0]}, "radius"),
-    ({"kind": "grid", "domain": {"kind": "box", "lo": [0.0]}, "resolution": [4]}, "hi"),
-    ({"kind": "grid", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]}}, "resolution"),
+    ({"kind": "discrete", "domain": {"kind": "box", "lo": [0.0]},
+      "points": [[0.5]], "weights": [1.0]}, "hi"),
 ])
 def test_measure_from_json_names_a_missing_field(doc, field):
     with pytest.raises(ValueError, match=f"no '{field}' field"):
@@ -427,44 +399,25 @@ _BOX2 = {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
      "measure field 'points' must be a list of 2-number lists"),
     ({"kind": "discrete", "domain": _BOX2, "points": "[[0.5, 0.5]]", "weights": [1.0]},
      "measure field 'points' must be a list of 2-number lists"),
-    ({"kind": "grid", "domain": _BOX2, "resolution": 4},
-     "measure field 'resolution' must be a list of integers"),
-    ({"kind": "grid", "domain": _BOX2, "resolution": [4.5, 4]},
-     "measure field 'resolution' must be a list of integers"),
-    ({"kind": "grid", "domain": _BOX2, "resolution": [4, 4, 4]},
-     "measure field 'resolution' must have 1 or 2 entries"),
-    ({"kind": "grid", "domain": _BOX2, "resolution": [2], "masses": [1, 2, 3, 2]},
-     "measure field 'resolution' must have 2 entries"),
-    ({"kind": "grid", "domain": _BOX2, "resolution": [2, 2], "masses": [1, 2]},
-     "measure field 'masses' must have 4 entries"),
-    ({"kind": "grid", "domain": _BOX2, "resolution": [2, 2], "masses": "even"},
-     "measure field 'masses' must be a list of numbers"),
-    ({"kind": "measure1d", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
-      "intervals": [0.0, 1.0, 1.0]}, "measure field 'intervals' must be a list of 3-number lists"),
-    ({"kind": "measure1d", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
-      "atoms": {"x": 1.0}}, "measure field 'atoms' must be a list of 2-number lists"),
     ({"kind": "discrete", "domain": {"kind": "ball", "center": [0.5, 0.5], "radius": [1.0]},
       "points": [[0.5, 0.5]], "weights": [1.0]}, "domain field 'radius' must be a number"),
     ({"kind": "discrete", "domain": {"kind": "box", "lo": {"x": 0}, "hi": [1.0, 1.0]},
       "points": [[0.5, 0.5]], "weights": [1.0]}, "domain field 'lo' must be a list of numbers"),
 ])
 def test_measure_from_json_names_a_malformed_field(doc, message):
-    # each was a TypeError (object weights or lo, scalar resolution, list
-    # radius), a NumPy ValueError naming no field, or accepted: resolution
-    # [4.5, 4] as [4, 4], flat intervals as rows of three
+    # each was a TypeError (object weights or lo, list radius) or a NumPy
+    # ValueError naming no field
     with pytest.raises(ValueError, match=message):
         measure_from_json(doc)
 
 
 def test_measure_from_json_grid_with_cell_masses():
+    # the grid literal is no longer read: a uniform grid is ``uniform_grid``
     doc = {"kind": "grid",
            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]},
            "resolution": [2, 2], "masses": [1, 2, 3, 2]}
-    g = measure_from_json(doc)
-    assert isinstance(g, GridDensity)
-    assert g.cell_masses.tolist() == [[0.125, 0.25], [0.375, 0.25]]
-    doc["density_bound"] = 1e-9  # not a field of the literal: ignored
-    assert measure_from_json(doc).cell_masses.tolist() == g.cell_masses.tolist()
+    with pytest.raises(ValueError, match="unknown measure kind 'grid'"):
+        measure_from_json(doc)
 
 
 def test_measure1d_cdf_with_atoms():
@@ -478,10 +431,10 @@ def test_measure1d_cdf_with_atoms():
 
 
 def test_measure_from_json_text_document():
-    doc = json.loads(json.dumps({
-        "kind": "grid",
-        "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
-        "resolution": [4]}))
-    g = measure_from_json(doc)
-    assert isinstance(g, GridDensity)
-    assert discretize(g).weights.sum() == pytest.approx(1.0, abs=1e-12)
+    # the loader reads a parsed JSON object, not its text
+    text = json.dumps({"kind": "discrete", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+                       "points": [[0.5]], "weights": [1.0]})
+    for doc in (text, text.encode()):
+        with pytest.raises(ValueError, match="must be an object"):
+            measure_from_json(doc)
+    assert measure_from_json(json.loads(text)).points.tolist() == [[0.5]]

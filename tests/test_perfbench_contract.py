@@ -12,7 +12,9 @@ max-flow spans recorded under a bottleneck span, so ``bottleneck_solve``
 must keep calling ``maximum_flow`` by the patched name.  A rename or a deletion in ``src/otpush`` that breaks any of
 this would otherwise show only when the benchmark runs.  So would a change
 to the bits of the ``scan`` workload's values, which
-``test_scan_values_match_reference_digests`` checks for a few seeds.
+``test_scan_values_match_reference_digests`` checks for a few seeds, or of
+the CLI workloads' output files, which
+``test_cli_workload_outputs_match_reference_digests`` checks for seed 0.
 """
 
 import importlib.util
@@ -92,12 +94,34 @@ def test_perfbench_patch_targets_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scan_values_match_reference_digests():
+def _workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())["scan"]
+    return workloads
+
+
+def _reference(name: str) -> dict:
+    return json.loads((REPO / "perfbench" / "reference.json").read_text())[name]
+
+
+def test_scan_values_match_reference_digests():
+    workloads = _workloads()
+    reference = _reference("scan")
     for seed in range(3):
         values = workloads.run_scan(workloads.scan_instances(seed))
         assert workloads.output_digest({"name": "scan"}, values) == reference[str(seed)], seed
+
+
+def test_cli_workload_outputs_match_reference_digests(tmp_path, monkeypatch):
+    # the spec's paths are relative to the working directory, as in a
+    # benchmark run from the checkout root, and the figure1 manifest names them
+    from otpush import cli
+
+    workloads = _workloads()
+    monkeypatch.chdir(tmp_path)
+    for name, key in (("figure", "any"), ("fit", "0"), ("audit", "0")):
+        spec = workloads.prepare(name, 0, ".perfbench_work")
+        assert cli.main(spec["argv"]) == 0, name
+        assert workloads.output_digest(spec, None) == _reference(name)[key], name

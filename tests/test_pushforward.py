@@ -9,8 +9,8 @@ from otpush.convex_analysis import (MaxAffineFunction, SubdiffPolytope, _pairwis
                                     _singular)
 from otpush.discrete_ot import bottleneck_solve, wasserstein
 from otpush.experiments import pushforward_measure1d
-from otpush.geometry_measures import (DiscreteMeasure, Domain, GridDensity, Measure1D,
-                                      discretize, wasserstein_1d)
+from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D,
+                                      uniform_grid, wasserstein_1d)
 from otpush.pcost_maps import CConcavePotential, phi_to_convex
 from otpush.pushforward import (SelectionPolicy, lot_interpolant,
                                 potential_from_discrete_ot,
@@ -19,7 +19,7 @@ from otpush.pushforward import (SelectionPolicy, lot_interpolant,
 BOX = Domain.box([-0.5], [0.5])
 BOX2 = Domain.box([-0.5, -0.5], [0.5, 0.5])
 F_ABS = MaxAffineFunction(np.array([[-1.0], [1.0]]), np.zeros(2))
-RHO = GridDensity.uniform(BOX, 1000)
+RHO = uniform_grid(BOX, 1000)
 D0 = DiscreteMeasure(np.array([[0.0]]), np.array([1.0]), BOX)
 
 
@@ -38,7 +38,7 @@ def test_abs_gradient_splits_half_half():
     assert np.abs(res.image.weights - 0.5).max() < 1e-12
     assert res.image.weights.sum() == pytest.approx(1.0, abs=1e-12)
     src_marginal, _ = res.coupling.marginals()
-    assert np.abs(src_marginal - discretize(RHO).weights).max() < 1e-15
+    assert np.abs(src_marginal - RHO.weights).max() < 1e-15
 
 
 def test_selection_policies_at_the_kink():
@@ -56,7 +56,7 @@ def test_selection_policies_at_the_kink():
 
 def test_affine_gradient_is_a_dirac():
     fa = MaxAffineFunction(np.array([[0.3, -0.2]]), np.array([0.1]))
-    res = pushforward_convex(fa, GridDensity.uniform(BOX2, 20))
+    res = pushforward_convex(fa, uniform_grid(BOX2, 20))
     assert len(res.image) == 1
     assert np.array_equal(res.image.points[0], [0.3, -0.2])
 
@@ -260,7 +260,7 @@ def test_quadratic_support_gradient_scales_w2_exactly():
 
 def test_fitted_potential_two_point_target():
     box01 = Domain.box([0.0], [1.0])
-    rho01 = GridDensity.uniform(box01, 1000)
+    rho01 = uniform_grid(box01, 1000)
     mu2 = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]), box01)
     fmu = potential_from_discrete_ot(rho01, mu2)
     res = pushforward_convex(fmu, rho01)
@@ -273,7 +273,7 @@ def test_fitted_potential_two_point_target():
 
 def test_fitted_potential_dirac_target():
     box01 = Domain.box([0.0], [1.0])
-    rho01 = GridDensity.uniform(box01, 1000)
+    rho01 = uniform_grid(box01, 1000)
     mud = DiscreteMeasure(np.array([[0.3]]), np.array([1.0]), box01)
     res = pushforward_convex(potential_from_discrete_ot(rho01, mud), rho01)
     assert len(res.image) == 1 and res.image.points[0, 0] == 0.3
@@ -281,7 +281,7 @@ def test_fitted_potential_dirac_target():
 
 def test_fitted_potential_roundtrip_residual():
     rng = np.random.default_rng(11)
-    grid30 = GridDensity.uniform(BOX2, 30)
+    grid30 = uniform_grid(BOX2, 30)
     K = 12
     counts = rng.multinomial(900, np.full(K, 1 / K))
     Y = rng.uniform(-0.45, 0.45, (K, 2))
@@ -314,7 +314,7 @@ def _fitted_pair(rng, grid):
 
 def test_interpolant_endpoints_and_path():
     rng = np.random.default_rng(31)
-    grid30 = GridDensity.uniform(BOX2, 30)
+    grid30 = uniform_grid(BOX2, 30)
     f0, f1 = _fitted_pair(rng, grid30)
     m_t0 = lot_interpolant(f0, f1, 0.0, grid30)
     m_end = pushforward_convex(f0, grid30).image
@@ -345,7 +345,7 @@ def test_interpolant_endpoints_and_path():
 def test_mass_conservation_and_containment():
     rng = np.random.default_rng(41)
     dom = Domain.ball(np.zeros(2), 1.0)
-    grid = GridDensity.uniform(dom, 24)
+    grid = uniform_grid(dom, 24)
     for trial in range(5):
         k = int(rng.integers(3, 7))
         atoms = rng.uniform(-0.5, 0.5, (k, 2))

@@ -8,14 +8,15 @@ and the demo at p = 2 and p = 3), plus a ``--config`` file, a ``figure1``
 run on two ``--target`` files and one usage error.  A global trace function
 records every code object of the package that starts.  Each ``def`` of the
 package, found from its source, that none of these ran must be listed in
-``_KEPT`` with one of five reasons; a listed name that ran, or that no longer
+``_KEPT`` with one of four reasons; a listed name that ran, or that no longer
 exists, fails the test as well.
 
-The same runs check the CLI's table of the config fields each subcommand
-reads (``cli._READS``): a hook on ``SweepConfig.__getattribute__``, on only
-while ``cli._run_scenario`` runs, records the fields that the scenario's
-driver reads after the config is built.  Each table entry must equal the
-union of those reads over its subcommand's runs.
+The same runs check the CLI's tables of the config fields each subcommand
+reads (``cli._READS``) and each example family reads
+(``cli._EXAMPLE_READS``): a hook on ``SweepConfig.__getattribute__``, on
+only while ``cli._run_scenario`` runs, records the fields that the
+scenario's driver reads after the config is built.  Each table entry must
+equal the union of those reads over its subcommand's (or family's) runs.
 """
 
 import ast
@@ -32,7 +33,6 @@ PACKAGE = REPO / "src" / "otpush"
 _FAILURE = "failure path"
 _PATCH_TARGET = "perfbench patch target (ROADMAP 1c)"
 _ORACLE = "test oracle"
-_LITERAL = "measure-literal path"
 _AWAITING = "awaiting the owner or ROADMAP direction 3"
 
 # (module, qualified name) of each def that no run reaches, and why it stays
@@ -45,7 +45,6 @@ _KEPT = {
     ("convex_analysis", "MaxAffineFunction.__call__"): _ORACLE,
     ("pcost_maps", "CConcavePotential.value"): _ORACLE,
     ("geometry_measures", "Measure1D.uniform"): _ORACLE,
-    ("geometry_measures", "GridDensity.from_cell_masses"): _LITERAL,
     ("pcost_maps", "diam_partial_c"): _AWAITING,
     ("pcost_maps", "phi_to_convex"): _AWAITING,
     ("pcost_maps", "convex_to_phi"): _AWAITING,
@@ -78,7 +77,7 @@ _RUN = textwrap.dedent("""
 
     # every subcommand takes out, so it is not one of the fields in the table
     fields = {f.name for f in dataclasses.fields(SweepConfig)} - {"out"}
-    reads, reading = {}, []
+    reads, family_reads, reading = {}, {}, []
 
     def getattribute(self, name):
         if reading and name in fields:
@@ -93,7 +92,10 @@ _RUN = textwrap.dedent("""
         try:
             return run_scenario(command, cfg, example_id)
         finally:
-            reads.setdefault(command, set()).update(reading.pop())
+            read = reading.pop()
+            reads.setdefault(command, set()).update(read)
+            if command == "example":
+                family_reads.setdefault(example_id or "1.3", set()).update(read - {"id"})
 
     SweepConfig.__getattribute__ = getattribute
     cli._run_scenario = measured
@@ -126,7 +128,10 @@ _RUN = textwrap.dedent("""
     with open(expected, "w") as fh:
         json.dump({"codes": codes, "started": sorted(started),
                    "reads": {c: sorted(r) for c, r in reads.items()},
-                   "table": {c: sorted(r) for c, (_, r) in cli._READS.items()}}, fh)
+                   "table": {c: sorted(r) for c, (_, r) in cli._READS.items()},
+                   "family_reads": {f: sorted(r) for f, r in family_reads.items()},
+                   "family_table": {f: sorted(r) for f, r in cli._EXAMPLE_READS.items()}},
+                  fh)
 """)
 
 
@@ -150,7 +155,7 @@ def _defs() -> set:
 
 
 def test_every_unreached_def_has_a_reason(tmp_path):
-    assert set(_KEPT.values()) <= {_FAILURE, _PATCH_TARGET, _ORACLE, _LITERAL, _AWAITING}
+    assert set(_KEPT.values()) <= {_FAILURE, _PATCH_TARGET, _ORACLE, _AWAITING}
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
@@ -167,5 +172,7 @@ def test_every_unreached_def_has_a_reason(tmp_path):
     unreached = defs - {tuple(k) for k in doc["started"]}
     assert sorted(unreached - set(_KEPT)) == [], "unreached and not kept"
     assert sorted(set(_KEPT) - unreached) == [], "kept but reached, or gone"
-    # each subcommand's table entry is what its driver read on its runs
+    # each subcommand's and each example family's table entry is what its
+    # driver read on its runs
     assert doc["reads"] == doc["table"]
+    assert doc["family_reads"] == doc["family_table"]
