@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .geometry_measures import unit_ball_volume
+from .geometry_measures import _sorted_distinct, unit_ball_volume
 
 __all__ = [
     "MaxAffineFunction",
@@ -689,7 +689,7 @@ def integral_diam_estimate(f: MaxAffineFunction, eta: float, q: float, R: float)
         bp = breakpoints_1d(f)
         cuts = np.concatenate([bp - eta, bp + eta])
         cuts = cuts[(cuts > -R) & (cuts < R)]
-        cuts = np.unique(np.concatenate([[-R], cuts, [R]]))
+        cuts = _sorted_distinct(np.concatenate([[-R], cuts, [R]]))
         mids = 0.5 * (cuts[1:] + cuts[:-1])
         widths = np.diff(cuts)
         vals = _ball_diams(f, mids[:, None], eta)
@@ -789,7 +789,7 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     beta = unit_ball_volume(f.dim)
     if f.dim == 1:
         env_s, _, bp = f._envelope()
-        cuts = np.unique(np.concatenate(
+        cuts = _sorted_distinct(np.concatenate(
             [[x[0] - 4 * eta], bp[(bp > x[0] - 4 * eta) & (bp < x[0] + 4 * eta)], [x[0] + 4 * eta]]))
         mids = 0.5 * (cuts[1:] + cuts[:-1])
         idx = np.searchsorted(bp, mids)

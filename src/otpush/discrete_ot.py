@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .geometry_measures import DiscreteMeasure
+from .geometry_measures import DiscreteMeasure, _sorted_distinct
 
 __all__ = [
     "Coupling",
@@ -241,10 +241,21 @@ def _integral_multiples(w_t, n):
 
 def _gap_rows(cost, assign, picked):
     """The rows of the gap graph (see ``_gap_graph``) for the targets in
-    the boolean mask ``picked``."""
+    the boolean mask ``picked``.
+
+    When every picked target holds exactly one row (a K = n permutation),
+    the row differences are returned as they are: the minimum over a
+    one-row group is that row, so this is bit for bit what
+    ``np.minimum.reduceat`` gives, without the ``inf`` buffer."""
     rows = np.flatnonzero(picked[assign])
     rows = rows[np.argsort(assign[rows], kind="stable")]
     size = np.bincount(assign[rows], minlength=len(picked))[picked]
+    if (size == 1).all():
+        gap = cost[rows]
+        gap -= cost[rows, assign[rows]][:, None]
+        return gap
+    # the buffer before the differences: the other order measured about
+    # 0.06 MiB more peak RSS on the benchmark's fit workload
     gap = np.full((size.size, cost.shape[1]), np.inf)
     if rows.size:
         diff = cost[rows]
@@ -658,7 +669,7 @@ def bottleneck_solve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[Coupling
     def plan_at(level):
         return _bounded_plan(d2 <= level * (1 + 1e-12), *bounds)
 
-    levels = np.unique(d2[(d2 * (1 + 1e-12) >= lower) & (d2 <= upper)])
+    levels = _sorted_distinct(d2[(d2 * (1 + 1e-12) >= lower) & (d2 <= upper)])
     lo, hi, plan = 0, len(levels) - 1, None  # levels[hi] = upper is feasible
     while lo < hi:
         mid = (lo + hi) // 2

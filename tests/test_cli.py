@@ -21,6 +21,14 @@ def test_example_12_exits_zero(capsys):
     assert "example-1.2: " in out and "passed=True" in out
 
 
+@pytest.mark.parametrize("flags", [["--grid", "7"], ["--grid", "9", "--p", "2"], []])
+def test_example_13_coarse_grid_exits_zero(capsys, flags):
+    # the grid cross-check is held to bounds from the cell width, so a
+    # coarse grid is a passing run, not a failed scenario (exit 2)
+    assert cli.main(["example", "--id", "1.3"] + flags) == 0
+    assert "example-1.3: 2 rows, passed=True" in capsys.readouterr().out
+
+
 def test_unknown_example_id_exits_one(capsys):
     assert cli.main(["example", "--id", "7.7"]) == 1
     assert "unknown example id" in capsys.readouterr().err

@@ -310,6 +310,10 @@ def _skeleton_distance(V, p):
     for a in range(len(V)):
         for b in range(a + 1, len(V)):
             e = V[b] - V[a]
+            if e @ e == 0.0:
+                # coincident vertices, or subnormal offsets whose square
+                # underflows: the segment is its end, counted above
+                continue
             t = np.clip((p - V[a]) @ e / (e @ e), 0.0, 1.0)
             d = min(d, np.linalg.norm(p - V[a] - t * e))
     return d
@@ -393,6 +397,10 @@ def _hull_and_point(draw):
 @given(case=_hull_and_point())
 # 0 lies exactly on the edge from (-1, 0) to (1, 0)
 @example(case=(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(2)))
+# three vertices 5e-324 apart, whose offsets square to 0
+@example(case=(np.array([[0.0, 1.83e-4], [5e-324, 1.83e-4], [-5e-324, 1.83e-4],
+                         [3.34e-4, -9.62e-4], [-7.51e-4, -7.22e-4]]),
+               np.array([0.00261566, -0.00076496])))
 def test_project_matches_triangle_enumeration(case):
     V, p = case
     poly = SubdiffPolytope(V)

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import (dijkstra, maximum_bipartite_matching, maximum_
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
                                 SolverError, _check_duals, _dijkstra, _gap_graph,
+                                _gap_rows,
                                 _scaled_units,
                                 _unit_bounds, _solve_assignment, _solve_highs,
                                 bottleneck_solve, cost_matrix, solve,
@@ -457,6 +458,45 @@ def test_assignment_engine_memory_stays_below_one_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def _reduceat_gap_rows(cost, assign, picked):
+    """``_gap_rows`` without its one-row path: every picked target's
+    minimum by ``np.minimum.reduceat`` into an ``inf``-filled buffer."""
+    rows = np.flatnonzero(picked[assign])
+    rows = rows[np.argsort(assign[rows], kind="stable")]
+    size = np.bincount(assign[rows], minlength=len(picked))[picked]
+    gap = np.full((size.size, cost.shape[1]), np.inf)
+    if rows.size:
+        diff = cost[rows]
+        diff -= cost[rows, assign[rows]][:, None]
+        start = np.cumsum(size) - size
+        gap[size > 0] = np.minimum.reduceat(diff, start[size > 0], axis=0)
+    return gap
+
+
+def test_gap_rows_has_the_bits_of_reduceat():
+    rng = np.random.default_rng(31)
+    cases = []
+    # K = n permutations, every target picked or some: one row per target
+    for n in (1, 2, 7, 40):
+        cost = rng.uniform(-2.0, 4.0, (n, n))
+        perm = rng.permutation(n)
+        cases += [(cost, perm, np.ones(n, dtype=bool)),
+                  (cost, perm, rng.random(n) < 0.5),
+                  (cost, perm, np.zeros(n, dtype=bool))]
+    # mixed group sizes; target 2 holds no row, targets 1 and 5 one each
+    cost = rng.uniform(-2.0, 4.0, (11, 6))
+    cost[:, 3] = cost[:, 0]  # tied columns
+    assign = np.array([0, 0, 1, 3, 3, 3, 4, 0, 4, 5, 3])
+    for picked in ([1, 1, 1, 1, 1, 1], [0, 1, 0, 0, 0, 1], [0, 1, 1, 0, 0, 1],
+                   [1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]):
+        cases.append((cost, assign, np.array(picked, dtype=bool)))
+    for cost, assign, picked in cases:
+        got = _gap_rows(cost, assign, picked)
+        want = _reduceat_gap_rows(cost, assign, picked)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from otpush import experiments
 from otpush.experiments import (BoundViolationError, ExperimentReport,
                                 SweepConfig, _audit_check, audit_stability_bound,
                                 fit_holder_rate, fit_loglog, holder_exponent,
                                 pushforward_measure1d, random_max_affine,
                                 run_demo, run_example, run_figure1,
                                 run_singularity_suite, stability_constant)
-from otpush.geometry_measures import Domain, Measure1D, discretize, wasserstein_1d
+from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D, discretize,
+                                      wasserstein_1d)
 from otpush.pcost_maps import CConcavePotential
 from otpush.pushforward import pushforward_tmap
 
@@ -97,6 +99,22 @@ def test_example_shrinking_block():
         assert abs(row["w_in_grid"] - row["w_in"]) <= 1e-3
 
 
+@pytest.mark.parametrize("grid,p,q", [(7, 2.0, 2.0), (9, 2.0, 2.0), (9, 3.0, 3.0),
+                                      (1, 2.0, 2.0)])
+def test_example_shrinking_block_coarse_grids_keep_the_cell_bounds(grid, p, q):
+    # an odd grid puts one cell's center on the singular point 0, where the
+    # min-norm selection sends its mass 1/grid to 0, distance 1 from the
+    # Dirac image at 1; the rest splits evenly between -1 and 1
+    rep = run_example("1.3", SweepConfig(grid=grid, p=p, q=q))
+    assert rep.passed, rep.failures
+    w_out_grid = (2.0 ** (q - 1.0) * (1.0 - 1.0 / grid) + 1.0 / grid) ** (1.0 / q)
+    for row_arr in rep.rows:
+        row = dict(zip(rep.columns, row_arr))
+        assert abs(row["w_in_grid"] - row["w_in"]) <= row["eps"] / (2 * grid)
+        assert row["w_out_grid"] == pytest.approx(w_out_grid, abs=1e-12)
+        assert abs(row["w_out_grid"] - row["w_out"]) <= 2.0 * grid ** (-1.0 / q)
+
+
 @pytest.mark.parametrize("q,r", [(2.0, 2.0), (2.0, 3.0), (3.0, 2.0)])
 def test_example_atom_pinch_closed_forms(q, r):
     cfg = SweepConfig(eps=(0.02, 0.1), q=q, r=r)
@@ -163,6 +181,39 @@ def test_audit_small_run_all_kinds():
             rep.rows[:, rep.columns.index("bound_r")]).all()
     assert (rep.rows[:, rep.columns.index("w_out")] <=
             rep.rows[:, rep.columns.index("bound_inf")]).all()
+
+
+def test_audit_1d_w_inf_against_closed_forms(monkeypatch):
+    """Closed-form W_inf of the 1D perturbations: a collapse of width w to
+    its center moves mass by at most w/2 and exactly w/2 at the block's
+    ends, and a cell-center discretization with cells of width at most h
+    moves no mass further than h/2.  On the default audit at seed 0, 40 of
+    the 200 rows break them (3 collapses, 37 discretizations): where two
+    quantile functions' cumulative masses differ only by rounding, the
+    piece between them is 1e-16 to 1.6e-15 wide and its quantile gap is
+    reported as W_inf (ROADMAP direction 2).  The count pins today's cut
+    points; it drops to 0 when that is mended."""
+    widths = []
+
+    def recording(measure, resolution):
+        # the first center of each interval sits half a cell in
+        disc = discretize(measure, resolution)
+        x = disc.points[:, 0]
+        widths.append(max(2.0 * (x[(x >= lo) & (x <= hi)].min() - lo)
+                          for lo, hi, _ in measure.intervals))
+        return disc
+
+    monkeypatch.setattr(experiments, "discretize", recording)
+    rep = audit_stability_bound(SweepConfig(seed=0))
+    rows = rep.rows[(rep.rows[:, 0] == 1.0) & (rep.rows[:, 1] < 3.0)]
+    assert len(rows) == 200
+    kind, eps, w_inf = rows[:, 1], rows[:, 2], rows[:, 6]
+    collapse = kind == 1.0
+    discretized = kind == 2.0
+    assert discretized.sum() == len(widths) == 99
+    off_collapse = np.abs(w_inf[collapse] - eps[collapse] / 2.0) > 1e-12
+    off_cells = w_inf[discretized] > np.array(widths) / 2.0 + 1e-12
+    assert (off_collapse.sum(), off_cells.sum()) == (3, 37)
 
 
 def test_audit_check_raises_on_violation():
@@ -265,6 +316,49 @@ def test_pushforward_measure1d_mass_and_split():
     got = dict(zip(img.points.ravel(), img.weights))
     assert got[-0.5] == pytest.approx(0.5, abs=1e-15)
     assert got[0.5] == pytest.approx(0.5, abs=1e-15)
+
+
+def _loop_pushforward_measure1d(pot, m):
+    """``pushforward_measure1d`` with its per-atom ``searchsorted`` loop."""
+    active, cuts = pot._cells_1d()
+    bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
+    masses = np.zeros(len(active))
+    for lo, hi, mass in m.intervals:
+        den = mass / (hi - lo)
+        left = np.maximum(lo, bounds[:-1])
+        right = np.minimum(hi, bounds[1:])
+        masses += den * np.maximum(right - left, 0.0)
+    for x, mass in m.atoms:
+        idx = int(np.searchsorted(cuts, x, side="right"))
+        masses[idx] += mass
+    pts = pot.atoms[active]
+    keep = masses > 0.0
+    return DiscreteMeasure(pts[keep], masses[keep], Domain.ball(np.zeros(1), pot.R))
+
+
+def test_pushforward_measure1d_atom_binning_has_the_loop_bits():
+    dom = Domain.ball(np.zeros(1), 1.0)
+    rng = np.random.default_rng(12)
+    pot = CConcavePotential(np.array([[-0.6], [-0.1], [0.3], [0.7]]),
+                            np.array([0.0, 0.01, -0.02, 0.0]), 2.0, 1.0)
+    cuts = pot._cells_1d()[1]
+    assert len(cuts) >= 2
+    measures = [
+        # atoms exactly on every cut, with intervals around them
+        Measure1D.from_pieces(dom, [(-0.9, -0.8, 0.3)],
+                              [(c, 0.7 / len(cuts)) for c in cuts]),
+        # seven atoms in one cell, masses that do not add up exactly
+        Measure1D.from_pieces(dom, [(0.2, 0.9, 0.3)],
+                              [(x, 0.1) for x in np.linspace(-0.95, -0.8, 7)]),
+        # random atoms, a cut twice among them
+        Measure1D.from_pieces(dom, (), [(x, 1.0 / 24) for x in np.concatenate(
+            [rng.uniform(-1.0, 1.0, 24 - len(cuts) - 1), cuts, cuts[:1]])]),
+    ]
+    for m in measures:
+        got = pushforward_measure1d(pot, m)
+        want = _loop_pushforward_measure1d(pot, m)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
 
 
 # ---------------------------------------------------------------------------

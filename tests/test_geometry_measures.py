@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D,
-                                      _piece_integral, discretize,
+                                      _piece_integral, _sorted_distinct, discretize,
                                       measure_from_json, uniform_grid,
                                       unit_ball_volume, wasserstein_1d)
 
@@ -100,6 +100,46 @@ def test_discrete_measure_merged():
     idx = np.argsort(merged.points[:, 0])
     assert merged.points[idx].ravel().tolist() == [-0.5, 0.5]
     assert merged.weights[idx].tolist() == [0.5, 0.5]
+
+
+def test_merged_one_column_has_the_bits_of_axis0_unique():
+    rng = np.random.default_rng(4)
+    for pts in (rng.choice(np.linspace(-1.0, 1.0, 9), size=(60, 1)),
+                np.array([[0.25], [0.25], [0.25]]),
+                np.array([[0.5], [-0.5], [0.0], [0.5], [-0.5]])):
+        w = rng.uniform(0.1, 1.0, len(pts))
+        m = DiscreteMeasure(pts, w / w.sum(), DOM)
+        want_pts, inverse = np.unique(m.points, axis=0, return_inverse=True)
+        want_w = np.zeros(len(want_pts))
+        np.add.at(want_w, inverse, m.weights)
+        got = m.merged()
+        assert got.points.shape == want_pts.shape
+        assert got.points.tobytes() == want_pts.tobytes()
+        assert got.weights.tobytes() == want_w.tobytes()
+    # -0.0 and 0.0 are one point; which spelling of it is kept may differ
+    m = DiscreteMeasure(np.array([[0.0], [-0.0], [0.5], [-0.0]]),
+                        np.array([0.125, 0.25, 0.5, 0.125]), DOM)
+    got = m.merged()
+    assert got.points.ravel().tolist() == [0.0, 0.5]
+    assert got.weights.tolist() == [0.5, 0.5]
+
+
+def test_sorted_distinct_has_the_bits_of_np_unique():
+    rng = np.random.default_rng(6)
+    segs = np.sort(rng.uniform(0.0, 1.0, (5, 2)), axis=1)
+    cases = [rng.choice(np.linspace(0.0, 1.0, 7), 40),
+             np.concatenate([[0.0], segs.ravel(), segs.ravel(), [1.0], [0.0, 1.0]]),
+             np.array([0.5, -0.0, 0.0, 1.0, -0.0, 0.5]),
+             np.array([0.0, -0.0]), np.array([-0.0, 0.0]),
+             rng.uniform(-1.0, 1.0, (4, 3)).round(1),
+             np.empty(0), np.array([2.5])]
+    for x in cases:
+        got, want = _sorted_distinct(x), np.unique(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # of an equal -0.0/0.0 run the first after the sort survives; NumPy's
+    # sort keeps these two-element inputs in their order
+    assert np.signbit(_sorted_distinct(np.array([-0.0, 0.0]))).tolist() == [True]
+    assert np.signbit(_sorted_distinct(np.array([0.0, -0.0]))).tolist() == [False]
 
 
 def test_discrete_measure_csv_deterministic(tmp_path):

@@ -5,9 +5,12 @@ solves use in-house graph searches.  SciPy is needed only by the LP
 reference ``discrete_ot._solve_highs`` that tests compare against, which
 imports ``scipy.sparse`` and ``scipy.optimize`` when called (together about
 0.65 s and 45 MiB), and by the names that the traced benchmark patches,
-which ``discrete_ot`` resolves on first access.  The checks run in a fresh
-interpreter, since this test process may already hold SciPy from other
-tests.
+which ``discrete_ot`` resolves on first access.  The CLI runs load no
+``numpy.ma`` either: NumPy 2.4's ``np.unique`` without index outputs
+imports it (8-12 ms and about 1 MiB), so the package takes sorted distinct
+values from ``geometry_measures._sorted_distinct``.  The checks run in a
+fresh interpreter, since this test process may already hold SciPy from
+other tests.
 """
 
 import os
@@ -39,10 +42,12 @@ _SCRIPT = textwrap.dedent("""
                      ["stability-audit", "--seed", "0", "--count-1d", "4",
                       "--count-2d", "2"],
                      ["singularity", "--seed", "2"],
-                     ["demo", "--seed", "1"]):
+                     ["demo", "--seed", "1"],
+                     ["rate-fit"]):
             out = os.path.join(tmp, argv[0])
             assert otpush.cli.main(argv + ["--out", out]) == 0, argv
             assert not scipy_loaded(), (argv, scipy_loaded())
+            assert "numpy.ma" not in sys.modules, argv
 
     # the LP reference still works, loading scipy.sparse and
     # scipy.optimize itself
