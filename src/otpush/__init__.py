@@ -11,7 +11,7 @@ Modules
                        singular-set covering and integral bounds.
 ``pcost_maps``         |z|^p cost machinery: gradient inverse with a
                        certified Holder modulus, c-concave potentials,
-                       transport maps, local image-diameter bounds.
+                       transport maps.
 ``pushforward``        pushforwards through (possibly singular) transport
                        maps, selection policies, barycentric interpolants,
                        potentials from discrete plans.
@@ -33,9 +33,8 @@ from .experiments import (BoundViolationError, ExperimentReport, SweepConfig,
 from .geometry_measures import (DiscreteMeasure, Domain, Measure1D,
                                 discretize, measure_from_json, uniform_grid,
                                 unit_ball_volume, wasserstein_1d)
-from .pcost_maps import (BoundaryEscapeError, CConcavePotential,
-                         convex_to_phi, diam_partial_c, grad_xi_p,
-                         grad_xi_p_inverse, phi_to_convex)
+from .pcost_maps import (BoundaryEscapeError, CConcavePotential, grad_xi_p,
+                         grad_xi_p_inverse)
 from .pushforward import (PushforwardResult, SelectionPolicy, lot_interpolant,
                           potential_from_discrete_ot, pushforward_convex,
                           pushforward_tmap)
@@ -48,14 +47,14 @@ __all__ = [
     "ExperimentReport", "MaxAffineFunction", "Measure1D",
     "PushforwardResult", "SelectionPolicy", "SubdiffPolytope",
     "SweepConfig",
-    "audit_stability_bound", "bottleneck_solve", "convex_to_phi",
-    "cost_matrix", "covering_number_sigma", "diam_partial_c",
-    "diam_subdiff_ball", "discretize", "fit_holder_rate", "fit_loglog",
-    "grad_xi_p", "grad_xi_p_inverse", "holder_exponent", "integral_bound",
-    "integral_diam_estimate", "kink_ladder", "lot_interpolant",
-    "measure_from_json", "phi_to_convex", "potential_from_discrete_ot",
-    "pushforward_convex", "pushforward_measure1d", "pushforward_tmap",
-    "random_max_affine", "run_demo", "run_example", "run_figure1",
-    "run_singularity_suite", "solve", "stability_constant", "uniform_grid",
-    "unit_ball_volume", "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
+    "audit_stability_bound", "bottleneck_solve", "cost_matrix",
+    "covering_number_sigma", "diam_subdiff_ball", "discretize",
+    "fit_holder_rate", "fit_loglog", "grad_xi_p", "grad_xi_p_inverse",
+    "holder_exponent", "integral_bound", "integral_diam_estimate",
+    "kink_ladder", "lot_interpolant", "measure_from_json",
+    "potential_from_discrete_ot", "pushforward_convex",
+    "pushforward_measure1d", "pushforward_tmap", "random_max_affine",
+    "run_demo", "run_example", "run_figure1", "run_singularity_suite",
+    "solve", "stability_constant", "uniform_grid", "unit_ball_volume",
+    "wasserstein", "wasserstein_1d", "verify_lemma_diam_l1",
 ]

@@ -434,14 +434,18 @@ def _canonical_duals(gap, v):
 def _solve_assignment(cost, w_s, counts):
     """Uniform source, target capacities ``counts`` (the target masses in
     units of 1/n): an exact assignment, with the canonical target duals of
-    ``_canonical_duals``."""
+    ``_canonical_duals``.
+
+    The duals are checked once, by ``solve``'s ``_check_duals`` on the full
+    supports, whose slack matrix contains this one.  Its tolerance 1e-9 (1
+    + max |full|) is no looser than 1e-8 (1 + max |cost|) while max |full|
+    <= 10 max |cost| + 9, which holds when no zero-weight point is dropped
+    (full is then cost).  A dropped zero-weight point far from the rest
+    can break that: a slack on the kept points down to -1e-9 (1 + max
+    |full|) then passes."""
     n = cost.shape[0]
     assign, v = _assign_to_targets(cost, counts)
     u = cost[np.arange(n), assign] - v[assign]
-    slack = cost - u[:, None]
-    slack -= v
-    if slack.min() < -1e-8 * (1.0 + np.abs(cost).max()):
-        raise SolverError(f"dual recovery infeasible by {-slack.min()}")
     i = np.arange(n, dtype=np.int64)
     return i, assign.astype(np.int64), w_s.copy(), u, v
 

@@ -21,8 +21,9 @@ from otpush.convex_analysis import (_actives, _cell_active, _cell_edges, _disc_g
                                     _pairwise_diam, _scan_axis, _singular)
 from otpush.experiments import random_max_affine
 from otpush.geometry_measures import DiscreteMeasure, Domain
-from otpush.pcost_maps import convex_to_phi, diam_partial_c
 from otpush.pushforward import pushforward_convex
+
+from c_partner import convex_to_phi, diam_partial_c
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -342,6 +342,29 @@ def test_verify_rejects_infeasible_duals():
         _verify(DualPotentials(phi, duals.phi_c, 2.0), coupling)
 
 
+def test_solve_rejects_infeasible_assignment_duals(monkeypatch):
+    # the assignment engine does not check its own duals: raising one
+    # target's dual keeps every plan edge tight and the dual value equal,
+    # and solve's one certificate rejects it
+    rng = np.random.default_rng(59)
+    dom = Domain.ball(np.zeros(2), 2.0)
+    mu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (8, 2)), np.full(8, 1 / 8), dom)
+    nu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (4, 2)), np.full(4, 1 / 4), dom)
+    solve(mu, nu, 2.0)
+    canonical, calls = discrete_ot._canonical_duals, []
+
+    def raised(gap, v):
+        calls.append(1)
+        dist = canonical(gap, v)
+        dist[2] += 1.0
+        return dist
+
+    monkeypatch.setattr(discrete_ot, "_canonical_duals", raised)
+    with pytest.raises(AssertionError, match="dual infeasibility"):
+        solve(mu, nu, 2.0)
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # assignment engine: unit sources, integer target capacities
 # ---------------------------------------------------------------------------
