@@ -14,9 +14,8 @@ Engines
 * ``_solve_assignment`` — a uniform source whose target masses are integer
                           multiples of 1/n: successive shortest paths on
                           the K-node target graph, each row moved whole, so
-                          the plan is an exact unsplit assignment; target
-                          duals are the shortest distances from target 0 on
-                          that graph.
+                          the plan is an exact unsplit assignment; the target
+                          duals are the search's own node potentials.
 * ``_solve_ssp``        — every other instance: in-house successive-
                           shortest-paths min-cost flow (NumPy kernel, see
                           ``_kernels``).  A kernel failure (iteration cap or
@@ -361,8 +360,8 @@ def _assign_to_targets(cost, counts):
     (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9), the rows assigned to a
     target collapsed into its gap row (Bertsekas-Castanon 1989).  Every row
     always sits at an arg-min of ``cost[i] - v``, so the assignment is
-    optimal once no target is over-full.  Returns the assignment and its
-    canonical target duals.
+    optimal once no target is over-full.  Returns the assignment and v,
+    optimal target duals for it.
     """
     m = cost.shape[1]
     v = np.zeros(m)
@@ -383,7 +382,7 @@ def _assign_to_targets(cost, counts):
         v = v + _price_step(reduced, assign, load, counts, raise_under)
         reduced = cost - v
     excess, v, assign, load = best
-    gap = _gap_graph(cost, assign)
+    gap = _gap_graph(cost, assign) if excess else None
     while excess:
         d, pred, root, _ = _dijkstra(_reduced(gap, v), np.flatnonzero(load > counts))
         ends = np.flatnonzero((load < counts) & np.isfinite(d))
@@ -413,13 +412,15 @@ def _assign_to_targets(cost, counts):
         load[root[ends]] -= 1
         excess -= ends.size
         gap[used] = _gap_rows(cost, assign, used)
-    return assign, _canonical_duals(gap, v)
+    return assign, v
 
 
 def _canonical_duals(gap, v):
-    """Shortest distances from target 0 on the gap graph: one Dijkstra under
-    weights reduced by potentials v finds the shortest-path tree, and the
-    raw gap weights are summed down it in pop order."""
+    """Shortest distances from target 0 on the gap graph, the target duals
+    fixed by the assignment alone: one Dijkstra under weights reduced by
+    feasible potentials v finds the shortest-path tree, and the raw gap
+    weights are summed down it in pop order.  Only
+    ``pushforward.potential_from_discrete_ot`` asks for them."""
     m = len(v)
     _, pred, _, order = _dijkstra(_reduced(gap, v), [0])
     if (pred[1:] < 0).any():
@@ -433,16 +434,12 @@ def _canonical_duals(gap, v):
 
 def _solve_assignment(cost, w_s, counts):
     """Uniform source, target capacities ``counts`` (the target masses in
-    units of 1/n): an exact assignment, with the canonical target duals of
-    ``_canonical_duals``.
+    units of 1/n): an exact assignment, with the node potentials of
+    ``_assign_to_targets`` as target duals and each source's c-transform.
 
-    The duals are checked once, by ``solve``'s ``_check_duals`` on the full
-    supports, whose slack matrix contains this one.  Its tolerance 1e-9 (1
-    + max |full|) is no looser than 1e-8 (1 + max |cost|) while max |full|
-    <= 10 max |cost| + 9, which holds when no zero-weight point is dropped
-    (full is then cost).  A dropped zero-weight point far from the rest
-    can break that: a slack on the kept points down to -1e-9 (1 + max
-    |full|) then passes."""
+    Each row sits at an arg-min of ``cost[i] - v`` and u is that minimum,
+    so the duals are feasible and tight up to rounding; ``solve``'s
+    ``_check_duals`` and duality-gap test certify them."""
     n = cost.shape[0]
     assign, v = _assign_to_targets(cost, counts)
     u = cost[np.arange(n), assign] - v[assign]

@@ -37,13 +37,6 @@ class BoundaryEscapeError(RuntimeError):
     """The transported point left the closed domain ball."""
 
 
-def _check_escape(targets: np.ndarray, R: float):
-    """BoundaryEscapeError unless every image row lies within R + 1e-8."""
-    worst = np.linalg.norm(targets, axis=1).max()
-    if worst > R + 1e-8:
-        raise BoundaryEscapeError(f"image point at radius {worst} escapes the ball of radius {R}")
-
-
 def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt((z * z).sum(axis=-1, keepdims=True))
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope, _actives, _singular
-from .discrete_ot import Coupling, _gap_graph, cost_matrix, solve
+from .discrete_ot import Coupling, _canonical_duals, _gap_graph, cost_matrix, solve
 from .geometry_measures import DiscreteMeasure, Domain
 from .geometry_measures import discretize  # noqa: F401  perfbench patch target (ROADMAP 1c)
-from .pcost_maps import CConcavePotential, _check_escape, grad_xi_p_inverse
+from .pcost_maps import BoundaryEscapeError, CConcavePotential, grad_xi_p_inverse
 
 __all__ = [
     "SelectionPolicy",
@@ -151,7 +151,9 @@ def pushforward_tmap(potential: CConcavePotential, rho: DiscreteMeasure,
     subdifferential, the hull of C x minus the active piece gradients, and
     the image is x - (grad xi_p)^{-1}(C x - g); when g is a polytope vertex
     this is snapped back to the matching atom so that vertex selections
-    stay exact.
+    stay exact.  An image outside the domain ball, by the tolerance of
+    ``Domain.contains`` that the image measure also applies, raises
+    ``BoundaryEscapeError``.
     """
     R = potential.R
     image_domain = Domain.ball(np.zeros(rho.dim), R)
@@ -171,7 +173,10 @@ def pushforward_tmap(potential: CConcavePotential, rho: DiscreteMeasure,
         policy, targets, np.flatnonzero(mask.sum(axis=1) > 1),
         lambda i: [potential.piece_gradients(x[i], np.flatnonzero(mask[i]))],
         lambda i, grads: C * x[i][None, :] - grads[0], image)
-    _check_escape(targets, R)
+    inside = image_domain.contains(targets)
+    if not inside.all():
+        raise BoundaryEscapeError(
+            f"image point {targets[~inside][0]} escapes the ball of radius {R}")
     return _bundle(rho, targets, hits, image_domain)
 
 
@@ -214,37 +219,39 @@ def potential_from_discrete_ot(rho: DiscreteMeasure, mu: DiscreteMeasure) -> Max
     Solves OT(rho, mu) for cost |x-y|^2 and returns the max-affine function
     x -> max_j (<y_j, x> + (v_j - |y_j|^2)/2) built from target-side dual
     values v, so that its gradient pushes each rho-atom to its coupled
-    target.  Solver duals are extreme points of the dual optimal face and
-    often leave spurious ties at grid points; when the plan assigns every
-    source to a single target, v is recentered to the max-margin point of
-    the face (still exact optimal duals), making every argmax strict.
+    target.  The dual policy is decided here: when the plan sends every
+    source whole to one target, whichever engine found it, v depends on
+    the plan's gap graph alone, the max-margin point of the dual optimal
+    face (``_max_margin_duals``; every argmax strict) or, with no margin,
+    the canonical duals (``_canonical_duals``).  A split plan keeps the
+    solver's duals.
     """
     mu_pos = mu.drop_zero_weights()[0]
     coupling, _, duals = solve(rho, mu_pos, p=2.0)
     v = duals.phi_c
-    ii, jj = coupling.i, coupling.j
-    if np.array_equal(ii, np.arange(len(rho))):  # ``Coupling`` sorts i
-        v_centered = _max_margin_duals(cost_matrix(rho.points, mu_pos.points, 2.0), jj,
-                                       len(mu_pos))
-        if v_centered is not None:
-            v = v_centered
+    if np.array_equal(coupling.i, np.arange(len(rho))):  # ``Coupling`` sorts i
+        gap = _gap_graph(cost_matrix(rho.points, mu_pos.points, 2.0), coupling.j)
+        v = _max_margin_duals(gap)
+        if v is None:
+            v = _canonical_duals(gap, duals.phi_c)
     slopes = mu_pos.points
     intercepts = (v - (mu_pos.points ** 2).sum(axis=1)) / 2.0
     return MaxAffineFunction(slopes, intercepts)
 
 
-def _max_margin_duals(C: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray | None:
+def _max_margin_duals(gap: np.ndarray) -> np.ndarray | None:
     """Target duals v with every source preferring its assigned target by the
     largest uniform margin, or None when the assignment admits no margin.
 
     The constraints are v_b - v_a <= gap(a, b) := min over sources assigned
-    to a of C[i, b] - C[i, a] (``discrete_ot._gap_graph``); the best margin
-    is half the minimum cycle mean of the gap digraph (Karp), and v comes
-    from Bellman-Ford distances under the margin-reduced weights.
+    to a of C[i, b] - C[i, a], the assignment's gap graph, whose diagonal is
+    set to inf here; the best margin is half the minimum cycle mean of the
+    gap digraph (Karp), and v comes from Bellman-Ford distances under the
+    margin-reduced weights.
     """
+    K = len(gap)
     if K == 1:
         return np.zeros(1)
-    gap = _gap_graph(C, assign)
     np.fill_diagonal(gap, np.inf)
     scale = 1.0 + np.abs(gap[np.isfinite(gap)]).max()
     big = 4.0 * scale

@@ -13,7 +13,8 @@ from scipy.sparse.csgraph import (dijkstra, maximum_bipartite_matching, maximum_
 
 from otpush import discrete_ot
 from otpush.discrete_ot import (MASS_SCALE, Coupling, DualPotentials,
-                                SolverError, _check_duals, _dijkstra, _gap_graph,
+                                SolverError, _canonical_duals, _check_duals,
+                                _dijkstra, _gap_graph,
                                 _gap_rows,
                                 _scaled_units,
                                 _unit_bounds, _solve_assignment, _solve_highs,
@@ -198,7 +199,7 @@ def test_ssp_solves_general_weights_past_120k_cells():
 def test_auto_engine_routes_tiny_target_weight_to_ssp(monkeypatch):
     # 10 * 1e-15 rounds to a zero count, so the targets are not integral
     # multiples of the uniform source weight and the assignment engine,
-    # whose canonical duals start from target 0, must not be chosen
+    # which would ship target 0 no mass at all, must not be chosen
     rng = np.random.default_rng(17)
     mu = _m1(rng.uniform(-1, 1, 10), np.full(10, 0.1))
     nu = _m1(rng.uniform(-1, 1, 3), [1e-15, 0.5, 0.5 - 1e-15])
@@ -344,25 +345,45 @@ def test_verify_rejects_infeasible_duals():
 
 def test_solve_rejects_infeasible_assignment_duals(monkeypatch):
     # the assignment engine does not check its own duals: raising one
-    # target's dual keeps every plan edge tight and the dual value equal,
-    # and solve's one certificate rejects it
+    # target's potential keeps every plan edge tight and the dual value
+    # equal, and solve's one certificate rejects it
     rng = np.random.default_rng(59)
     dom = Domain.ball(np.zeros(2), 2.0)
     mu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (8, 2)), np.full(8, 1 / 8), dom)
     nu = DiscreteMeasure(rng.uniform(-0.7, 0.7, (4, 2)), np.full(4, 1 / 4), dom)
     solve(mu, nu, 2.0)
-    canonical, calls = discrete_ot._canonical_duals, []
+    engine, calls = discrete_ot._assign_to_targets, []
 
-    def raised(gap, v):
+    def raised(cost, counts):
         calls.append(1)
-        dist = canonical(gap, v)
-        dist[2] += 1.0
-        return dist
+        assign, v = engine(cost, counts)
+        v[2] += 1.0
+        return assign, v
 
-    monkeypatch.setattr(discrete_ot, "_canonical_duals", raised)
+    monkeypatch.setattr(discrete_ot, "_assign_to_targets", raised)
     with pytest.raises(AssertionError, match="dual infeasibility"):
         solve(mu, nu, 2.0)
     assert calls == [1]
+
+
+def test_square_assignment_with_no_excess_runs_no_dijkstra(monkeypatch):
+    # every source's nearest target is a distinct one, so the price passes
+    # leave no excess: no augmenting path, and no search for canonical duals
+    rng = np.random.default_rng(61)
+    dom = Domain.ball(np.zeros(2), 2.0)
+    X = rng.uniform(-0.7, 0.7, (40, 2))
+    Y = X + rng.uniform(-1e-3, 1e-3, X.shape)
+    assert (np.sort(cost_matrix(X, Y, 2.0).argmin(axis=1)) == np.arange(40)).all()
+    dijkstra, calls = discrete_ot._dijkstra, []
+
+    def counted(W, sources):
+        calls.append(1)
+        return dijkstra(W, sources)
+
+    monkeypatch.setattr(discrete_ot, "_dijkstra", counted)
+    wasserstein(DiscreteMeasure(X, np.full(40, 1 / 40), dom),
+                DiscreteMeasure(Y, np.full(40, 1 / 40), dom), 2.0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +414,15 @@ def _check_assignment_engine(cost, counts, generic):
     assert slack.min() >= -1e-12 * scale
     assert np.abs(slack[i, j]).max() <= 1e-12 * scale
     assert (u.sum() + v @ counts) / n == pytest.approx(value, abs=1e-12 * scale)
-    # the target duals are the canonical ones: shortest distances from
+    # the canonical duals found under the engine's: shortest distances from
     # target 0 on the gap graph
     gap = _gap_graph(cost, j)
+    canonical = _canonical_duals(gap, v)
     np.fill_diagonal(gap, 0.0)
     graph = np.ma.masked_array(np.where(np.isfinite(gap), gap, 0.0),
                                mask=~np.isfinite(gap))
     dist = shortest_path(graph, method="BF", indices=0)
-    assert np.abs(v - dist).max() <= 1e-12 * scale
+    assert np.abs(canonical - dist).max() <= 1e-12 * scale
 
 
 def _capacities(rng, n, m):

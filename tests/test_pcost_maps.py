@@ -127,10 +127,14 @@ def test_map_agrees_with_gradient_formula(p):
 
 
 def test_boundary_escape_detection():
-    # an atom outside the domain ball is an escaping image
-    phi = CConcavePotential(np.array([[1.5], [-0.5]]), np.zeros(2), 2.0, 1.0)
-    with pytest.raises(BoundaryEscapeError):
-        _push_dirac(phi, 0.9)
+    # an atom outside the domain ball is an escaping image; the image
+    # measure's own containment tolerance, 1e-9, decides
+    for atom in (1.5, 1.0 + 5e-9):
+        phi = CConcavePotential(np.array([[atom], [-0.5]]), np.zeros(2), 2.0, 1.0)
+        with pytest.raises(BoundaryEscapeError):
+            _push_dirac(phi, 0.9)
+    phi = CConcavePotential(np.array([[1.0 + 5e-10], [-0.5]]), np.zeros(2), 2.0, 1.0)
+    assert _push_dirac(phi, 0.9).image.points[0, 0] == 1.0 + 5e-10
 
 
 # ---------------------------------------------------------------------------

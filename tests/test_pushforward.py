@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from otpush import pushforward
 from otpush.convex_analysis import (MaxAffineFunction, SubdiffPolytope, _pairwise_diam,
                                     _singular)
 from otpush.discrete_ot import bottleneck_solve, wasserstein
-from otpush.experiments import pushforward_measure1d
+from otpush.experiments import _integer_count_weights, _pixel_cloud, pushforward_measure1d
 from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D,
                                       uniform_grid, wasserstein_1d)
 from otpush.pcost_maps import CConcavePotential
@@ -299,6 +300,38 @@ def test_fitted_potential_roundtrip_residual():
     assert np.abs(img.weights[order_img] - muK.weights[order_tgt]).max() <= 1e-12
     # W2 amplifies an O(1e-15) mass defect to its square root, no further
     assert wasserstein(res.image, muK, 2.0) <= 1e-6
+
+
+def test_fit_searches_canonical_duals_only_without_margin(monkeypatch):
+    # the max-margin recentring declines on both built-in figure1 targets at
+    # grid 16 and succeeds on a seeded 8-atom target; only a declined fit
+    # falls back to the canonical duals, once
+    declined, calls = [], []
+    margin, canonical = pushforward._max_margin_duals, pushforward._canonical_duals
+
+    def recorded(gap):
+        v = margin(gap)
+        declined.append(v is None)
+        return v
+
+    def counted(gap, v):
+        calls.append(1)
+        return canonical(gap, v)
+
+    monkeypatch.setattr(pushforward, "_max_margin_duals", recorded)
+    monkeypatch.setattr(pushforward, "_canonical_duals", counted)
+    box = Domain.box([0.0, 0.0], [1.0, 1.0])
+    grid16 = uniform_grid(box, 16)
+    for cloud in (_pixel_cloud(0.16, 0.44, 0.32, (0.30, 0.62), 0.0, 0.12),
+                  _pixel_cloud(0.50, 0.86, -0.30, (0.68, 0.38), 0.10, 0.17)):
+        weights = _integer_count_weights(len(cloud), len(grid16))
+        potential_from_discrete_ot(grid16, DiscreteMeasure(cloud, weights, box))
+    assert declined == [True, True] and calls == [1, 1]
+    rng = np.random.default_rng(31)
+    counts = rng.multinomial(900, np.full(8, 1 / 8))
+    mu = DiscreteMeasure(rng.uniform(-0.45, 0.45, (8, 2)), counts / 900, BOX2)
+    potential_from_discrete_ot(uniform_grid(BOX2, 30), mu)
+    assert declined == [True, True, False] and calls == [1, 1]
 
 
 # ---------------------------------------------------------------------------
