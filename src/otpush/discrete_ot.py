@@ -77,6 +77,9 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     """
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch: points of dimension {X.shape[1]} "
+                         f"against {Y.shape[1]}")
     d2 = (X[:, 0, None] - Y[None, :, 0]) ** 2
     for k in range(1, X.shape[1]):
         dk = X[:, k, None] - Y[None, :, k]
@@ -240,19 +243,10 @@ def _integral_multiples(w_t, n):
 
 def _gap_rows(cost, assign, picked):
     """The rows of the gap graph (see ``_gap_graph``) for the targets in
-    the boolean mask ``picked``.
-
-    When every picked target holds exactly one row (a K = n permutation),
-    the row differences are returned as they are: the minimum over a
-    one-row group is that row, so this is bit for bit what
-    ``np.minimum.reduceat`` gives, without the ``inf`` buffer."""
+    the boolean mask ``picked``."""
     rows = np.flatnonzero(picked[assign])
     rows = rows[np.argsort(assign[rows], kind="stable")]
     size = np.bincount(assign[rows], minlength=len(picked))[picked]
-    if (size == 1).all():
-        gap = cost[rows]
-        gap -= cost[rows, assign[rows]][:, None]
-        return gap
     # the buffer before the differences: the other order measured about
     # 0.06 MiB more peak RSS on the benchmark's fit workload
     gap = np.full((size.size, cost.shape[1]), np.inf)

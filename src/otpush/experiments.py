@@ -84,6 +84,12 @@ def holder_exponent(q: float, r: float) -> float:
     return r / (q * (r + 1.0))
 
 
+def _bounds(cfg: SweepConfig, c: float, w_in: float, w_inf: float) -> tuple[float, float]:
+    """Right-hand sides of the stability inequality: the rate form
+    c W_r^{r/(q(r+1))} and the sup form c W_inf^{1/q}."""
+    return c * w_in ** holder_exponent(cfg.q, cfg.r), c * w_inf ** (1.0 / cfg.q)
+
+
 def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope of log y against log x, with its standard error.
 
@@ -351,7 +357,7 @@ def _example_13(cfg: SweepConfig) -> ExperimentReport:
         w_out = wasserstein_1d(Measure1D.from_discrete(img),
                                Measure1D.from_discrete(img_dirac), cfg.q)
         c = stability_constant(1, cfg.p, cfg.q, 1.0, 1.0 / eps)
-        bound = c * w_in ** expo
+        bound = _bounds(cfg, c, w_in, 0.0)[0]  # the rate form; no W_inf column here
         rho_d = discretize(rho, grid)
         w_in_grid = wasserstein(rho_d, dirac_dm, cfg.r)
         img_grid = pushforward_tmap(pot, rho_d).image
@@ -386,7 +392,6 @@ def _atom_pinch_rows(cfg: SweepConfig, eps_grid: tuple[float, ...]) -> np.ndarra
     base = Measure1D.from_pieces(dom, [(-0.5, 0.5, 1.0)])
     img_base = Measure1D.from_discrete(pushforward_measure1d(pot, base))
     c = stability_constant(1, cfg.p, cfg.q, 1.0, 1.0)
-    expo = holder_exponent(cfg.q, cfg.r)
     rows = []
     for eps in eps_grid:
         pinched = Measure1D.lebesgue_on(
@@ -395,8 +400,8 @@ def _atom_pinch_rows(cfg: SweepConfig, eps_grid: tuple[float, ...]) -> np.ndarra
         w_inf = wasserstein_1d(base, pinched, math.inf)
         img = Measure1D.from_discrete(pushforward_measure1d(pot, pinched))
         w_out = wasserstein_1d(img_base, img, cfg.q)
-        rows.append([eps, w_in, w_out, c * w_in ** expo,
-                     w_inf, c * w_inf ** (1.0 / cfg.q)])
+        bound_r, bound_inf = _bounds(cfg, c, w_in, w_inf)
+        rows.append([eps, w_in, w_out, bound_r, w_inf, bound_inf])
     return np.asarray(rows)
 
 
@@ -555,17 +560,23 @@ def _collapse_perturbation(rng: np.random.Generator, rho: Measure1D,
     return Measure1D.from_pieces(dom, sorted(new_iv), atoms), w
 
 
-def _audit_check(w_out: float, bound_r: float, bound_inf: float,
-                 dump: dict) -> None:
+def _audit_row(cfg: SweepConfig, dim: int, kind: int, eps: float, c: float,
+               w_in: float, w_inf: float, w_out: float, /, **instance) -> list[float]:
+    """The report row of one audit instance, checked against both bounds:
+    NaN raises RuntimeError and a violation BoundViolationError, each with
+    one dump, the instance fields plus the keys common to every kind."""
+    bound_r, bound_inf = _bounds(cfg, c, w_in, w_inf)
+    dump = {**instance, "dim": dim, "kind": kind, "p": cfg.p, "q": cfg.q, "r": cfg.r,
+            "w_in": w_in, "w_inf": w_inf, "w_out": w_out,
+            "bound_r": bound_r, "bound_inf": bound_inf, "seed": cfg.seed}
     if any(math.isnan(v) for v in (w_out, bound_r, bound_inf)):
         raise RuntimeError("NaN in audit instance:\n"
                            + json.dumps(dump, sort_keys=True, default=_json_default))
-    if w_out > bound_r:
-        raise BoundViolationError(
-            f"rate-form stability bound violated: {w_out!r} > {bound_r!r}", dump)
-    if w_out > bound_inf:
-        raise BoundViolationError(
-            f"sup-form stability bound violated: {w_out!r} > {bound_inf!r}", dump)
+    for form, bound in (("rate", bound_r), ("sup", bound_inf)):
+        if w_out > bound:
+            raise BoundViolationError(
+                f"{form}-form stability bound violated: {w_out!r} > {bound!r}", dump)
+    return [float(dim), float(kind), eps, w_in, w_out, bound_r, w_inf, bound_inf]
 
 
 def _audit_one_1d(rng: np.random.Generator, cfg: SweepConfig,
@@ -587,16 +598,10 @@ def _audit_one_1d(rng: np.random.Generator, cfg: SweepConfig,
     img_t = Measure1D.from_discrete(pushforward_measure1d(pot, rho_t))
     w_out = wasserstein_1d(img, img_t, cfg.q)
     c = stability_constant(1, cfg.p, cfg.q, 1.0, density_sup)
-    bound_r = c * w_in ** holder_exponent(cfg.q, cfg.r)
-    bound_inf = c * w_inf ** (1.0 / cfg.q)
-    dump = {"dim": 1, "kind": kind, "p": cfg.p, "q": cfg.q, "r": cfg.r,
-            "atoms": pot.atoms, "offsets": pot.offsets,
-            "rho_intervals": rho.intervals, "rho_atoms": rho.atoms,
-            "pert_intervals": rho_t.intervals, "pert_atoms": rho_t.atoms,
-            "w_in": w_in, "w_inf": w_inf, "w_out": w_out,
-            "bound_r": bound_r, "bound_inf": bound_inf, "seed": cfg.seed}
-    _audit_check(w_out, bound_r, bound_inf, dump)
-    return [1.0, float(kind), eps, w_in, w_out, bound_r, w_inf, bound_inf]
+    return _audit_row(cfg, 1, kind, eps, c, w_in, w_inf, w_out,
+                      atoms=pot.atoms, offsets=pot.offsets,
+                      rho_intervals=rho.intervals, rho_atoms=rho.atoms,
+                      pert_intervals=rho_t.intervals, pert_atoms=rho_t.atoms)
 
 
 def _jitter_into_ball(rng: np.random.Generator, points: np.ndarray,
@@ -626,15 +631,9 @@ def _audit_one_2d(rng: np.random.Generator, cfg: SweepConfig, kind: int,
     w_out = wasserstein(img, img_t, cfg.q)
     density_sup = 1.0 / unit_ball_volume(2)
     c = stability_constant(2, cfg.p, cfg.q, pot.R, density_sup)
-    bound_r = c * w_in ** holder_exponent(cfg.q, cfg.r)
-    bound_inf = c * w_inf ** (1.0 / cfg.q)
-    dump = {"dim": 2, "kind": kind, "p": cfg.p, "q": cfg.q, "r": cfg.r,
-            "atoms": pot.atoms, "offsets": pot.offsets, "R": pot.R,
-            "grid_step": h, "jitter": eps,
-            "w_in": w_in, "w_inf": w_inf, "w_out": w_out,
-            "bound_r": bound_r, "bound_inf": bound_inf, "seed": cfg.seed}
-    _audit_check(w_out, bound_r, bound_inf, dump)
-    return [2.0, float(kind), eps, w_in, w_out, bound_r, w_inf, bound_inf]
+    return _audit_row(cfg, 2, kind, eps, c, w_in, w_inf, w_out,
+                      atoms=pot.atoms, offsets=pot.offsets, R=pot.R,
+                      grid_step=h, jitter=eps)
 
 
 def audit_stability_bound(cfg: SweepConfig) -> ExperimentReport:
@@ -664,12 +663,9 @@ def audit_stability_bound(cfg: SweepConfig) -> ExperimentReport:
         h = 2.0 / res
         for i in range(cfg.count_2d):
             rows.append(_audit_one_2d(rng, cfg, 0 if i == 0 else 3, rho_d, h))
-    for row in _atom_pinch_rows(cfg, cfg.eps_grid()):
-        eps, w_in, w_out, bound_r, w_inf, bound_inf = row
-        dump = {"dim": 1, "kind": 4, "eps": eps, "w_in": w_in, "w_out": w_out,
-                "bound_r": bound_r, "bound_inf": bound_inf, "seed": cfg.seed}
-        _audit_check(w_out, bound_r, bound_inf, dump)
-        rows.append([1.0, 4.0, eps, w_in, w_out, bound_r, w_inf, bound_inf])
+    c = stability_constant(1, cfg.p, cfg.q, 1.0, 1.0)  # as in _atom_pinch_rows
+    for eps, w_in, w_out, _, w_inf, _ in _atom_pinch_rows(cfg, cfg.eps_grid()).tolist():
+        rows.append(_audit_row(cfg, 1, 4, eps, c, w_in, w_inf, w_out, eps=eps))
     return ExperimentReport(
         scenario="stability",
         columns=("dim", "kind", "eps", "w_in", "w_out", "bound_r",

@@ -177,6 +177,9 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights length mismatch")
+        if pts.shape[1] != self.domain.dim:
+            raise ValueError(f"dimension mismatch: points of dimension {pts.shape[1]} "
+                             f"on a domain of dimension {self.domain.dim}")
         if np.isnan(pts).any():
             raise ValueError("NaN coordinates")
         if not (w >= -_MASS_TOL).all():

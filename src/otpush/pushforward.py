@@ -23,7 +23,7 @@ import numpy as np
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope, _actives, _singular
 from .discrete_ot import Coupling, _canonical_duals, _gap_graph, cost_matrix, solve
 from .geometry_measures import DiscreteMeasure, Domain
-from .geometry_measures import discretize  # noqa: F401  perfbench patch target (ROADMAP 1c)
+from .geometry_measures import discretize  # noqa: F401  perfbench patch target (ROADMAP direction 5)
 from .pcost_maps import BoundaryEscapeError, CConcavePotential, grad_xi_p_inverse
 
 __all__ = [
@@ -197,15 +197,16 @@ def lot_interpolant(phi0: MaxAffineFunction, phi1: MaxAffineFunction, t: float,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("interpolation parameter t must lie in [0, 1]")
+    if not phi0.dim == phi1.dim == rho.dim:
+        raise ValueError("dimension mismatch between potentials and measure")
     if t in (0.0, 1.0):
         return pushforward_convex(phi1 if t else phi0, rho, policy).image
     (m0, first0), (m1, first1) = (_actives(f.piece_values(rho.points)) for f in (phi0, phi1))
     g0, g1 = phi0.slopes[first0], phi1.slopes[first1]
     targets = np.where(np.all(g0 == g1, axis=1)[:, None], g0, (1.0 - t) * g0 + t * g1)
 
-    def minkowski(i, grads):
-        v0, v1 = (SubdiffPolytope(g).vertices for g in grads)
-        return ((1.0 - t) * v0[:, None, :] + t * v1[None, :, :]).reshape(-1, rho.dim)
+    def minkowski(i, grads):  # of the active slopes; the policy's polytope dedupes it
+        return ((1.0 - t) * grads[0][:, None] + t * grads[1][None]).reshape(-1, rho.dim)
 
     _select_singular(policy, targets, np.flatnonzero((m0.sum(1) > 1) | (m1.sum(1) > 1)),
                      lambda i: [phi0.slopes[m0[i]], phi1.slopes[m1[i]]], minkowski)

@@ -56,6 +56,12 @@ def _random_pair(rng, n, m, d=1, radius=1.5):
 # reference example and basic structure
 # ---------------------------------------------------------------------------
 
+def test_cost_matrix_rejects_a_dimension_mismatch():
+    # it summed the first coordinate only, into a (2, 3) matrix
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cost_matrix(np.zeros((2, 1)), np.ones((3, 2)), 2.0)
+
+
 def test_cost_matrix_matches_broadcast_reduction_bitwise():
     # the (n, m, d) broadcast form summed over its last axis: the same bits
     # while NumPy adds the short axis in order (d <= 7), the same values to
@@ -506,8 +512,8 @@ def test_assignment_engine_memory_stays_below_one_square_matrix():
 
 
 def _reduceat_gap_rows(cost, assign, picked):
-    """``_gap_rows`` without its one-row path: every picked target's
-    minimum by ``np.minimum.reduceat`` into an ``inf``-filled buffer."""
+    """``_gap_rows`` written out: every picked target's minimum by
+    ``np.minimum.reduceat`` into an ``inf``-filled buffer."""
     rows = np.flatnonzero(picked[assign])
     rows = rows[np.argsort(assign[rows], kind="stable")]
     size = np.bincount(assign[rows], minlength=len(picked))[picked]

@@ -9,13 +9,13 @@ import pytest
 
 from otpush import experiments
 from otpush.experiments import (BoundViolationError, ExperimentReport,
-                                SweepConfig, _audit_check, audit_stability_bound,
+                                SweepConfig, _audit_row, audit_stability_bound,
                                 fit_holder_rate, fit_loglog, holder_exponent,
                                 pushforward_measure1d, random_max_affine,
                                 run_demo, run_example, run_figure1,
                                 run_singularity_suite, stability_constant)
 from otpush.geometry_measures import (DiscreteMeasure, Domain, Measure1D, discretize,
-                                      wasserstein_1d)
+                                      uniform_grid, wasserstein_1d)
 from otpush.pcost_maps import CConcavePotential
 from otpush.pushforward import pushforward_tmap
 
@@ -217,14 +217,51 @@ def test_audit_1d_w_inf_against_closed_forms(monkeypatch):
 
 
 def test_audit_check_raises_on_violation():
+    # q = r = 2: with c = 1 and w_in = 1 the rate bound is 1; w_inf = 9
+    # makes the sup bound 3
     with pytest.raises(BoundViolationError) as exc:
-        _audit_check(2.0, 1.0, 3.0, {"seed": 7, "eps": 0.1})
+        _audit_row(SweepConfig(seed=7), 1, 1, 0.1, 1.0, 1.0, 9.0, 2.0, eps=0.1)
     assert exc.value.dump["seed"] == 7
     assert "2.0" in str(exc.value)
     with pytest.raises(RuntimeError):
-        _audit_check(math.nan, 1.0, 1.0, {"seed": 1})
-    # within both bounds: silent
-    _audit_check(0.5, 1.0, 1.0, {})
+        _audit_row(SweepConfig(seed=1), 1, 1, 0.1, 1.0, 1.0, 1.0, math.nan)
+    # within both bounds: silent, and the row in report order
+    assert _audit_row(SweepConfig(), 2, 3, 0.1, 1.0, 1.0, 1.0, 0.5) == [
+        2.0, 3.0, 0.1, 1.0, 0.5, 1.0, 1.0, 1.0]
+
+
+_DUMP_KEYS = {"dim", "kind", "p", "q", "r", "w_in", "w_inf", "w_out",
+              "bound_r", "bound_inf", "seed"}
+
+
+def test_every_audit_kind_dumps_the_common_keys(monkeypatch):
+    """With a constant of 1e-300 every kind with a positive output distance
+    fails, and each dump carries the common keys with the row's values.
+    Kind 0 (identical measures) has w_out = 0 = c * 0 for any constant, so
+    its rows still pass."""
+    monkeypatch.setattr(experiments, "stability_constant", lambda *args: 1e-300)
+    cfg = SweepConfig(p=2.0, q=3.0, r=2.5, seed=5, count_1d=1, count_2d=0)
+    rng = np.random.default_rng(cfg.seed)
+    grid = uniform_grid(Domain.ball(np.zeros(2), 1.0), 12)
+    rho_d = DiscreteMeasure(grid.points, grid.weights, Domain.ball(np.zeros(2), 2.0))
+    runs = {(1, 1): lambda: experiments._audit_one_1d(rng, cfg, 1),
+            (1, 2): lambda: experiments._audit_one_1d(rng, cfg, 2),
+            (2, 3): lambda: experiments._audit_one_2d(rng, cfg, 3, rho_d, 2.0 / 12),
+            # count_1d = 1 runs one kind-0 row, then the atom-pinch rows
+            (1, 4): lambda: audit_stability_bound(cfg)}
+    for (dim, kind), run in runs.items():
+        with pytest.raises(BoundViolationError, match="rate-form") as exc:
+            run()
+        dump = exc.value.dump
+        assert _DUMP_KEYS <= set(dump), (kind, _DUMP_KEYS - set(dump))
+        assert (dump["dim"], dump["kind"], dump["seed"]) == (dim, kind, 5)
+        assert (dump["p"], dump["q"], dump["r"]) == (2.0, 3.0, 2.5)
+        assert dump["w_out"] > dump["bound_r"] > 0.0
+        assert dump["bound_r"] == 1e-300 * dump["w_in"] ** holder_exponent(3.0, 2.5)
+        assert dump["bound_inf"] == 1e-300 * dump["w_inf"] ** (1.0 / 3.0)
+    for row in (experiments._audit_one_1d(rng, cfg, 0),
+                experiments._audit_one_2d(rng, cfg, 0, rho_d, 2.0 / 12)):
+        assert row[4] == row[5] == row[7] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,14 @@ def test_discrete_measure_validation():
         DiscreteMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]), DOM)
 
 
+def test_discrete_measure_rejects_points_of_another_dimension():
+    # ``Domain.contains`` broadcasts, so 2D points passed on a 1D ball
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DiscreteMeasure(np.zeros((1, 2)), np.ones(1), Domain.ball(np.zeros(1), 1.0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DiscreteMeasure(np.zeros((1, 1)), np.ones(1), Domain.ball(np.zeros(2), 1.0))
+
+
 def test_discrete_measure_merged():
     m = DiscreteMeasure(np.array([[0.5], [0.5], [-0.5]]),
                         np.array([0.25, 0.25, 0.5]), DOM)

@@ -7,7 +7,7 @@ import pytest
 
 from otpush.convex_analysis import MaxAffineFunction, diam_subdiff_ball
 from otpush.discrete_ot import cost_matrix
-from otpush.geometry_measures import DiscreteMeasure, Domain
+from otpush.geometry_measures import DiscreteMeasure, Domain, uniform_grid
 from otpush.pcost_maps import (BoundaryEscapeError, CConcavePotential, grad_xi_p,
                                grad_xi_p_inverse)
 from otpush.pushforward import pushforward_tmap
@@ -135,6 +135,22 @@ def test_boundary_escape_detection():
             _push_dirac(phi, 0.9)
     phi = CConcavePotential(np.array([[1.0 + 5e-10], [-0.5]]), np.zeros(2), 2.0, 1.0)
     assert _push_dirac(phi, 0.9).image.points[0, 0] == 1.0 + 5e-10
+
+
+def test_tmap_rejects_atoms_of_another_dimension():
+    # 2D atoms on a 1D source gave an image of 2D points on a 1D domain
+    line = uniform_grid(Domain.ball(np.zeros(1), 1.0), 8)
+    phi2 = CConcavePotential(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.zeros(2), 2.0, 1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pushforward_tmap(phi2, line)
+
+
+def test_tmap_rejects_a_source_of_another_dimension():
+    # 1D atoms on a 2D source raised an IndexError
+    disc = uniform_grid(Domain.ball(np.zeros(2), 1.0), 8)
+    phi1 = CConcavePotential(np.array([[0.5], [-0.5]]), np.zeros(2), 2.0, 1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pushforward_tmap(phi1, disc)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,36 @@ def test_interpolant_endpoints_and_path():
         lot_interpolant(f0, f1, -0.1, grid30)
 
 
+def test_interpolant_rejects_potentials_of_another_dimension():
+    # it failed inside NumPy's matmul instead
+    f1 = MaxAffineFunction(np.array([[-1.0], [1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lot_interpolant(f1, f1, 0.5, uniform_grid(BOX2, 8))
+
+
+def test_interpolant_builds_one_polytope_per_singular_row(monkeypatch):
+    # the active slopes are combined directly and the policy's polytope
+    # dedupes them, so no polytope is built per factor; the kinks lie on
+    # both axes, which the odd grid's middle row and column hit
+    grid = uniform_grid(BOX2, 9)
+    f0 = MaxAffineFunction(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+    f1 = MaxAffineFunction(np.array([[0.0, -1.0], [0.0, 1.0]]), np.zeros(2))
+    built = []
+
+    class Counting(SubdiffPolytope):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(pushforward, "SubdiffPolytope", Counting)
+    lot_interpolant(f0, f1, 0.5, grid)
+    (m0, _), (m1, _) = (pushforward._actives(f.piece_values(grid.points)) for f in (f0, f1))
+    singular = sum(_singular(f0.slopes[m0[i]]) or _singular(f1.slopes[m1[i]])
+                   for i in range(len(grid)))
+    assert singular == 17
+    assert len(built) == singular
+
+
 # ---------------------------------------------------------------------------
 # conservation laws
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "otpush"
 
 _FAILURE = "failure path"
-_PATCH_TARGET = "perfbench patch target (ROADMAP 1c)"
+_PATCH_TARGET = "perfbench patch target (ROADMAP direction 5)"
 _ORACLE = "test oracle"
 # the bottleneck search runs a flow only when its bracket holds more than one
 # level or the instance is not uniform and square; its oracle is the
