@@ -52,12 +52,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .geometry_measures import _sorted_distinct, unit_ball_volume
+from .geometry_measures import _row_runs, _sorted_distinct, unit_ball_volume
 
 __all__ = [
     "MaxAffineFunction",
@@ -126,14 +127,12 @@ class MaxAffineFunction:
         return float(vals[0]) if single else vals
 
     # internal: cached upper envelope for 1D queries --------------------
+    @cached_property
     def _envelope(self):
         """(slopes, intercepts, breakpoints) of the upper envelope: pieces
         by slope, the largest intercept per slope, through ``_envelope_1d``."""
         if self.dim != 1:
             raise ValueError("envelope is a 1D structure")
-        cached = self.__dict__.get("_env")
-        if cached is not None:
-            return cached
         order = np.lexsort((-self.intercepts, self.slopes[:, 0]))
         s = self.slopes[order, 0]
         b = self.intercepts[order]
@@ -141,9 +140,7 @@ class MaxAffineFunction:
         keep[1:] = s[1:] > s[:-1]  # equal slopes: first (largest b) wins
         s, b = s[keep], b[keep]
         lead, cuts = _envelope_1d(len(s), lambda i, j: (b[i] - b[j]) / (s[j] - s[i]))
-        env = (s[lead], b[lead], np.array(cuts))
-        object.__setattr__(self, "_env", env)
-        return env
+        return s[lead], b[lead], np.array(cuts)
 
 
 def _envelope_1d(n: int, crossing) -> tuple[list[int], list[float]]:
@@ -164,7 +161,7 @@ def _envelope_1d(n: int, crossing) -> tuple[list[int], list[float]]:
 
 def breakpoints_1d(f: MaxAffineFunction) -> np.ndarray:
     """Kink locations of a 1D max-affine function, sorted ascending."""
-    return f._envelope()[2].copy()
+    return f._envelope[2].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +178,8 @@ class SubdiffPolytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.shape[0] == 0:
             raise ValueError("empty polytope")
-        # rows in lexicographic order, each run of ==-equal rows cut to its
-        # first row; the sort is stable, so of two rows that differ only in
-        # the sign of a zero the one given first stays
-        v = v[np.lexsort(v.T[::-1])]
-        keep = np.empty(len(v), dtype=bool)
-        keep[0] = True
-        np.any(v[1:] != v[:-1], axis=1, out=keep[1:])
-        object.__setattr__(self, "vertices", v[keep])
+        order, first = _row_runs(v)  # the first row given of each run stays
+        object.__setattr__(self, "vertices", v[order[first]])
 
     @property
     def dim(self) -> int:
@@ -263,15 +254,11 @@ def _singular(grads: np.ndarray) -> bool:
     return _pairwise_diam(grads) > _SING_TOL
 
 
-_VERTEX_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _vertex_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(k, 1)``, kept per k: building it takes longer than
     projecting onto a hull of a few vertices."""
-    if k not in _VERTEX_PAIRS:
-        _VERTEX_PAIRS[k] = np.triu_indices(k, 1)
-    return _VERTEX_PAIRS[k]
+    return np.triu_indices(k, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ def _vertex_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _active_run_1d(f: MaxAffineFunction, lo: np.ndarray, hi: np.ndarray):
     """Envelope index range [i_lo, i_hi] active on closed windows [lo, hi]."""
-    env_s, _, bp = f._envelope()
+    env_s, _, bp = f._envelope
     i_lo = np.searchsorted(bp, lo - _TIE_TOL, side="left")
     i_hi = np.searchsorted(bp, hi + _TIE_TOL, side="right")
     return env_s, i_lo, i_hi
@@ -788,7 +775,7 @@ def verify_lemma_diam_l1(f: MaxAffineFunction, x: np.ndarray, eta: float) -> tup
     lhs = diam_subdiff_ball(f, x, eta)
     beta = unit_ball_volume(f.dim)
     if f.dim == 1:
-        env_s, _, bp = f._envelope()
+        env_s, _, bp = f._envelope
         cuts = _sorted_distinct(np.concatenate(
             [[x[0] - 4 * eta], bp[(bp > x[0] - 4 * eta) & (bp < x[0] + 4 * eta)], [x[0] + 4 * eta]]))
         mids = 0.5 * (cuts[1:] + cuts[:-1])

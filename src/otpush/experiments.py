@@ -286,7 +286,7 @@ def pushforward_measure1d(pot: CConcavePotential, m: Measure1D) -> DiscreteMeasu
     order, the order of the per-atom loop it replaces, so the sums keep
     their bits.
     """
-    active, cuts = pot._cells_1d()
+    active, cuts = pot._cells_1d
     bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
     masses = np.zeros(len(active))
     for lo, hi, mass in m.intervals:
@@ -976,7 +976,7 @@ def run_demo(cfg: SweepConfig) -> ExperimentReport:
         rho_d = discretize(rho, grid)
         # pin one source atom exactly on a cell boundary so the singular
         # selection is actually exercised
-        cuts = [c for c in pot._cells_1d()[1] if abs(c) < 1.0]
+        cuts = [c for c in pot._cells_1d[1] if abs(c) < 1.0]
         pts, wts = rho_d.points, rho_d.weights
         if cuts:
             pts = np.vstack([pts, [[cuts[0]]]])

@@ -147,15 +147,40 @@ def _check_domains_match(a: "Domain", b: "Domain"):
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct entries of a NaN-free array, flattened.
 
-    ``np.unique(values)`` does the same sort and neighbour comparison, so
-    the bits match, down to which of an equal ``-0.0``/``0.0`` run survives
-    (the first after the sort); but NumPy 2.4's ``np.unique`` also imports
-    ``numpy.ma`` to ask whether the input is masked, 8-12 ms and about
-    1 MiB on the first call."""
+    NumPy's ``unique`` does the same sort and neighbour comparison, so the
+    bits match, down to which of an equal ``-0.0``/``0.0`` run survives (the
+    first after the sort), but in NumPy 2.4 it also imports ``numpy.ma``,
+    8-12 ms and about 1 MiB on the first call.  No caller needs an order,
+    so the sort is not stable: on the ~2e5 levels of ``bottleneck_solve``
+    ``np.sort`` takes 1.8 ms and a stable sort 33 ms."""
     ordered = np.sort(values, axis=None)
     keep = np.ones(ordered.shape, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of a NaN-free 2-D array's rows, first
+    column primary, and a mask in that order of the first row of each run of
+    ``==``-equal rows: NumPy's ``unique(axis=0)``, but of rows that differ
+    only in a zero's sign the one given first stays, on every host.  Row k
+    is in run ``inverse[k]`` for ``inverse[order] = cumsum(first) - 1``."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return order, first
+
+
+def _merge_rows(points: np.ndarray, weights: np.ndarray):
+    """The distinct points (``_row_runs``), their weights summed by
+    ``np.add.at`` in point order, and the row ``inverse[k]`` of point k."""
+    order, first = _row_runs(points)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    w = np.zeros(np.count_nonzero(first))
+    np.add.at(w, inverse, weights)
+    return points[order[first]], w, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +232,10 @@ class DiscreteMeasure:
     def merged(self) -> "DiscreteMeasure":
         """Merge coincident support points, summing weights (exact equality).
 
-        Points come out in sorted order.  One-column points take a flat
-        ``np.unique`` of the column, 5-7 times faster on 300 points than the
-        structured-row ``axis=0`` path that other dimensions take; both
-        sort the values and compare neighbours, so the points, the
-        weights and their summation order are the same, except that a
-        group holding both ``-0.0`` and ``0.0`` may keep the other zero."""
-        if self.dim == 1:
-            column, inverse = np.unique(self.points[:, 0], return_inverse=True)
-            pts = column[:, None]
-        else:
-            pts, inverse = np.unique(self.points, axis=0, return_inverse=True)
-        w = np.zeros(pts.shape[0])
-        np.add.at(w, inverse, self.weights)
+        One rule for every dimension (``_row_runs``): points in lexicographic
+        order, each the first given of its run of ``==``-equal points (of
+        ``-0.0`` and ``0.0`` the first stays), weights summed in point order."""
+        pts, w, _ = _merge_rows(self.points, self.weights)
         return DiscreteMeasure(pts, w, self.domain)
 
     def to_csv(self, path):
@@ -235,22 +251,18 @@ class DiscreteMeasure:
 # uniform grids
 # ---------------------------------------------------------------------------
 
-def _cell_centers(domain: Domain, resolution: int) -> np.ndarray:
-    """Cell centers of the grid of ``resolution`` cells per axis tiling the
-    domain's box, in C order, one row per cell."""
+def uniform_grid(domain: Domain, resolution: int) -> DiscreteMeasure:
+    """Uniform measure on the cell centers, in C order, of the
+    ``resolution``-per-axis grid over the domain's bounding box that lie in
+    the domain (a ball masks the cells whose centers fall outside it), each
+    of weight 1 / count."""
+    resolution = int(resolution)
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be at least 1, got {resolution}")
     lo, hi = domain.bounding_box()
     widths = (hi - lo) / resolution
     axes = [lo[a] + (np.arange(resolution) + 0.5) * widths[a] for a in range(domain.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def uniform_grid(domain: Domain, resolution: int) -> DiscreteMeasure:
-    """Uniform measure on the cell centers of the ``resolution``-per-axis
-    grid over the domain's bounding box that lie in the domain (a ball
-    masks the cells whose centers fall outside it), each of weight
-    1 / count."""
-    centers = _cell_centers(domain, int(resolution))
+    centers = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     centers = centers[domain.contains(centers, tol=0.0)]
     return DiscreteMeasure(centers, np.full(len(centers), 1.0 / len(centers)), domain)
 

@@ -19,6 +19,7 @@ derived quantity factors through this form, and is decided here once:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,20 +122,16 @@ class CConcavePotential:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return grad_xi_p(x[None, :] - self.atoms[idx], self.p)
 
+    @cached_property
     def _cells_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """Laguerre cells on the line, cached: the pieces that are the min
         somewhere, left to right, and the cuts between them."""
-        cached = self.__dict__.get("_cells")
-        if cached is not None:
-            return cached
         if self.dim != 1:
             raise ValueError("Laguerre cells on the line need a 1D potential")
         if not (np.diff(self.atoms[:, 0]) > 0.0).all():
             raise ValueError("atoms must be strictly increasing")
         lead, cuts = _envelope_1d(len(self.atoms), lambda i, j: _piece_crossing(self, i, j))
-        cells = (np.array(lead), np.array(cuts, dtype=float))
-        object.__setattr__(self, "_cells", cells)
-        return cells
+        return np.array(lead), np.array(cuts, dtype=float)
 
     def max_active_distance(self, n: int) -> float:
         """Largest |x - y_active(x)| over a grid on the domain ball.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex_analysis import MaxAffineFunction, SubdiffPolytope, _actives, _singular
 from .discrete_ot import Coupling, _canonical_duals, _gap_graph, cost_matrix, solve
-from .geometry_measures import DiscreteMeasure, Domain
+from .geometry_measures import DiscreteMeasure, Domain, _merge_rows
 from .geometry_measures import discretize  # noqa: F401  perfbench patch target (ROADMAP direction 5)
 from .pcost_maps import BoundaryEscapeError, CConcavePotential, grad_xi_p_inverse
 
@@ -115,12 +115,9 @@ def _select_singular(policy: SelectionPolicy | None, targets: np.ndarray,
 
 def _bundle(src: DiscreteMeasure, targets: np.ndarray, hits: int,
             image_domain: Domain) -> PushforwardResult:
-    uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse, src.weights)
-    image = DiscreteMeasure(uniq, w, image_domain)
-    coupling = Coupling(np.arange(len(src), dtype=np.int64),
-                        inverse.astype(np.int64), src.weights.copy(), src, image)
+    points, w, inverse = _merge_rows(targets, src.weights)
+    coupling = Coupling(np.arange(len(src), dtype=np.int64), inverse, src.weights.copy(), src,
+                        DiscreteMeasure(points, w, image_domain))
     return PushforwardResult(coupling, hits)
 
 

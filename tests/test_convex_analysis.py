@@ -113,7 +113,7 @@ def test_envelope_matches_dense_argmax():
         k = int(rng.integers(1, 12))
         f = MaxAffineFunction(rng.integers(-5, 6, (k, 1)).astype(float),
                               rng.normal(size=k))
-        env_s, env_b, bp = f._envelope()
+        env_s, env_b, bp = f._envelope
         assert len(bp) == len(env_s) - 1
         assert (np.diff(env_s) > 0).all() and (np.diff(bp) > 0).all()
         vals = f.piece_values(xs[:, None])

@@ -511,22 +511,19 @@ def test_assignment_engine_memory_stays_below_one_square_matrix():
     assert peak < 20e6
 
 
-def _reduceat_gap_rows(cost, assign, picked):
-    """``_gap_rows`` written out: every picked target's minimum by
-    ``np.minimum.reduceat`` into an ``inf``-filled buffer."""
-    rows = np.flatnonzero(picked[assign])
-    rows = rows[np.argsort(assign[rows], kind="stable")]
-    size = np.bincount(assign[rows], minlength=len(picked))[picked]
-    gap = np.full((size.size, cost.shape[1]), np.inf)
-    if rows.size:
-        diff = cost[rows]
-        diff -= cost[rows, assign[rows]][:, None]
-        start = np.cumsum(size) - size
-        gap[size > 0] = np.minimum.reduceat(diff, start[size > 0], axis=0)
-    return gap
+def _gap_rows_by_definition(cost, assign, picked):
+    """``_gap_rows`` from its definition, entry by entry: for each picked
+    target a, entry b is the minimum of cost[i, b] - cost[i, a] over the
+    rows i with assign[i] == a, and inf when a holds no row."""
+    gap = []
+    for a in np.flatnonzero(picked):
+        rows = [i for i in range(len(assign)) if assign[i] == a]
+        gap.append([min((cost[i, b] - cost[i, a] for i in rows), default=np.inf)
+                    for b in range(cost.shape[1])])
+    return np.array(gap, dtype=float).reshape(-1, cost.shape[1])
 
 
-def test_gap_rows_has_the_bits_of_reduceat():
+def test_gap_rows_have_the_bits_of_their_definition():
     rng = np.random.default_rng(31)
     cases = []
     # K = n permutations, every target picked or some: one row per target
@@ -545,7 +542,7 @@ def test_gap_rows_has_the_bits_of_reduceat():
         cases.append((cost, assign, np.array(picked, dtype=bool)))
     for cost, assign, picked in cases:
         got = _gap_rows(cost, assign, picked)
-        want = _reduceat_gap_rows(cost, assign, picked)
+        want = _gap_rows_by_definition(cost, assign, picked)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 

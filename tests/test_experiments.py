@@ -357,7 +357,7 @@ def test_pushforward_measure1d_mass_and_split():
 
 def _loop_pushforward_measure1d(pot, m):
     """``pushforward_measure1d`` with its per-atom ``searchsorted`` loop."""
-    active, cuts = pot._cells_1d()
+    active, cuts = pot._cells_1d
     bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
     masses = np.zeros(len(active))
     for lo, hi, mass in m.intervals:
@@ -378,7 +378,7 @@ def test_pushforward_measure1d_atom_binning_has_the_loop_bits():
     rng = np.random.default_rng(12)
     pot = CConcavePotential(np.array([[-0.6], [-0.1], [0.3], [0.7]]),
                             np.array([0.0, 0.01, -0.02, 0.0]), 2.0, 1.0)
-    cuts = pot._cells_1d()[1]
+    cuts = pot._cells_1d[1]
     assert len(cuts) >= 2
     measures = [
         # atoms exactly on every cut, with intervals around them

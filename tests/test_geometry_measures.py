@@ -110,26 +110,25 @@ def test_discrete_measure_merged():
     assert merged.weights[idx].tolist() == [0.5, 0.5]
 
 
-def test_merged_one_column_has_the_bits_of_axis0_unique():
+def test_merged_has_the_bits_of_axis0_unique():
+    # one rule for every dimension: without rows that differ only in the
+    # sign of a zero, the points, weights and sums of np.unique(axis=0)
     rng = np.random.default_rng(4)
-    for pts in (rng.choice(np.linspace(-1.0, 1.0, 9), size=(60, 1)),
-                np.array([[0.25], [0.25], [0.25]]),
-                np.array([[0.5], [-0.5], [0.0], [0.5], [-0.5]])):
-        w = rng.uniform(0.1, 1.0, len(pts))
-        m = DiscreteMeasure(pts, w / w.sum(), DOM)
-        want_pts, inverse = np.unique(m.points, axis=0, return_inverse=True)
-        want_w = np.zeros(len(want_pts))
-        np.add.at(want_w, inverse, m.weights)
-        got = m.merged()
-        assert got.points.shape == want_pts.shape
-        assert got.points.tobytes() == want_pts.tobytes()
-        assert got.weights.tobytes() == want_w.tobytes()
-    # -0.0 and 0.0 are one point; which spelling of it is kept may differ
-    m = DiscreteMeasure(np.array([[0.0], [-0.0], [0.5], [-0.0]]),
-                        np.array([0.125, 0.25, 0.5, 0.125]), DOM)
-    got = m.merged()
-    assert got.points.ravel().tolist() == [0.0, 0.5]
-    assert got.weights.tolist() == [0.5, 0.5]
+    for d in (1, 2, 3):
+        dom = Domain.box(-np.ones(d), np.ones(d))
+        for pts in (rng.choice(np.linspace(-1.0, 1.0, 9), size=(60, d)),
+                    rng.choice(np.linspace(-1.0, 1.0, 3), size=(300, d)),
+                    np.full((3, d), 0.25), np.full((1, d), -0.5),
+                    np.array([[0.5], [-0.5], [0.0], [0.5], [-0.5]]).repeat(d, axis=1)):
+            w = rng.uniform(0.1, 1.0, len(pts))
+            m = DiscreteMeasure(pts, w / w.sum(), dom)
+            want_pts, inverse = np.unique(m.points, axis=0, return_inverse=True)
+            want_w = np.zeros(len(want_pts))
+            np.add.at(want_w, inverse, m.weights)
+            got = m.merged()
+            assert got.points.shape == want_pts.shape
+            assert got.points.tobytes() == want_pts.tobytes()
+            assert got.weights.tobytes() == want_w.tobytes()
 
 
 def test_sorted_distinct_has_the_bits_of_np_unique():
@@ -186,6 +185,12 @@ def test_single_cell_grid_is_center_dirac():
     assert len(m.points) == 1
     assert np.allclose(m.points[0], [0.5, 0.5])
     assert m.weights[0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_grid_rejects_a_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match=f"resolution must be at least 1, got {resolution}"):
+        uniform_grid(Domain.ball(np.zeros(2), 1.0), resolution)
 
 
 # ---------------------------------------------------------------------------

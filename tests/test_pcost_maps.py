@@ -170,8 +170,8 @@ def test_cells_1d_match_dense_argmin(p):
     xs = np.linspace(-2.0, 2.0, 20001)
     for _ in range(30):
         pot = _random_increasing_potential(rng, p)
-        lead, cuts = pot._cells_1d()
-        assert pot._cells_1d() is pot._cells_1d()
+        lead, cuts = pot._cells_1d
+        assert pot._cells_1d is pot._cells_1d
         assert len(cuts) == len(lead) - 1 and (np.diff(cuts) > 0).all()
         vals = pot.piece_values(xs[:, None])
         low = np.sort(vals, axis=1)
@@ -189,17 +189,17 @@ def test_cells_1d_are_the_partner_envelope_at_p2():
     rng = np.random.default_rng(31)
     for _ in range(50):
         pot = _random_increasing_potential(rng, 2.0)
-        lead, cuts = pot._cells_1d()
-        env_s, _, bp = phi_to_convex(pot)._envelope()
+        lead, cuts = pot._cells_1d
+        env_s, _, bp = phi_to_convex(pot)._envelope
         assert np.array_equal(env_s / 2.0, pot.atoms[lead, 0])
         assert np.allclose(cuts, bp, rtol=1e-13, atol=1e-14)
 
 
 def test_cells_1d_validation():
     with pytest.raises(ValueError, match="1D potential"):
-        CConcavePotential(np.zeros((2, 2)), np.zeros(2), 2.0, 1.0)._cells_1d()
+        CConcavePotential(np.zeros((2, 2)), np.zeros(2), 2.0, 1.0)._cells_1d
     with pytest.raises(ValueError, match="strictly increasing"):
-        _sign_potential(2.0)._cells_1d()
+        _sign_potential(2.0)._cells_1d
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,43 @@ def test_policy_choice_is_irrelevant_off_the_singular_set():
     assert np.array_equal(res_a.image.weights, res_b.image.weights)
 
 
+_SIGNED_ZERO_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_merges_keep_the_first_signed_zero_row(d):
+    # 24 rows with +-0 ties, where np.unique(axis=0) keeps other signs at
+    # d = 2: of rows that differ only in the sign of a zero, the first one
+    # given stays, and each weight is summed in row order
+    rows = _SIGNED_ZERO_VALUES[np.random.default_rng(113).integers(0, 5, (24, d))]
+    w = np.arange(1.0, 25.0) / 300.0
+    firsts, sums = {}, {}
+    for row, wk in zip(rows, w):
+        key = tuple(float(x) + 0.0 for x in row)  # -0.0 + 0.0 is 0.0
+        firsts.setdefault(key, row)
+        sums[key] = sums.get(key, 0.0) + wk
+    keys = sorted(firsts)
+    want_pts = np.array([firsts[k] for k in keys])
+    want_w = np.array([sums[k] for k in keys])
+    rho = DiscreteMeasure(rows, w, Domain.box(-np.ones(d), np.ones(d)))
+    res = pushforward._bundle(rho, rows, 0, rho.domain)
+    for got in (rho.merged(), res.image):
+        assert got.points.shape == want_pts.shape
+        assert got.points.tobytes() == want_pts.tobytes()
+        assert got.weights.tobytes() == want_w.tobytes()
+    assert res.coupling.j.tolist() == [keys.index(tuple(float(x) + 0.0 for x in row))
+                                       for row in rows]
+    if d == 2:
+        assert np.signbit(np.unique(rows, axis=0)).tobytes() != np.signbit(want_pts).tobytes()
+    # the first spelling of a zero given stays, whichever it is
+    for first in (0.0, -0.0):
+        m = DiscreteMeasure(np.array([[first], [-first], [0.5], [-0.0]]),
+                            np.array([0.125, 0.25, 0.5, 0.125]), BOX).merged()
+        assert m.points.ravel().tolist() == [0.0, 0.5]
+        assert np.signbit(m.points[0, 0]) == np.signbit(first)
+        assert m.weights.tolist() == [0.5, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # transport-map pushforward
 # ---------------------------------------------------------------------------
@@ -113,7 +150,7 @@ def test_tmap_singular_iff_not_differentiable_near_kinks(p):
         k = int(rng.integers(2, 7))
         atoms = np.sort(rng.uniform(-0.8, 0.8, k))[:, None]
         pot = CConcavePotential(atoms, rng.uniform(-0.05, 0.05, k), p, 1.0)
-        cuts = pot._cells_1d()[1]
+        cuts = pot._cells_1d[1]
         for c in cuts[np.abs(cuts) < 0.99]:  # the kinks inside the domain
             for x in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
                       c - 1e-13, c + 1e-13, c - 1e-11, c + 1e-11, c + 1e-9):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the eight CLI defaults and hash everything they leave behind.
+"""Run the eight CLI defaults and five runs off p = q = r = 2, and hash
+everything they leave behind.
 
 Usage (from anywhere)::
 
@@ -7,8 +8,11 @@ Usage (from anywhere)::
 
 Runs ``figure1``, ``singularity``, ``stability-audit``, ``rate-fit``,
 ``demo`` and ``example --id 1.2/1.3/1.4`` with no setting but ``--out out``,
-each in a fresh interpreter on this checkout's ``src``, with ``DIR/<run>``
-as its working directory, so that no printed path names ``DIR``.  Writes
+then ``stability-audit --p 3 --q 3``, ``rate-fit --q 2 --r 3``,
+``demo --p 3``, ``example --id 1.3 --p 3 --q 3 --r 3`` and
+``example --id 1.4 --q 3 --r 4``, each in a fresh interpreter on this
+checkout's ``src``, with ``DIR/<run>`` as its working directory, so that
+no printed path names ``DIR``.  Writes
 ``DIR/SHA256SUMS``: one ``<sha256>  <run>/<file>`` line per output file,
 one each for the run's stdout and stderr, and one ``exit <code>  <run>``
 line.  Two checkouts give the same bytes exactly when::
@@ -36,6 +40,11 @@ RUNS = {
     "example-1.2": ["example", "--id", "1.2"],
     "example-1.3": ["example", "--id", "1.3"],
     "example-1.4": ["example", "--id", "1.4"],
+    "stability-audit-p3-q3": ["stability-audit", "--p", "3", "--q", "3"],
+    "rate-fit-q2-r3": ["rate-fit", "--q", "2", "--r", "3"],
+    "demo-p3": ["demo", "--p", "3"],
+    "example-1.3-p3-q3-r3": ["example", "--id", "1.3", "--p", "3", "--q", "3", "--r", "3"],
+    "example-1.4-q3-r4": ["example", "--id", "1.4", "--q", "3", "--r", "4"],
 }
 
 
